@@ -30,6 +30,7 @@ from .quadrature import vertical_line_integral, vertical_plane_integral, circle_
 from .special import PoleError, DegenerateParameterError, validate_langlands, log_gamma
 
 _SUM_TOL = 1e-10
+_SHIFT_TOL = 1e-10
 
 
 def _as_alpha(alpha, n: int) -> np.ndarray:
@@ -231,41 +232,6 @@ def mellin_value(n: int, alpha, s, tol: float = 1e-8) -> complex:
     return mellin_recursive(n, alpha, s, tol=tol)
 
 
-class WhittakerEvaluator:
-    """Bundles spectral parameters with the transform evaluators.
-
-    Quadrature policy lives here: relative tolerance and nodes per unit
-    length of contour (a 16-node Gauss-Legendre panel per unit width).
-    """
-
-    def __init__(self, n: int, alpha, tol: float = 1e-8, nodes_per_panel: int = 16):
-        if n not in (2, 3, 4):
-            raise ValueError("supported ranks: n in {2, 3, 4}")
-        if tol <= 0:
-            raise ValueError("tolerance must be positive")
-        self.n = n
-        self.alpha = tuple(np.asarray(_as_alpha(alpha, n)))
-        self.tol = tol
-        self.nodes_per_panel = nodes_per_panel
-
-    @property
-    def truncation_height(self) -> float:
-        return _truncation_half_length(np.asarray(self.alpha))
-
-    def mellin(self, s) -> complex:
-        return mellin_value(self.n, self.alpha, s, tol=self.tol)
-
-    def mellin_recursive(self, s) -> complex:
-        return mellin_recursive(
-            self.n, self.alpha, s, tol=self.tol, nodes_per_panel=self.nodes_per_panel
-        )
-
-    def value(self, y: float, b: float = 0.5) -> float:
-        if self.n != 2:
-            raise NotImplementedError("inverse transform implemented for n = 2")
-        return whittaker_value(self.alpha, y, b=b, tol=self.tol)
-
-
 # ---------------------------------------------------------------------------
 # shift identities
 
@@ -314,6 +280,7 @@ def shift_identity_check(
     s=None,
     rng: np.random.Generator | None = None,
     samples: int = 12,
+    tol: float = _SHIFT_TOL,
 ) -> dict:
     """Numerically verify a shift identity and its degree bookkeeping.
 
@@ -321,7 +288,9 @@ def shift_identity_check(
     polynomial degree and twice the shift weight, which must sum to the
     budget.  Supported: n = 2 (any delta, exact) and n = 3 (delta = 1).
     Pass an explicit (alpha, s) to check one point, otherwise random
-    tempered samples are drawn.
+    tempered samples are drawn.  ``passed`` needs a balanced ledger and
+    every residual within max(1e-10, tol): the identities are exact, so a
+    looser tol widens the floating-point floor but never tightens it.
     """
     rng = rng or np.random.default_rng(0)
     budget = delta * math.comb(n, m)
@@ -356,6 +325,7 @@ def shift_identity_check(
             worst = max(worst, shift_residual_gl3(al, sv, m))
     else:
         raise NotImplementedError("verified shift identities: n = 2, or n = 3 with delta = 1")
+    balanced = poly_degree + 2 * shift_weight == budget
     return {
         "n": n,
         "m": m,
@@ -365,7 +335,8 @@ def shift_identity_check(
         "degree_budget": budget,
         "poly_degree": poly_degree,
         "shift_weight": shift_weight,
-        "balanced": poly_degree + 2 * shift_weight == budget,
+        "balanced": balanced,
+        "passed": bool(balanced and worst <= max(_SHIFT_TOL, tol)),
     }
 
 
@@ -457,6 +428,18 @@ def residue_formula(n: int, spec: ResidueSpec, alpha, s_rest: complex | None = N
             raise ValueError("rank two residues need the remaining s-variable")
         return first_residue_gl3(a, spec.m, s_rest)
     raise NotImplementedError("closed residues: n = 2 any delta <= 3, n = 3 first poles")
+
+
+def separated_tempered_alpha(n: int, rng: np.random.Generator) -> tuple[complex, ...]:
+    """Tempered parameters i t_j, t_j uniform on [0.3, 0.9] for j < n and
+    t_n closing the sum, redrawn until every pair is more than 0.3 apart so
+    no second pole sits near a :func:`residue_check` contour circle."""
+    while True:
+        t = rng.uniform(0.3, 0.9, size=n - 1)
+        parts = list(t) + [-float(sum(t))]
+        gaps = [abs(a - b) for i, a in enumerate(parts) for b in parts[i + 1 :]]
+        if min(gaps) > 0.3:
+            return tuple(1j * v for v in parts)
 
 
 def residue_check(

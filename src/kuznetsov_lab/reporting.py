@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -33,8 +34,6 @@ class RunConfig:
 
     quad_tol: float = 1e-8
     identity_tol: float = 1e-9
-    nodes_per_panel: int = 16
-    truncation_height: float = 30.0
     jobs: int = 1
     out_format: str = "json"
     seed: int = 0
@@ -42,10 +41,6 @@ class RunConfig:
     def __post_init__(self):
         if self.quad_tol <= 0 or self.identity_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.nodes_per_panel < 2:
-            raise ValueError("nodes_per_panel must be at least 2")
-        if self.truncation_height <= 0:
-            raise ValueError("truncation_height must be positive")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
         if self.out_format not in _FORMATS:
@@ -119,7 +114,9 @@ class VerificationReport:
     anchor names the library identity the check verifies (module.function);
     digest fingerprints the inputs (name, seed, tolerances) so two reports
     are comparable only when their digests match.  runtime is wall seconds
-    and is excluded from canonical serialized output.
+    and is excluded from canonical serialized output.  error is
+    "<ExceptionType>: <message>" when the check raised instead of returning
+    a verdict; it is serialized only when set.
     """
 
     name: str
@@ -128,6 +125,7 @@ class VerificationReport:
     passed: bool
     max_error: float
     runtime: float
+    error: str | None = None
 
     def payload(self, include_runtime: bool = False) -> dict:
         out = {
@@ -137,15 +135,17 @@ class VerificationReport:
             "passed": self.passed,
             "max_error": self.max_error,
         }
+        if self.error is not None:
+            out["error"] = self.error
         if include_runtime:
             out["runtime"] = self.runtime
         return out
 
 
 def input_digest(name: str, cfg: RunConfig) -> str:
-    blob = repr(
-        (name, cfg.seed, cfg.quad_tol, cfg.identity_tol, cfg.nodes_per_panel)
-    ).encode()
+    # 16 is the Gauss-Legendre panel size of every quadrature; it stays in
+    # the tuple so digests keep the bytes they had when it was a config key
+    blob = repr((name, cfg.seed, cfg.quad_tol, cfg.identity_tol, 16)).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
@@ -158,11 +158,16 @@ def reports_to_csv(reports, include_runtime: bool = False) -> str:
     names = ["name", "anchor", "digest", "passed", "max_error"]
     if include_runtime:
         names.append("runtime")
-    lines = [",".join(names)]
+    if any(r.error is not None for r in reports):
+        names.append("error")
+    buf = io.StringIO()
+    # an exception message may hold commas or quotes, so quote as needed
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(names)
     for r in reports:
         row = r.payload(include_runtime)
-        lines.append(",".join(str(row[k]) for k in names))
-    return "\n".join(lines) + "\n"
+        writer.writerow([row.get(k, "") for k in names])
+    return buf.getvalue()
 
 
 def render_reports(reports, cfg: RunConfig, include_runtime: bool = False) -> str:

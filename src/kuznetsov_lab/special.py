@@ -136,11 +136,7 @@ def bound_B(a: float, eps: float = 1e-9) -> float:
         if a <= eps:  # a = 0 is the continuous seam of the first branch
             return 0.0
         raise ValueError(f"a = {a} is within {eps} of an integer")
-    fl = math.floor(a)
-    frac = a - fl
-    if frac <= 0.5:
-        return fl + 2 * frac
-    return float(math.ceil(a))
+    return _bound_B_cont(a)
 
 
 def _bound_B_cont(a: float) -> float:
@@ -236,11 +232,6 @@ def validate_langlands(
     if require_tempered and float(np.abs(a.real).max(initial=0.0)) > tol:
         raise ValueError("parameter is not tempered (nonzero real parts)")
     return a
-
-
-def is_tempered(alpha: Sequence[complex], tol: float = 1e-12) -> bool:
-    a = np.asarray(alpha, dtype=complex)
-    return float(np.abs(a.real).max(initial=0.0)) <= tol
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,8 @@ def _check_degree_forms(cfg):
 
 def _check_partition_identities(cfg):
     out = comb.verify_partition_identities(10)
-    return out["passed"], 0.0 if out["passed"] else float("inf")
+    # the verifier stops at its first counterexample: one failed case
+    return out["passed"], 0.0 if out["passed"] else 1.0
 
 
 def _check_phi(cfg):
@@ -311,16 +312,13 @@ def _check_rank_two_recursion(cfg):
 def _check_shift_identities(cfg):
     rng = _rng(cfg, 403)
     worst = 0.0
-    balanced = True
-    for delta in range(1, 6):
-        out = mellin.shift_identity_check(2, 1, delta, rng=rng)
+    ok = True
+    cases = [(2, 1, delta) for delta in range(1, 6)] + [(3, m, 1) for m in (1, 2)]
+    for n, m, delta in cases:
+        out = mellin.shift_identity_check(n, m, delta, rng=rng, tol=cfg.identity_tol)
         worst = max(worst, out["max_residual"])
-        balanced &= out["balanced"]
-    for m in (1, 2):
-        out = mellin.shift_identity_check(3, m, 1, rng=rng)
-        worst = max(worst, out["max_residual"])
-        balanced &= out["balanced"]
-    return balanced and worst <= _tol(cfg, 1e-10), worst
+        ok &= out["passed"]
+    return ok, worst
 
 
 def _check_residue_contour(cfg):
@@ -333,19 +331,11 @@ def _check_residue_contour(cfg):
         worst = max(worst, out["rel_err"])
         ok &= out["passed"]
     for m in (1, 2):
-        # keep the three parameters pairwise separated so no second pole
-        # sits near the contour circle
-        while True:
-            t = rng.uniform(0.3, 0.9, size=2)
-            parts = (t[0], t[1], -(t[0] + t[1]))
-            gaps = [abs(a - b) for i, a in enumerate(parts) for b in parts[i + 1 :]]
-            if min(gaps) > 0.3:
-                break
-        alpha = (1j * parts[0], 1j * parts[1], 1j * parts[2])
+        alpha = mellin.separated_tempered_alpha(3, rng)
         out = mellin.residue_check(3, alpha, m=m, delta=0, s_other=0.8 + 0.05j)
         worst = max(worst, out["rel_err"])
         ok &= out["passed"]
-    return ok and worst <= _tol(cfg, 1e-8), worst
+    return ok, worst
 
 
 # -- testfn -----------------------------------------------------------------
@@ -429,7 +419,8 @@ def _check_modulus_tail(cfg):
     rep = trace.tail_from_rho(1.5, 0.01, 2000)
     ok = rep.converged_geometric and not rep.divergent
     ok &= rep.partial_sum < rep.trivial_zeta
-    return ok, float(max(rep.block_ratios[-3:])) if rep.block_ratios else float("inf")
+    # no block ratio at all shows no decay, so it reads as ratio 1
+    return ok, float(max(rep.block_ratios[-3:], default=1.0))
 
 
 def _check_exponent_ledger(cfg):
@@ -510,10 +501,12 @@ SELECTORS = tuple(CHECKS) + ("all",)
 
 def _run_one(name, anchor, fn, cfg) -> VerificationReport:
     start = time.perf_counter()
+    error = None
     try:
         passed, max_error = fn(cfg)
-    except Exception:
+    except Exception as exc:  # one check's crash must not stop the battery
         passed, max_error = False, float("inf")
+        error = f"{type(exc).__name__}: {exc}"
     return VerificationReport(
         name=name,
         anchor=anchor,
@@ -521,6 +514,7 @@ def _run_one(name, anchor, fn, cfg) -> VerificationReport:
         passed=bool(passed),
         max_error=float(max_error),
         runtime=time.perf_counter() - start,
+        error=error,
     )
 
 
@@ -545,8 +539,9 @@ def run_suite(selector: str, cfg: RunConfig | None = None) -> list[VerificationR
 
 
 def suite_exit_code(reports) -> int:
-    """0 all passed; 1 a check failed; 2 a check errored (inf max_error)."""
-    if any(math.isinf(r.max_error) and not r.passed for r in reports):
+    """0 all passed; 1 a check failed; 2 a check raised (its report has an
+    error)."""
+    if any(r.error is not None for r in reports):
         return 2
     if any(not r.passed for r in reports):
         return 1

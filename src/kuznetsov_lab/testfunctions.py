@@ -391,10 +391,6 @@ def itr_log(a: float, params, grid_step: float = 1.0 / 16, t_factor: float = 2.7
     return float(mx + math.log(2.0 * np.sum(np.exp(li - mx)) * dv))
 
 
-def itr_value(a: float, params, **kw) -> float:
-    return math.exp(itr_log(a, params, **kw))
-
-
 # ---------------------------------------------------------------------------
 # main-term norm integrals
 

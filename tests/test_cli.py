@@ -10,7 +10,9 @@ import json
 import numpy as np
 import pytest
 
-from kuznetsov_lab import cli
+from kuznetsov_lab import cli, mellin, suite
+from kuznetsov_lab import combinatorics as comb
+from kuznetsov_lab.quadrature import AccuracyError
 from kuznetsov_lab.reporting import (
     CONFIG_ENV_VAR,
     RunConfig,
@@ -66,6 +68,26 @@ class TestRunDriver:
         _, out, _ = run_cli(capsys, "run", "combinatorics", "--timings")
         assert all("runtime" in r for r in json.loads(out))
 
+    def test_raising_check_exits_2_with_its_error(self, capsys, monkeypatch):
+        def boom(cfg):
+            raise RuntimeError("boom, at n = 3")
+
+        monkeypatch.setitem(suite.CHECKS, "combinatorics", [("boom", "m.f", boom)])
+        code, out, _ = run_cli(capsys, "run", "combinatorics")
+        (report,) = json.loads(out)
+        assert code == 2
+        assert report["error"] == "RuntimeError: boom, at n = 3"
+        assert report["passed"] is False and report["max_error"] == float("inf")
+
+    def test_failed_partition_identity_exits_1(self, capsys, monkeypatch):
+        failed = {"passed": False, "checked": 3, "first_counterexample": (1, 2)}
+        monkeypatch.setattr(comb, "verify_partition_identities", lambda n_max: failed)
+        code, out, _ = run_cli(capsys, "run", "combinatorics")
+        (report,) = [r for r in json.loads(out) if r["name"] == "partition-identities"]
+        assert code == 1
+        assert report["passed"] is False and report["max_error"] == 1.0
+        assert "error" not in report
+
     def test_unknown_selector_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["run", "nonsense"])
@@ -100,6 +122,14 @@ class TestConfigLayering:
         code, _, err = run_cli(capsys, "run", "combinatorics", "--config", str(cfgfile))
         assert code == 2
         assert "bogus" in err
+
+    @pytest.mark.parametrize("key", ["nodes_per_panel", "truncation_height"])
+    def test_removed_keys_are_unknown(self, capsys, tmp_path, key):
+        cfgfile = tmp_path / "lab.cfg"
+        cfgfile.write_text(f"{key} = 64\n")
+        code, _, err = run_cli(capsys, "run", "combinatorics", "--config", str(cfgfile))
+        assert code == 2
+        assert "unknown key" in err
 
     def test_defaults(self):
         cfg = RunConfig()
@@ -172,8 +202,35 @@ class TestModuleSubcommands:
         code, out, _ = run_cli(capsys, "whittaker", "--mellin", "3", str(apath), str(spath))
         payload = json.loads(out)["mellin"]
         assert code == 0
-        assert set(payload) == {"n", "value", "error_estimate", "node_count"}
-        assert payload["node_count"] == 0  # closed form, no quadrature
+        assert set(payload) == {"n", "value"}
+        expect = mellin.mellin_gl3_closed((0.4j, 0.3j, -0.7j), (0.8 + 0.1j, 0.7 - 0.2j))
+        assert complex(payload["value"]["re"], payload["value"]["im"]) == pytest.approx(expect)
+
+    def test_whittaker_accuracy_error_exits_2(self, capsys, tmp_path, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AccuracyError("line integral tail above tolerance")
+
+        monkeypatch.setattr(mellin, "mellin_value", unreachable)
+        apath = tmp_path / "alpha.json"
+        apath.write_text("[0.4, 0.3, -0.7]")
+        spath = tmp_path / "s.json"
+        spath.write_text("[0.8, 0.7]")
+        code, out, err = run_cli(capsys, "whittaker", "--mellin", "3", str(apath), str(spath))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "tail above tolerance" in err
+
+    @pytest.mark.parametrize("tol, passed", [("1e-12", False), ("1e-9", True)])
+    def test_shift_bound_agrees_with_suite(self, capsys, monkeypatch, tol, passed):
+        # 5e-10 lies between the floor 1e-10 and a loosened --tol 1e-9
+        monkeypatch.setattr(mellin, "shift_residual_gl2", lambda *args: 5e-10)
+        code, out, _ = run_cli(capsys, "whittaker", "--check-shift", "2", "1", "1", "--tol", tol)
+        assert json.loads(out)["check_shift"]["passed"] is passed
+        assert code == (0 if passed else 1)
+        code, out, _ = run_cli(capsys, "run", "whittaker", "--tol", tol)
+        (shift,) = [r for r in json.loads(out) if r["name"] == "shift-identities"]
+        assert shift["passed"] is passed
+        assert code == (0 if passed else 1)
 
     def test_whittaker_residue_and_shift(self, capsys):
         code, out, _ = run_cli(

@@ -1,8 +1,13 @@
 """Library-level contracts of the verification driver and report plumbing."""
 
+import csv
+import io
 import json
+from types import SimpleNamespace
 
 import pytest
+
+from kuznetsov_lab import suite, trace
 
 from kuznetsov_lab.reporting import (
     RunConfig,
@@ -66,8 +71,21 @@ class TestExitCodes:
         assert suite_exit_code([make_report(), make_report(passed=False, max_error=0.5)]) == 1
 
     def test_crash_dominates(self):
-        crashed = make_report(passed=False, max_error=float("inf"))
+        crashed = make_report(passed=False, max_error=float("inf"), error="RuntimeError: x")
         assert suite_exit_code([make_report(passed=False, max_error=0.5), crashed]) == 2
+
+    def test_infinite_error_alone_is_a_failure(self):
+        assert suite_exit_code([make_report(passed=False, max_error=float("inf"))]) == 1
+
+    def test_modulus_tail_without_ratios_is_finite_failure(self, monkeypatch):
+        empty = SimpleNamespace(
+            converged_geometric=False, divergent=False, partial_sum=1.0,
+            trivial_zeta=2.0, block_ratios=(),
+        )
+        monkeypatch.setattr(trace, "tail_from_rho", lambda *args: empty)
+        rep = suite._run_one("modulus-tail", "trace.tail_from_rho", suite._check_modulus_tail, RunConfig())
+        assert rep.error is None and rep.max_error == 1.0
+        assert suite_exit_code([rep]) == 1
 
 
 class TestSerialization:
@@ -88,6 +106,14 @@ class TestSerialization:
         lines = reports_to_csv([make_report(passed=False, max_error=2.0)], False).splitlines()
         assert lines[0] == "name,anchor,digest,passed,max_error"
         assert lines[1] == "x,m.f,000000000000,False,2.0"
+
+    def test_error_serialized_only_when_set(self):
+        crashed = make_report(passed=False, max_error=float("inf"), error='ValueError: a, "b"')
+        assert "error" not in make_report().payload()
+        assert json.loads(reports_to_json([crashed]))[0]["error"] == 'ValueError: a, "b"'
+        rows = list(csv.reader(io.StringIO(reports_to_csv([make_report(), crashed]))))
+        assert rows[0][-1] == "error"
+        assert rows[1][-1] == "" and rows[2][-1] == 'ValueError: a, "b"'
 
 
 class TestRunConfigValidation:

@@ -12,7 +12,6 @@ from kuznetsov_lab.testfunctions import (
     h_value,
     itr_log,
     itr_scaling,
-    itr_value,
     main_term_log,
     main_term_scaling,
     p_sharp,
@@ -192,10 +191,6 @@ class TestShiftedNormIntegral:
     def test_integer_shift_rejected(self):
         with pytest.raises(ValueError):
             itr_log(1.0, TestFunctionParams(T=8.0, R=1))
-
-    def test_value_exponentiates(self):
-        p = TestFunctionParams(T=4.0, R=1)
-        assert itr_value(0.25, p) == pytest.approx(math.exp(itr_log(0.25, p)))
 
     def test_scaling_small_shift_matches_prediction(self):
         fit = itr_scaling(0.25, 2)
