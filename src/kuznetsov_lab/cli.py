@@ -226,7 +226,7 @@ def _cmd_whittaker(args, cfg) -> tuple[str, int]:
             if args.alpha
             else mellin.separated_tempered_alpha(n, np.random.default_rng(cfg.seed))
         )
-        rep = mellin.residue_check(n, alpha, m=m, delta=delta, s_other=0.8 + 0.05j)
+        rep = mellin.residue_check(n, alpha, m=m, delta=delta)
         out["residue"] = rep
         code = max(code, 0 if rep["passed"] else 1)
     if args.check_shift is not None:

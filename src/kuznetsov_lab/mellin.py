@@ -27,10 +27,15 @@ import numpy as np
 from scipy.special import loggamma
 
 from .quadrature import vertical_line_integral, vertical_plane_integral, circle_integral_mean
-from .special import PoleError, DegenerateParameterError, validate_langlands, log_gamma
+from .special import DegenerateParameterError, log_gamma
 
 _SUM_TOL = 1e-10
 _SHIFT_TOL = 1e-10
+# residue checks: circle radius, relative pass bound, and the value at
+# which the other rank-two variable is held
+_RESIDUE_RADIUS = 0.1
+_RESIDUE_TOL = 1e-8
+_RESIDUE_S_OTHER = 0.8 + 0.05j
 
 
 def _as_alpha(alpha, n: int) -> np.ndarray:
@@ -189,27 +194,26 @@ def mellin_recursive(
 
 
 @functools.lru_cache(maxsize=1)
-def gl3_normalization(tol: float = 1e-10) -> float:
+def gl3_normalization() -> float:
     """Leading constant of the rank-two closed form, calibrated once.
 
-    Measured against the recursion at the reference point alpha = 0,
-    s = (1, 1), where the closed form with unit constant equals 1.
+    Measured against the recursion at tol 1e-10 at the reference point
+    alpha = 0, s = (1, 1), where the closed form with unit constant equals 1.
     """
-    ref = mellin_recursive(3, (0.0, 0.0, 0.0), (1.0, 1.0), tol=tol)
+    ref = mellin_recursive(3, (0.0, 0.0, 0.0), (1.0, 1.0), tol=1e-10)
     if abs(ref.imag) > 1e-6 or ref.real <= 0:
         raise AssertionError(f"calibration point gave non-positive value {ref}")
     return ref.real
 
 
-def mellin_gl3_closed(alpha, s, kappa: float | None = None):
+def mellin_gl3_closed(alpha, s):
     """Closed rank-two transform: six Gamma factors over Gamma(s1 + s2).
 
-    Accepts scalar or broadcastable array s-components.  ``kappa`` overrides
-    the calibrated leading constant (mainly for the calibration test itself).
+    Accepts scalar or broadcastable array s-components.  The leading
+    constant is :func:`gl3_normalization`, calibrated against the recursion.
     """
     a = _as_alpha(alpha, 3)
-    if kappa is None:
-        kappa = gl3_normalization()
+    kappa = gl3_normalization()
     s1 = np.asarray(s[0], dtype=np.complex128)
     s2 = np.asarray(s[1], dtype=np.complex128)
     if s1.ndim == 0 and s2.ndim == 0:
@@ -225,6 +229,8 @@ def mellin_gl3_closed(alpha, s, kappa: float | None = None):
 
 def mellin_value(n: int, alpha, s, tol: float = 1e-8) -> complex:
     """Best available evaluator: exact products for n <= 3, recursion for n = 4."""
+    if len(s) != n - 1:
+        raise ValueError("need n - 1 s-variables")
     if n == 2:
         return complex(mellin_gl2(alpha, s[0]))
     if n == 3:
@@ -276,8 +282,6 @@ def shift_identity_check(
     n: int,
     m: int,
     delta: int,
-    alpha=None,
-    s=None,
     rng: np.random.Generator | None = None,
     samples: int = 12,
     tol: float = _SHIFT_TOL,
@@ -286,42 +290,32 @@ def shift_identity_check(
 
     The degree budget is delta * C(n, m); each verified identity reports the
     polynomial degree and twice the shift weight, which must sum to the
-    budget.  Supported: n = 2 (any delta, exact) and n = 3 (delta = 1).
-    Pass an explicit (alpha, s) to check one point, otherwise random
-    tempered samples are drawn.  ``passed`` needs a balanced ledger and
-    every residual within max(1e-10, tol): the identities are exact, so a
-    looser tol widens the floating-point floor but never tightens it.
+    budget.  Supported: n = 2 (any delta, exact) and n = 3 (delta = 1), each
+    at ``samples`` random tempered points.  ``passed`` needs a balanced
+    ledger and every residual within max(1e-10, tol): the identities are
+    exact, so a looser tol widens the floating-point floor but never
+    tightens it.
     """
     rng = rng or np.random.default_rng(0)
     budget = delta * math.comb(n, m)
     worst = 0.0
-    explicit = alpha is not None and s is not None
-    if explicit:
-        samples = 1
     if n == 2:
         if m != 1:
             raise ValueError("rank one has a single s-variable")
         poly_degree, shift_weight = 0, delta
         for _ in range(samples):
-            if explicit:
-                al, sv = alpha, complex(s)
-            else:
-                t = rng.uniform(0.2, 2.0)
-                al = (1j * t, -1j * t)
-                sv = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
-            worst = max(worst, shift_residual_gl2(al, sv, delta))
+            t = rng.uniform(0.2, 2.0)
+            sv = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
+            worst = max(worst, shift_residual_gl2((1j * t, -1j * t), sv, delta))
     elif n == 3 and delta == 1:
         poly_degree, shift_weight = 1, 1
         for _ in range(samples):
-            if explicit:
-                al, sv = alpha, (complex(s[0]), complex(s[1]))
-            else:
-                t = rng.uniform(0.2, 1.5, size=2)
-                al = (1j * t[0], 1j * t[1], -1j * (t[0] + t[1]))
-                sv = (
-                    complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5)),
-                    complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5)),
-                )
+            t = rng.uniform(0.2, 1.5, size=2)
+            al = (1j * t[0], 1j * t[1], -1j * (t[0] + t[1]))
+            sv = (
+                complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5)),
+                complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5)),
+            )
             worst = max(worst, shift_residual_gl3(al, sv, m))
     else:
         raise NotImplementedError("verified shift identities: n = 2, or n = 3 with delta = 1")
@@ -386,11 +380,11 @@ def first_residue_gl3(alpha, m: int, s_other: complex) -> complex:
     return gl3_normalization() * complex(np.exp(log))
 
 
-def check_pole_separation(n: int, alpha, m: int, delta: int, radius: float = 0.1) -> complex:
+def check_pole_separation(n: int, alpha, m: int, delta: int) -> complex:
     """Return the pole center in s_m, or raise if another pole crowds the contour.
 
     Pole candidates in the m-th variable are -(sum of any m parameters) - k.
-    A circle of the given radius about the target must keep every other
+    The residue circle (radius 0.1) about the target must keep every other
     candidate at distance at least twice the radius.
     """
     a = _as_alpha(alpha, n)
@@ -400,7 +394,7 @@ def check_pole_separation(n: int, alpha, m: int, delta: int, radius: float = 0.1
         for k in range(delta + 4):
             pole = base - k
             d = abs(pole - center)
-            if d > 1e-12 and d < 2.0 * radius:
+            if d > 1e-12 and d < 2.0 * _RESIDUE_RADIUS:
                 raise DegenerateParameterError(
                     f"pole at {pole:.4f} within {d:.3f} of target contour"
                 )
@@ -442,35 +436,28 @@ def separated_tempered_alpha(n: int, rng: np.random.Generator) -> tuple[complex,
             return tuple(1j * v for v in parts)
 
 
-def residue_check(
-    n: int,
-    alpha,
-    m: int = 1,
-    delta: int = 0,
-    s_other: complex = 0.75,
-    radius: float = 0.1,
-    tol: float = 1e-8,
-) -> dict:
+def residue_check(n: int, alpha, m: int = 1, delta: int = 0) -> dict:
     """Compare a closed-form residue against a small-circle contour integral.
 
-    The contour route never uses the residue formula, so agreement within
-    tol is an independent confirmation.  Parameters must be in general
-    position relative to the contour radius.
+    The contour route never uses the residue formula, so a relative
+    difference within 1e-8 is an independent confirmation.  Parameters must
+    be in general position relative to the contour radius.  For n = 3 the
+    other variable is held at 0.8 + 0.05i.
     """
     a = _as_alpha(alpha, n)
-    center = check_pole_separation(n, a, m, delta, radius=radius)
+    center = check_pole_separation(n, a, m, delta)
     if n == 2:
         closed = residue_gl2(a, delta)
-        contour = circle_integral_mean(lambda sv: mellin_gl2(a, sv), center, radius)
+        contour = circle_integral_mean(lambda sv: mellin_gl2(a, sv), center, _RESIDUE_RADIUS)
     elif n == 3 and delta == 0:
-        closed = first_residue_gl3(a, m, s_other)
+        closed = first_residue_gl3(a, m, _RESIDUE_S_OTHER)
         if m == 1:
             def f(sv):
-                return mellin_gl3_closed(a, (sv, s_other * np.ones_like(sv)))
+                return mellin_gl3_closed(a, (sv, _RESIDUE_S_OTHER * np.ones_like(sv)))
         else:
             def f(sv):
-                return mellin_gl3_closed(a, (s_other * np.ones_like(sv), sv))
-        contour = circle_integral_mean(f, center, radius)
+                return mellin_gl3_closed(a, (_RESIDUE_S_OTHER * np.ones_like(sv), sv))
+        contour = circle_integral_mean(f, center, _RESIDUE_RADIUS)
     else:
         raise NotImplementedError("closed residues: n = 2 any delta, n = 3 first poles")
     err = abs(closed - contour)
@@ -483,7 +470,7 @@ def residue_check(
         "contour": contour,
         "abs_err": err,
         "rel_err": err / scale,
-        "passed": err / scale <= tol,
+        "passed": err / scale <= _RESIDUE_TOL,
     }
 
 

@@ -4,7 +4,7 @@ Everything here integrates along lines Re(z) = const using composite
 Gauss-Legendre panels.  The integrands we care about are products of Gamma
 functions, so they decay like exp(-c|Im z|) and a modest truncation window
 suffices; the window is grown adaptively until the outermost panels are
-negligible at the requested tolerance.
+negligible at the requested tolerance.  Panels have unit width.
 """
 
 from __future__ import annotations
@@ -13,6 +13,12 @@ import functools
 from typing import Callable
 
 import numpy as np
+
+# largest half-length a doubling window may reach, for lines and planes
+_LINE_MAX_HALF_LENGTH = 400.0
+_PLANE_MAX_HALF_LENGTH = 200.0
+# plane integrand rows evaluated per tensor-grid block
+_BLOCK_ROWS = 256
 
 
 class AccuracyError(RuntimeError):
@@ -34,18 +40,14 @@ def panel_nodes(
     return lo + half * (x + 1.0), half * w
 
 
-def line_nodes(
-    half_length: float,
-    panel_width: float = 1.0,
-    nodes_per_panel: int = 16,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Composite panel nodes covering [-half_length, half_length].
+def line_nodes(half_length: float, nodes_per_panel: int = 16) -> tuple[np.ndarray, np.ndarray]:
+    """Composite unit-width panel nodes covering [-half_length, half_length].
 
     The panel count is rounded up so the edge lands at or beyond the
     requested half-length; panels are laid out symmetrically about 0.
     """
-    n_panels = max(1, int(np.ceil(half_length / panel_width)))
-    edges = panel_width * np.arange(n_panels + 1)
+    n_panels = max(1, int(np.ceil(half_length)))
+    edges = np.arange(n_panels + 1, dtype=float)
     ts, ws = [], []
     for k in range(n_panels):
         t, w = panel_nodes(edges[k], edges[k + 1], nodes_per_panel)
@@ -63,9 +65,7 @@ def vertical_line_integral(
     x0: float,
     tol: float,
     initial_half_length: float = 30.0,
-    panel_width: float = 1.0,
     nodes_per_panel: int = 16,
-    max_half_length: float = 400.0,
 ) -> complex:
     """Integrate f along the line x0 + i*t, t from -L to L, including dz = i dt.
 
@@ -75,7 +75,7 @@ def vertical_line_integral(
     """
     half = float(initial_half_length)
     while True:
-        t, w = line_nodes(half, panel_width, nodes_per_panel)
+        t, w = line_nodes(half, nodes_per_panel)
         vals = f(x0 + 1j * t)
         total = 1j * np.sum(w * vals)
         # outermost panel pair decides whether the tail is resolved
@@ -84,7 +84,7 @@ def vertical_line_integral(
         tail += np.sum(w[-edge:] * np.abs(vals[-edge:]))
         if tail < tol / 10.0:
             return complex(total)
-        if 2.0 * half > max_half_length:
+        if 2.0 * half > _LINE_MAX_HALF_LENGTH:
             raise AccuracyError(
                 f"line integral tail {tail:.3e} above {tol / 10.0:.3e} "
                 f"at half-length {half:.1f}"
@@ -97,10 +97,7 @@ def vertical_plane_integral(
     x0: tuple[float, float],
     tol: float,
     initial_half_length: float = 30.0,
-    panel_width: float = 1.0,
     nodes_per_panel: int = 16,
-    max_half_length: float = 200.0,
-    block_rows: int = 256,
 ) -> complex:
     """Two-dimensional analogue of :func:`vertical_line_integral`.
 
@@ -112,14 +109,14 @@ def vertical_plane_integral(
     """
     half = float(initial_half_length)
     while True:
-        t, w = line_nodes(half, panel_width, nodes_per_panel)
+        t, w = line_nodes(half, nodes_per_panel)
         z2 = x0[1] + 1j * t
         m = t.size
         edge = 2 * nodes_per_panel
         total = 0.0 + 0.0j
         frame = 0.0
-        for lo in range(0, m, block_rows):
-            hi = min(lo + block_rows, m)
+        for lo in range(0, m, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, m)
             z1 = (x0[0] + 1j * t[lo:hi])[:, None]
             block = f(z1, z2[None, :])
             wb = w[lo:hi][:, None] * w[None, :]
@@ -134,7 +131,7 @@ def vertical_plane_integral(
         total = -total  # (i)^2 from dz1 dz2
         if frame < tol / 10.0:
             return complex(total)
-        if 2.0 * half > max_half_length:
+        if 2.0 * half > _PLANE_MAX_HALF_LENGTH:
             raise AccuracyError(
                 f"plane integral frame {frame:.3e} above {tol / 10.0:.3e} "
                 f"at half-length {half:.1f}"
@@ -143,18 +140,15 @@ def vertical_plane_integral(
 
 
 def circle_integral_mean(
-    f: Callable[[np.ndarray], np.ndarray],
-    center: complex,
-    radius: float,
-    n_nodes: int = 256,
+    f: Callable[[np.ndarray], np.ndarray], center: complex, radius: float
 ) -> complex:
     """(2*pi*i)^{-1} times the contour integral of f around a circle.
 
-    Periodic trapezoid rule, which converges spectrally for analytic
-    integrands; equals the residue of f at the center when no other
-    singularity lies inside.
+    Periodic trapezoid rule on 256 nodes, which converges spectrally for
+    analytic integrands; equals the residue of f at the center when no
+    other singularity lies inside.
     """
-    theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
+    theta = 2.0 * np.pi * np.arange(256) / 256
     ring = np.exp(1j * theta)
     vals = f(center + radius * ring)
     return complex(radius * np.mean(vals * ring))

@@ -332,7 +332,7 @@ def _check_residue_contour(cfg):
         ok &= out["passed"]
     for m in (1, 2):
         alpha = mellin.separated_tempered_alpha(3, rng)
-        out = mellin.residue_check(3, alpha, m=m, delta=0, s_other=0.8 + 0.05j)
+        out = mellin.residue_check(3, alpha, m=m, delta=0)
         worst = max(worst, out["rel_err"])
         ok &= out["passed"]
     return ok, worst
@@ -380,10 +380,9 @@ def _check_main_term_slopes(cfg):
 
 def _check_rank_three_avatar(cfg):
     params = testfunctions.TestFunctionParams(T=1.5, R=1)
-    kw = dict(experimental=True, spectral_step=0.5, spectral_pad=4.0)
-    a = testfunctions.p_y_gl3((0.8, 1.3), params, **kw)
-    b = testfunctions.p_y_gl3((1.3, 0.8), params, **kw)
-    center = testfunctions.p_y_gl3((1.0, 1.0), params, **kw)
+    a = testfunctions.p_y_gl3((0.8, 1.3), params)
+    b = testfunctions.p_y_gl3((1.3, 0.8), params)
+    center = testfunctions.p_y_gl3((1.0, 1.0), params)
     worst = abs(a - b) / abs(a)
     return center > 0 and worst <= _tol(cfg, 1e-10), worst
 

@@ -33,25 +33,23 @@ _TEMPERED_TOL = 1e-10
 class TestFunctionParams:
     """Spectral localization scale T and smoothing order R.
 
-    ``gaussian_width`` is the w in exp(-w t^2 / T^2) after restricting to
-    the tempered line; the two printed normalizations of the Gaussian damp
-    factor differ here, so the width is explicit (4.0 reproduces the
-    shifted-contour convention used throughout).
+    Every Gaussian here is the one in :func:`p_sharp`,
+    exp(sum alpha_j^2 / (2 T^2)), written in each integral's own variables:
+    exp(-4 t^2 / T^2) for the rank-one avatar, whose outer variable t is
+    half the spectral parameter, and exp(-(t1^2 + t2^2 + t3^2) / (2 T^2))
+    for the rank-three one.
     """
 
     __test__ = False  # name collides with pytest's collection prefix
 
     T: float
     R: int
-    gaussian_width: float = 4.0
 
     def __post_init__(self) -> None:
         if self.T <= 0:
             raise ValueError("T must be positive")
         if int(self.R) != self.R or self.R < 1:
             raise ValueError("R must be an integer >= 1")
-        if self.gaussian_width <= 0:
-            raise ValueError("gaussian_width must be positive")
 
 
 def _as_params(params) -> TestFunctionParams:
@@ -107,8 +105,14 @@ def _outer_log(t: np.ndarray, p: TestFunctionParams) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         g = 2.0 * loggamma((0.5 + p.R + 2j * t) / 2.0).real
         g -= 2.0 * loggamma(2j * t).real
-    out = -p.gaussian_width * t**2 / p.T**2 + g
+    out = -4.0 * t**2 / p.T**2 + g
     return np.where(t == 0.0, -np.inf, out)
+
+
+def _outer_half_length(p: TestFunctionParams) -> float:
+    """Half-length of the rank-one outer window; the Gaussian is below
+    e^-40 at its edge."""
+    return 3.2 * p.T + 12.0
 
 
 def _line_field(p: TestFunctionParams, line: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -118,7 +122,7 @@ def _line_field(p: TestFunctionParams, line: float) -> tuple[np.ndarray, np.ndar
     prefactor and a phase linear in u, so one field evaluation serves a whole
     y-grid.
     """
-    t_half = 3.2 * p.T / math.sqrt(p.gaussian_width / 4.0) + 12.0
+    t_half = _outer_half_length(p)
     u_half = t_half + 16.0
     t, wt = line_nodes(t_half)
     u, wu = line_nodes(u_half)
@@ -164,12 +168,11 @@ def _gl3_spectral_log(t1: np.ndarray, t2: np.ndarray, p: TestFunctionParams) -> 
 
     Parameters (i t1, i t2, -i(t1 + t2)); the three unordered differences
     each contribute the pair-polynomial factor at full argument and the
-    quotient of the shifted Gamma ring by the coincidence measure.  The
-    Gaussian width carries over from the rank-one convention (w = 16 is
-    the plain exp(2 sum alpha^2 / T^2) weight).  Exact coincidences are
-    zeros of the density, returned as -inf.
+    quotient of the shifted Gamma ring by the coincidence measure, under
+    the Gaussian of :func:`p_sharp`.  Exact coincidences are zeros of the
+    density, returned as -inf.
     """
-    out = -(p.gaussian_width / 8.0) * (t1**2 + t2**2 + (t1 + t2) ** 2) / p.T**2
+    out = -0.5 * (t1**2 + t2**2 + (t1 + t2) ** 2) / p.T**2
     for d in (t1 - t2, 2.0 * t1 + t2, t1 + 2.0 * t2):
         sing = np.abs(d) < 1e-12
         dd = np.where(sing, 1.0, d)
@@ -216,18 +219,7 @@ def _gl3_plane(
     return kappa * (h / (2.0 * math.pi)) ** 2 * complex(np.dot(np.convolve(e1, e2), rg))
 
 
-def p_y_gl3(
-    y,
-    params,
-    *,
-    experimental: bool = False,
-    line: float = 0.75,
-    spectral_step: float = 0.25,
-    spectral_pad: float = 6.0,
-    mellin_step: float = 0.125,
-    mellin_pad: float = 10.0,
-    density_floor: float = 1e-16,
-) -> float:
+def p_y_gl3(y, params, *, spectral_step: float = 0.5) -> float:
     """Rank-three inverse-transform avatar at y = (y1, y2).
 
     Four nested contours: the tempered spectral plane weighted by
@@ -235,35 +227,33 @@ def p_y_gl3(
     rank-two transform against y1 y2 (pi y1)^{-2 s1} (pi y2)^{-2 s2},
     with the overall 2^{-(n-1)}.  The Mellin plane collapses to one
     convolution per spectral node (see _gl3_plane), so a full evaluation
-    at the default steps costs seconds rather than minutes; it is still
-    gated behind ``experimental`` because the quadrature is fixed-step
-    with no adaptive refinement, and unlike the rank-one avatar there is
-    no shifted-contour decomposition here to check it against.
+    costs seconds rather than minutes.  The quadrature is fixed-step with
+    no adaptive refinement or error estimate, and unlike the rank-one
+    avatar there is no shifted-contour decomposition here to check it
+    against; ``spectral_step`` is exposed so the spectral sum can be
+    compared at two steps.
 
-    Uniform-step aliasing on each Mellin line is controlled by the width
-    of the pole-free strip, decaying like exp(-2 pi line / mellin_step);
-    the plane sums cancel by many orders, and the default step keeps the
-    aliasing below that floor.  y far from 1/pi adds phase 2 v log(pi y)
-    and may need a smaller step still.
+    Each Mellin line is Re(s) = 3/4 with step 1/8.  Uniform-step aliasing
+    there is controlled by the width of the pole-free strip, decaying like
+    exp(-2 pi line / step), about 4e-17; the plane sums cancel by many
+    orders, and the step keeps the aliasing below that floor.  y far from
+    1/pi adds phase 2 v log(pi y) and may need a smaller step still.
+    Spectral nodes whose density is below 1e-16 of its peak are skipped.
     """
-    if not experimental:
-        raise ValueError(
-            "the rank-three avatar is experimental (fixed-step quadrature "
-            "over four nested contours); pass experimental=True to evaluate"
-        )
     y1, y2 = float(y[0]), float(y[1])
     if y1 <= 0 or y2 <= 0:
         raise ValueError("y components must be positive")
     p = _as_params(params)
-    half_t = 6.4 * p.T / math.sqrt(p.gaussian_width) + spectral_pad
+    line, step = 0.75, 0.125
+    half_t = 3.2 * p.T + 4.0
     n_t = int(math.ceil(half_t / spectral_step))
     tau = spectral_step * np.arange(-n_t, n_t + 1)
     # the line fields peak near v = -shift with shifts up to twice the
     # Gaussian-supported spectral range
-    half_v = 2.0 * (half_t - spectral_pad) + mellin_pad
-    n_v = int(math.ceil(half_v / mellin_step))
-    v = mellin_step * np.arange(-n_v, n_v + 1)
-    u = 2.0 * v[0] + mellin_step * np.arange(2 * v.size - 1)
+    half_v = 2.0 * (half_t - 4.0) + 10.0
+    n_v = int(math.ceil(half_v / step))
+    v = step * np.arange(-n_v, n_v + 1)
+    u = 2.0 * v[0] + step * np.arange(2 * v.size - 1)
     rg = rgamma(2.0 * line + 1j * u)
     if not np.all(np.isfinite(rg)):
         raise AccuracyError(
@@ -275,7 +265,7 @@ def p_y_gl3(
     log_py2 = math.log(math.pi * y2)
     t1g, t2g = np.meshgrid(tau, tau, indexing="ij")
     dens = _gl3_spectral_log(t1g, t2g, p)
-    cut = dens.max() + math.log(density_floor)
+    cut = dens.max() + math.log(1e-16)
     total = 0.0 + 0.0j
     for i, j in np.argwhere(dens > cut):
         total += math.exp(dens[i, j]) * _gl3_plane(
@@ -305,8 +295,7 @@ def residue_term(y: float, params, delta: int = 0, a=None, comp=(1, 1)) -> float
             return 0.0
     if y <= 0:
         raise ValueError("y must be positive")
-    t_half = 3.2 * p.T / math.sqrt(p.gaussian_width / 4.0) + 12.0
-    t, wt = line_nodes(t_half)
+    t, wt = line_nodes(_outer_half_length(p))
     base = _outer_log(t, p)
     g = loggamma(-delta - 2j * t)
     c = math.log(math.pi * y)
@@ -316,15 +305,11 @@ def residue_term(y: float, params, delta: int = 0, a=None, comp=(1, 1)) -> float
     return float((pref * total).real)
 
 
-def residue_decomposition_check(
-    params,
-    a: float = 0.75,
-    line: float = 0.75,
-    y_values=None,
-) -> dict:
+def residue_decomposition_check(params, a: float = 0.75) -> dict:
     """Fit the single composition constant in the contour-shift decomposition.
 
-    Computes p(y) on the unshifted and shifted lines over a y-grid, forms the
+    Computes p(y) on the unshifted line Re(s) = 3/4 and the shifted line
+    Re(s) = -a over ten log-spaced y in [0.4, 2.5], forms the
     displacement-summed residue column, and solves for the one scalar kappa
     by least squares.  The relative residual measures how well the three-term
     decomposition closes; the constant should be the composition count 2.
@@ -332,9 +317,8 @@ def residue_decomposition_check(
     p = _as_params(params)
     if a <= 0 or abs(a - round(a)) < 1e-9:
         raise ValueError("shift a must be positive and nonintegral")
-    if y_values is None:
-        y_values = np.geomspace(0.4, 2.5, 10)
-    y_values = np.asarray(y_values, dtype=float)
+    line = 0.75
+    y_values = np.geomspace(0.4, 2.5, 10)
     lhs = p_y_batch(y_values, p, line=line) - p_y_batch(y_values, p, line=-a)
     basis = np.zeros_like(lhs)
     for i, y in enumerate(y_values):

@@ -207,12 +207,12 @@ class TailReport:
     trivial_tail_bound: float
 
 
-def kloosterman_tail(a, c_max: int, ratio_cutoff: float = 0.9) -> TailReport:
+def kloosterman_tail(a, c_max: int) -> TailReport:
     """Partial sums of sum_c |S(1,1;c)| c^(-(1+4a_1)) in dyadic blocks.
 
     ``a`` is the rank-one shift vector (scalar or length-1 sequence); the
     exponent is the single-modulus case of :func:`modulus_exponents`.
-    Successive block ratios below ``ratio_cutoff`` certify geometric decay;
+    The last three block ratios all below 0.9 certify geometric decay;
     a trailing run of ratios at or above 1 reports divergence (a shift too
     small to damp the Weil-size summands) - that configuration is reported,
     not raised.  The trivial-bound comparison series sum_c c * c^(-exponent)
@@ -241,7 +241,7 @@ def kloosterman_tail(a, c_max: int, ratio_cutoff: float = 0.9) -> TailReport:
         blocks[i + 1] / blocks[i] for i in range(len(blocks) - 1) if blocks[i] > 0
     )
     tail3 = ratios[-3:] if len(ratios) >= 3 else ratios
-    converged = bool(ratios) and max(tail3) < ratio_cutoff
+    converged = bool(ratios) and max(tail3) < 0.9
     divergent = bool(tail3) and min(tail3) >= 1.0
 
     s_triv = exponent - 1.0
@@ -388,16 +388,11 @@ def _aplusb_pass(n, rho_f, comp, eps_p, allow_floor):
     return lhs, tuple(a_ext[1:n]), tuple(b_worst), tuple(floored)
 
 
-def verify_aplusb(
-    n: int,
-    rho,
-    comp: Composition,
-    eps_prime: float = 1e-4,
-    tolerance: float = 1e-3,
-) -> AplusBReport:
-    """Check sum_j B(a_j) + B(b_j) >= floor((n-1)/2) + n rho + Phi(C) - tol.
+def verify_aplusb(n: int, rho, comp: Composition) -> AplusBReport:
+    """Check sum_j B(a_j) + B(b_j) >= floor((n-1)/2) + n rho + Phi(C) - 1e-3.
 
-    a is the canonical shift with relative spacing delta = 2 eps'/n^2; each b
+    a is the canonical shift with relative spacing delta = 2 eps'/n^2 at
+    eps' = 1e-4; each b
     entry carries a region-dependent offset of +-delta/2 and the worst of the
     two signs is charged.  If B lands in its undefined band around an integer
     the whole construction retries once with a perturbed eps'; entries whose
@@ -409,6 +404,7 @@ def verify_aplusb(
         raise ValueError(f"composition {comp.parts} is not a composition of {n}")
     if comp.r < 2:
         raise ValueError("single-block compositions carry no modulus sum")
+    eps_prime, tolerance = 1e-4, 1e-3
     attempts = (eps_prime, eps_prime * 1.37)
     result = None
     for i, ep in enumerate(attempts):
@@ -435,12 +431,9 @@ def verify_aplusb(
     )
 
 
-def verify_aplusb_all(n: int, rho, **kwargs) -> list[AplusBReport]:
+def verify_aplusb_all(n: int, rho) -> list[AplusBReport]:
     """One report per composition of n with at least two blocks."""
-    return [
-        verify_aplusb(n, rho, comp, **kwargs)
-        for comp in enumerate_compositions(n, min_length=2)
-    ]
+    return [verify_aplusb(n, rho, comp) for comp in enumerate_compositions(n, min_length=2)]
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +475,9 @@ class MaassFormRecord:
                 f"record (r={self.r}, source={self.source!r}) has no Hecke value for {k}"
             ) from None
 
-    def multiplicativity_warnings(self, tol: float = 1e-6) -> list[str]:
+    def multiplicativity_warnings(self) -> list[str]:
         """Messages for stored coprime pairs p, q with pq also stored but
-        lambda(p) lambda(q) != lambda(pq) beyond tol."""
+        lambda(p) lambda(q) != lambda(pq) beyond 1e-6."""
         keys = sorted(k for k in self.hecke if k > 1)
         out = []
         for i, p in enumerate(keys):
@@ -492,7 +485,7 @@ class MaassFormRecord:
                 if math.gcd(p, q) != 1 or p * q not in self.hecke:
                     continue
                 err = abs(self.hecke[p] * self.hecke[q] - self.hecke[p * q])
-                if err > tol:
+                if err > 1e-6:
                     out.append(
                         f"record (r={self.r}, source={self.source!r}): "
                         f"lambda({p})*lambda({q}) - lambda({p*q}) = {err:.3e}"
@@ -571,11 +564,7 @@ class CuspidalSum:
 
 
 def cuspidal_sum(
-    forms: Sequence[MaassFormRecord],
-    params: TestFunctionParams,
-    l: int,
-    m: int,
-    gaussian_floor: float = 1e-12,
+    forms: Sequence[MaassFormRecord], params: TestFunctionParams, l: int, m: int
 ) -> CuspidalSum:
     """Weighted correlation of Hecke eigenvalues over the given records.
 
@@ -585,7 +574,7 @@ def cuspidal_sum(
     are the same fold, so the ratio is exactly 1; off the diagonal the ratio
     is the cancellation statistic whose decay the orthogonality relation
     predicts.  Records whose Gaussian weight e^(-2 r^2 / T^2) falls below
-    ``gaussian_floor`` are truncated away.  The quotient is invariant under a
+    1e-12 are truncated away.  The quotient is invariant under a
     common positive rescaling of all weights.
     """
     params = _as_params(params)
@@ -594,7 +583,7 @@ def cuspidal_sum(
     s_lm = s_ll = s_mm = 0.0
     kept = 0
     for rec in forms:
-        if math.exp(-2.0 * rec.r**2 / params.T**2) < gaussian_floor:
+        if math.exp(-2.0 * rec.r**2 / params.T**2) < 1e-12:
             continue
         lam_l, lam_m = rec.hecke_value(l), rec.hecke_value(m)
         w = h_value(rec.alpha, params) / rec.adjoint_L
@@ -615,13 +604,9 @@ def cuspidal_sum(
 
 
 def random_sign_fixture(
-    params: TestFunctionParams,
-    count: int = 50,
-    seed: int = 0,
-    l: int = 2,
-    m: int = 3,
+    params: TestFunctionParams, count: int = 50, seed: int = 0
 ) -> list[MaassFormRecord]:
-    """Synthetic records with lambda(l), lambda(m) drawn from {-1, +1}.
+    """Synthetic records with lambda(2), lambda(3) drawn from {-1, +1}.
 
     A cancellation model, not spectral data: the signs are independent coin
     flips, so the off-diagonal ratio should be O(1/sqrt(count)).  Parameters
@@ -634,7 +619,7 @@ def random_sign_fixture(
         recs.append(
             MaassFormRecord(
                 r=float(r),
-                hecke={1: 1.0, l: rng.choice((-1.0, 1.0)), m: rng.choice((-1.0, 1.0))},
+                hecke={1: 1.0, 2: rng.choice((-1.0, 1.0)), 3: rng.choice((-1.0, 1.0))},
                 adjoint_L=float(rng.uniform(0.5, 2.0)),
                 source="synthetic-sign-fixture",
             )

@@ -243,7 +243,7 @@ def test_criterion_09_residues_vs_contour_oracle():
                 if min(gaps) > 0.3:
                     break
             alpha = tuple(1j * v for v in parts)
-            rep = mellin.residue_check(3, alpha, m=m, s_other=0.8 + 0.05j)
+            rep = mellin.residue_check(3, alpha, m=m)
             worst = max(worst, rep["rel_err"])
     ok = worst <= 1e-8
     line = record(

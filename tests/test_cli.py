@@ -220,6 +220,19 @@ class TestModuleSubcommands:
         assert out == ""
         assert err.startswith("error:") and "tail above tolerance" in err
 
+    @pytest.mark.parametrize(
+        "n, alpha, s", [("3", "[0.4, 0.3, -0.7]", "[0.8]"), ("2", "[0.4, -0.4]", "[]")]
+    )
+    def test_whittaker_mellin_wrong_s_length_exits_2(self, capsys, tmp_path, n, alpha, s):
+        apath = tmp_path / "alpha.json"
+        apath.write_text(alpha)
+        spath = tmp_path / "s.json"
+        spath.write_text(s)
+        code, out, err = run_cli(capsys, "whittaker", "--mellin", n, str(apath), str(spath))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "need n - 1 s-variables" in err
+
     @pytest.mark.parametrize("tol, passed", [("1e-12", False), ("1e-9", True)])
     def test_shift_bound_agrees_with_suite(self, capsys, monkeypatch, tol, passed):
         # 5e-10 lies between the floor 1e-10 and a loosened --tol 1e-9

@@ -1,7 +1,5 @@
 """Iwasawa coordinates, characters, Weyl conjugation, modular characters."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,6 @@ from kuznetsov_lab.geometry import (
     half_weight_exponents,
     iwasawa_decompose,
     modular_delta,
-    modular_delta_diag,
     power_function,
     psi_M,
     psi_M_twisted,

@@ -189,7 +189,7 @@ class TestResidues:
 
     def test_rank_two_first_residues(self):
         for m in (1, 2):
-            rep = residue_check(3, (0.65j, 0.2j, -0.85j), m=m, s_other=0.8 + 0.05j)
+            rep = residue_check(3, (0.65j, 0.2j, -0.85j), m=m)
             assert rep["passed"], rep
 
     def test_residue_formula_dispatch(self):

@@ -35,8 +35,6 @@ class TestParams:
             TestFunctionParams(T=5.0, R=0)
         with pytest.raises(ValueError):
             TestFunctionParams(T=5.0, R=1.5)
-        with pytest.raises(ValueError):
-            TestFunctionParams(T=5.0, R=1, gaussian_width=0.0)
 
 
 class TestPSharp:
@@ -127,13 +125,9 @@ class TestDecomposition:
 class TestRankThreeAvatar:
     PARAMS = TestFunctionParams(T=1.5, R=1)
 
-    def test_gated(self):
-        with pytest.raises(ValueError, match="experimental"):
-            p_y_gl3((1.0, 1.0), self.PARAMS)
-
     def test_positive_y_required(self):
         with pytest.raises(ValueError):
-            p_y_gl3((0.0, 1.0), self.PARAMS, experimental=True)
+            p_y_gl3((0.0, 1.0), self.PARAMS)
 
     def test_plane_matches_adaptive_quadrature(self):
         # same closed transform, two independent quadratures: uniform-grid
@@ -164,15 +158,13 @@ class TestRankThreeAvatar:
     def test_argument_swap_symmetry(self):
         # the transform's duality makes p(y1, y2) = p(y2, y1); the grids
         # map onto each other exactly under the swap
-        kw = dict(experimental=True, spectral_step=0.5, spectral_pad=4.0)
-        a = p_y_gl3((0.8, 1.3), self.PARAMS, **kw)
-        b = p_y_gl3((1.3, 0.8), self.PARAMS, **kw)
+        a = p_y_gl3((0.8, 1.3), self.PARAMS)
+        b = p_y_gl3((1.3, 0.8), self.PARAMS)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_spectral_step_stability(self):
-        kw = dict(experimental=True, spectral_pad=4.0)
-        a = p_y_gl3((1.0, 1.0), self.PARAMS, spectral_step=0.5, **kw)
-        b = p_y_gl3((1.0, 1.0), self.PARAMS, spectral_step=0.4, **kw)
+        a = p_y_gl3((1.0, 1.0), self.PARAMS, spectral_step=0.5)
+        b = p_y_gl3((1.0, 1.0), self.PARAMS, spectral_step=0.4)
         assert a > 0
         assert b == pytest.approx(a, rel=1e-4)
 

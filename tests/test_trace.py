@@ -12,7 +12,6 @@ from kuznetsov_lab.combinatorics import Composition, enumerate_compositions
 from kuznetsov_lab.geometry import WeylElement
 from kuznetsov_lab.testfunctions import TestFunctionParams
 from kuznetsov_lab.trace import (
-    AplusBReport,
     CsvFormatError,
     HeckeConsistencyWarning,
     KloostermanQuery,
