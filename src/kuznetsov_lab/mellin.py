@@ -30,11 +30,13 @@ from .quadrature import vertical_line_integral, vertical_plane_integral, circle_
 from .special import DegenerateParameterError, log_gamma
 
 _SUM_TOL = 1e-10
-_SHIFT_TOL = 1e-10
-# residue checks: circle radius, relative pass bound, and the value at
-# which the other rank-two variable is held
+# pass bounds, read by the suite's claims too: the shift identities'
+# residual floor and the residues' relative error
+SHIFT_TOL = 1e-10
+RESIDUE_TOL = 1e-8
+# residue contour: circle radius and the value at which the other rank-two
+# variable is held
 _RESIDUE_RADIUS = 0.1
-_RESIDUE_TOL = 1e-8
 _RESIDUE_S_OTHER = 0.8 + 0.05j
 
 
@@ -284,7 +286,7 @@ def shift_identity_check(
     delta: int,
     rng: np.random.Generator | None = None,
     samples: int = 12,
-    tol: float = _SHIFT_TOL,
+    tol: float = SHIFT_TOL,
 ) -> dict:
     """Numerically verify a shift identity and its degree bookkeeping.
 
@@ -330,7 +332,7 @@ def shift_identity_check(
         "poly_degree": poly_degree,
         "shift_weight": shift_weight,
         "balanced": balanced,
-        "passed": bool(balanced and worst <= max(_SHIFT_TOL, tol)),
+        "passed": bool(balanced and worst <= max(SHIFT_TOL, tol)),
     }
 
 
@@ -387,6 +389,8 @@ def check_pole_separation(n: int, alpha, m: int, delta: int) -> complex:
     The residue circle (radius 0.1) about the target must keep every other
     candidate at distance at least twice the radius.
     """
+    if not 1 <= m <= n - 1:
+        raise ValueError(f"variable index m must be in 1..{n - 1}, got {m}")
     a = _as_alpha(alpha, n)
     center = -np.sum(a[:m]) - delta
     for ks in itertools.combinations(range(n), m):
@@ -414,8 +418,6 @@ def residue_formula(n: int, spec: ResidueSpec, alpha, s_rest: complex | None = N
         a = _as_alpha(alpha, n)
     check_pole_separation(n, a, spec.m, spec.delta)
     if n == 2:
-        if spec.m != 1:
-            raise ValueError("rank one has a single s-variable")
         return residue_gl2(a, spec.delta)
     if n == 3 and spec.delta == 0:
         if s_rest is None:
@@ -470,7 +472,7 @@ def residue_check(n: int, alpha, m: int = 1, delta: int = 0) -> dict:
         "contour": contour,
         "abs_err": err,
         "rel_err": err / scale,
-        "passed": err / scale <= _RESIDUE_TOL,
+        "passed": err / scale <= RESIDUE_TOL,
     }
 
 

@@ -31,15 +31,6 @@ def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def panel_nodes(
-    lo: float, hi: float, nodes_per_panel: int = 16
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for one Gauss-Legendre panel on [lo, hi]."""
-    x, w = _gauss_legendre(nodes_per_panel)
-    half = 0.5 * (hi - lo)
-    return lo + half * (x + 1.0), half * w
-
-
 def line_nodes(half_length: float, nodes_per_panel: int = 16) -> tuple[np.ndarray, np.ndarray]:
     """Composite unit-width panel nodes covering [-half_length, half_length].
 
@@ -47,14 +38,10 @@ def line_nodes(half_length: float, nodes_per_panel: int = 16) -> tuple[np.ndarra
     requested half-length; panels are laid out symmetrically about 0.
     """
     n_panels = max(1, int(np.ceil(half_length)))
-    edges = np.arange(n_panels + 1, dtype=float)
-    ts, ws = [], []
-    for k in range(n_panels):
-        t, w = panel_nodes(edges[k], edges[k + 1], nodes_per_panel)
-        ts.append(t)
-        ws.append(w)
-    t_pos = np.concatenate(ts)
-    w_pos = np.concatenate(ws)
+    x, w = _gauss_legendre(nodes_per_panel)
+    k = np.arange(n_panels, dtype=float)[:, None]
+    t_pos = (k + 0.5 * (x + 1.0)).ravel()
+    w_pos = np.tile(0.5 * w, n_panels)
     t_all = np.concatenate([-t_pos[::-1], t_pos])
     w_all = np.concatenate([w_pos[::-1], w_pos])
     return t_all, w_all

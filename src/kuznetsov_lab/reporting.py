@@ -27,8 +27,9 @@ _FORMATS = ("json", "csv")
 class RunConfig:
     """Knobs shared by every verifier in the suite.
 
-    quad_tol feeds the adaptive quadratures, identity_tol is the acceptance
-    threshold for residuals of exact identities, and seed fixes every
+    quad_tol feeds the adaptive quadratures, identity_tol raises the
+    floating-point floors of the suite's residual bounds (it stays below 1,
+    the error a failed side condition reads as), and seed fixes every
     randomized sample draw so failures are reproducible.
     """
 
@@ -41,6 +42,8 @@ class RunConfig:
     def __post_init__(self):
         if self.quad_tol <= 0 or self.identity_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if self.identity_tol >= 1:
+            raise ValueError("identity_tol must be below 1")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
         if self.out_format not in _FORMATS:

@@ -52,28 +52,20 @@ class TestFunctionParams:
             raise ValueError("R must be an integer >= 1")
 
 
-def _as_params(params) -> TestFunctionParams:
-    if isinstance(params, TestFunctionParams):
-        return params
-    T, R = params
-    return TestFunctionParams(T=T, R=R)
-
-
 def p_sharp(alpha, params) -> complex:
     """Transform-side test function.
 
     Gaussian damp at scale T, the auxiliary polynomial at half argument, and
     one Gamma factor (1 + 2R + alpha_j - alpha_k)/4 per ordered pair.
     """
-    p = _as_params(params)
     a = np.asarray(alpha, dtype=np.complex128)
     n = a.size
-    log = complex(np.sum(a**2)) / (2.0 * p.T**2)
+    log = complex(np.sum(a**2)) / (2.0 * params.T**2)
     for j in range(n):
         for k in range(n):
             if j != k:
-                log += loggamma((1.0 + 2.0 * p.R + a[j] - a[k]) / 4.0)
-    return complex(f_R_poly(a / 2.0, p.R) * np.exp(log))
+                log += loggamma((1.0 + 2.0 * params.R + a[j] - a[k]) / 4.0)
+    return complex(f_R_poly(a / 2.0, params.R) * np.exp(log))
 
 
 def h_value(alpha, params) -> float:
@@ -82,13 +74,12 @@ def h_value(alpha, params) -> float:
     Defined on the tempered line only; a parameter off the line is a domain
     error rather than an analytic continuation we silently trust.
     """
-    p = _as_params(params)
     a = np.asarray(alpha, dtype=np.complex128)
     scale = max(1.0, float(np.abs(a).max(initial=0.0)))
     if float(np.abs(a.real).max(initial=0.0)) > _TEMPERED_TOL * scale:
         raise ValueError("spectral weight is defined for tempered parameters")
     n = a.size
-    log = 2.0 * math.log(abs(p_sharp(a, p)))
+    log = 2.0 * math.log(abs(p_sharp(a, params)))
     for j in range(n):
         for k in range(n):
             if j != k:
@@ -144,10 +135,9 @@ def p_y_batch(y_values, params, line: float = 0.75) -> np.ndarray:
     line must avoid the nonpositive integers where the inner Gamma factors
     put poles on the contour.
     """
-    p = _as_params(params)
     if line <= 0 and abs(line - round(line)) < 1e-6:
         raise ValueError("contour line sits on a pole of the integrand")
-    u, wu, col = _line_field(p, line)
+    u, wu, col = _line_field(params, line)
     out = np.empty(len(y_values))
     for i, y in enumerate(y_values):
         if y <= 0:
@@ -243,9 +233,8 @@ def p_y_gl3(y, params, *, spectral_step: float = 0.5) -> float:
     y1, y2 = float(y[0]), float(y[1])
     if y1 <= 0 or y2 <= 0:
         raise ValueError("y components must be positive")
-    p = _as_params(params)
     line, step = 0.75, 0.125
-    half_t = 3.2 * p.T + 4.0
+    half_t = 3.2 * params.T + 4.0
     n_t = int(math.ceil(half_t / spectral_step))
     tau = spectral_step * np.arange(-n_t, n_t + 1)
     # the line fields peak near v = -shift with shifts up to twice the
@@ -264,7 +253,7 @@ def p_y_gl3(y, params, *, spectral_step: float = 0.5) -> float:
     log_py1 = math.log(math.pi * y1)
     log_py2 = math.log(math.pi * y2)
     t1g, t2g = np.meshgrid(tau, tau, indexing="ij")
-    dens = _gl3_spectral_log(t1g, t2g, p)
+    dens = _gl3_spectral_log(t1g, t2g, params)
     cut = dens.max() + math.log(1e-16)
     total = 0.0 + 0.0j
     for i, j in np.argwhere(dens > cut):
@@ -284,7 +273,6 @@ def residue_term(y: float, params, delta: int = 0, a=None, comp=(1, 1)) -> float
     composition whose cut has a nonpositive shift entry contributes nothing,
     and neither do displacements beyond floor(a) at the cut.
     """
-    p = _as_params(params)
     comp = comp if isinstance(comp, Composition) else Composition(tuple(comp))
     if a is not None:
         a_vec = np.atleast_1d(np.asarray(a, dtype=float))
@@ -295,8 +283,8 @@ def residue_term(y: float, params, delta: int = 0, a=None, comp=(1, 1)) -> float
             return 0.0
     if y <= 0:
         raise ValueError("y must be positive")
-    t, wt = line_nodes(_outer_half_length(p))
-    base = _outer_log(t, p)
+    t, wt = line_nodes(_outer_half_length(params))
+    base = _outer_log(t, params)
     g = loggamma(-delta - 2j * t)
     c = math.log(math.pi * y)
     phase = np.exp(base + g.real + 1j * (g.imag + 2.0 * t * c))
@@ -314,16 +302,15 @@ def residue_decomposition_check(params, a: float = 0.75) -> dict:
     by least squares.  The relative residual measures how well the three-term
     decomposition closes; the constant should be the composition count 2.
     """
-    p = _as_params(params)
     if a <= 0 or abs(a - round(a)) < 1e-9:
         raise ValueError("shift a must be positive and nonintegral")
     line = 0.75
     y_values = np.geomspace(0.4, 2.5, 10)
-    lhs = p_y_batch(y_values, p, line=line) - p_y_batch(y_values, p, line=-a)
+    lhs = p_y_batch(y_values, params, line=line) - p_y_batch(y_values, params, line=-a)
     basis = np.zeros_like(lhs)
     for i, y in enumerate(y_values):
         for delta in range(int(math.floor(a)) + 1):
-            basis[i] += residue_term(y, p, delta=delta, a=(a,), comp=(1, 1))
+            basis[i] += residue_term(y, params, delta=delta, a=(a,), comp=(1, 1))
     kappa_fit = float(np.dot(lhs, basis) / np.dot(basis, basis))
     resid = lhs - kappa_fit * basis
     scale = float(np.abs(lhs).max())
@@ -350,11 +337,10 @@ def itr_log(a: float, params, grid_step: float = 1.0 / 16, t_factor: float = 2.7
     by index shifting, which keeps the whole computation polynomial-sized
     in log space.
     """
-    p = _as_params(params)
     if abs(a - round(a)) < 1e-9 and a >= 0:
         raise ValueError("shift a must avoid the pole set of the integrand")
     dv = grid_step
-    t_max = t_factor * p.T + 12.0
+    t_max = t_factor * params.T + 12.0
     t = np.arange(dv, t_max, dv)
     u = np.arange(-(t_max + pad), t_max + pad + dv / 2, dv)
     lh = loggamma(-a + 1j * u).real + np.pi * np.abs(u) / 2.0
@@ -370,7 +356,7 @@ def itr_log(a: float, params, grid_step: float = 1.0 / 16, t_factor: float = 2.7
         tot = s + np.minimum(0.0, -np.pi * (np.abs(uc) - ti))
         mx = tot.max()
         log_inner[i] = mx + math.log(np.sum(np.exp(tot - mx)) * dv)
-    li = _outer_log(t, p) - np.pi * t + log_inner
+    li = _outer_log(t, params) - np.pi * t + log_inner
     mx = li.max()
     return float(mx + math.log(2.0 * np.sum(np.exp(li - mx)) * dv))
 

@@ -27,7 +27,7 @@ import numpy as np
 from .combinatorics import Composition, enumerate_compositions, phi
 from .geometry import WeylElement
 from .special import bound_B
-from .testfunctions import TestFunctionParams, _as_params, h_value
+from .testfunctions import TestFunctionParams, h_value
 
 
 class CsvFormatError(ValueError):
@@ -577,7 +577,6 @@ def cuspidal_sum(
     1e-12 are truncated away.  The quotient is invariant under a
     common positive rescaling of all weights.
     """
-    params = _as_params(params)
     if not forms:
         raise ValueError("forms must be nonempty")
     s_lm = s_ll = s_mm = 0.0
@@ -612,7 +611,6 @@ def random_sign_fixture(
     flips, so the off-diagonal ratio should be O(1/sqrt(count)).  Parameters
     r are spread through the bulk of the Gaussian window.
     """
-    params = _as_params(params)
     rng = np.random.default_rng(seed)
     recs = []
     for r in rng.uniform(0.3 * params.T, 1.8 * params.T, size=count):

@@ -6,11 +6,12 @@ a runtime error.
 """
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from kuznetsov_lab import cli, mellin, suite
+from kuznetsov_lab import cli, mellin, suite, testfunctions, trace
 from kuznetsov_lab import combinatorics as comb
 from kuznetsov_lab.quadrature import AccuracyError
 from kuznetsov_lab.reporting import (
@@ -26,6 +27,11 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def registered(name):
+    (claim,) = [c for group in suite.CHECKS.values() for c in group if c.name == name]
+    return claim
 
 
 class TestRunDriver:
@@ -72,7 +78,8 @@ class TestRunDriver:
         def boom(cfg):
             raise RuntimeError("boom, at n = 3")
 
-        monkeypatch.setitem(suite.CHECKS, "combinatorics", [("boom", "m.f", boom)])
+        boom_claim = suite.Claim("boom", "m.f", boom, 0.0, widens=False)
+        monkeypatch.setitem(suite.CHECKS, "combinatorics", [boom_claim])
         code, out, _ = run_cli(capsys, "run", "combinatorics")
         (report,) = json.loads(out)
         assert code == 2
@@ -87,6 +94,44 @@ class TestRunDriver:
         assert code == 1
         assert report["passed"] is False and report["max_error"] == 1.0
         assert "error" not in report
+
+    def test_count_claims_do_not_widen(self, capsys, monkeypatch):
+        failed = {"passed": False, "checked": 3, "first_counterexample": (1, 2)}
+        monkeypatch.setattr(comb, "verify_partition_identities", lambda n_max: failed)
+        code, out, _ = run_cli(capsys, "run", "combinatorics", "--tol", "0.5")
+        (report,) = [r for r in json.loads(out) if r["name"] == "partition-identities"]
+        assert code == 1
+        assert report["passed"] is False and report["max_error"] == 1.0
+
+    def test_nonpositive_avatar_centre_fails_at_loose_tol(self, capsys, monkeypatch):
+        # symmetric off-centre values, so only the sign condition can fail
+        monkeypatch.setattr(
+            testfunctions, "p_y_gl3", lambda y, params: -1.0 if tuple(y) == (1.0, 1.0) else 0.5
+        )
+        monkeypatch.setitem(suite.CHECKS, "testfn", [registered("rank-three-avatar")])
+        code, out, _ = run_cli(capsys, "run", "testfn", "--tol", "0.5")
+        (report,) = json.loads(out)
+        assert code == 1
+        assert report["passed"] is False and report["max_error"] == 1.0
+
+    def test_inexact_diagonal_ratio_fails_at_loose_tol(self, capsys, monkeypatch):
+        # a small off-diagonal ratio, so only the exact diagonal can fail
+        monkeypatch.setattr(
+            trace, "cuspidal_sum",
+            lambda forms, params, l, m: SimpleNamespace(ratio=0.99 if l == m else 0.01),
+        )
+        monkeypatch.setitem(suite.CHECKS, "trace", [registered("orthogonality-fixture")])
+        code, out, _ = run_cli(capsys, "run", "trace", "--tol", "0.5")
+        (report,) = json.loads(out)
+        assert code == 1
+        assert report["passed"] is False and report["max_error"] == 1.0
+
+    @pytest.mark.parametrize("tol", ["1", "2.5"])
+    def test_tol_of_one_or_more_exits_2(self, capsys, tol):
+        code, out, err = run_cli(capsys, "run", "all", "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "identity_tol" in err
 
     def test_unknown_selector_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -254,6 +299,14 @@ class TestModuleSubcommands:
         assert payload["residue"]["passed"] is True
         assert payload["check_shift"]["balanced"] is True
         assert payload["check_shift"]["degree_budget"] == 6
+
+    @pytest.mark.parametrize("m", ["2", "0"])
+    def test_whittaker_residue_index_out_of_range_exits_2(self, capsys, m):
+        # rank one has the single variable m = 1
+        code, out, err = run_cli(capsys, "whittaker", "--residue", "2", m, "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "variable index m" in err
 
     def test_whittaker_unsupported_rank_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "whittaker", "--check-shift", "3", "1", "2")

@@ -25,7 +25,7 @@ from kuznetsov_lab.mellin import (
     shift_residual_gl2,
     whittaker_value,
 )
-from kuznetsov_lab.quadrature import circle_integral_mean
+from kuznetsov_lab.quadrature import circle_integral_mean, line_nodes
 from kuznetsov_lab.special import DegenerateParameterError, PoleError
 
 # modified-Bessel route evaluated separately at 30 digits and frozen here:
@@ -262,3 +262,15 @@ class TestContourOracleMachinery:
         # f(z) = 1/(z - 2) + entire part; mean recovers the residue
         val = circle_integral_mean(lambda z: 1.0 / (z - 2.0) + np.exp(z), 2.0, 0.1)
         assert val == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("half_length", [0.3, 1.0, 37.5, 400.0])
+    @pytest.mark.parametrize("nodes", [16, 32])
+    def test_line_nodes_equal_panel_loop(self, half_length, nodes):
+        # reference: one Gauss-Legendre panel per unit interval, mirrored
+        x, w = np.polynomial.legendre.leggauss(nodes)
+        n_panels = max(1, math.ceil(half_length))
+        t_pos = np.concatenate([k + 0.5 * (x + 1.0) for k in range(n_panels)])
+        w_pos = np.concatenate([0.5 * w for _ in range(n_panels)])
+        t, wt = line_nodes(half_length, nodes)
+        assert np.array_equal(t, np.concatenate([-t_pos[::-1], t_pos]))
+        assert np.array_equal(wt, np.concatenate([w_pos[::-1], w_pos]))

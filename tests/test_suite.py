@@ -3,11 +3,14 @@
 import csv
 import io
 import json
+import math
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from kuznetsov_lab import suite, trace
+from kuznetsov_lab import mellin, suite, trace
 
 from kuznetsov_lab.reporting import (
     RunConfig,
@@ -63,6 +66,49 @@ class TestDriver:
         assert base != input_digest("partition-identities", RunConfig())
 
 
+def parse_bound(cell: str) -> tuple[float, bool]:
+    """A catalog bound cell: ``0.15``, ``3/sqrt(50)`` or ``max(1e-12, --tol)``."""
+    widened = re.fullmatch(r"max\((.+), --tol\)", cell)
+    text = widened.group(1) if widened else cell
+    root = re.fullmatch(r"(\d+)/sqrt\((\d+)\)", text)
+    value = float(root.group(1)) / math.sqrt(float(root.group(2))) if root else float(text)
+    return value, widened is not None
+
+
+class TestPassRule:
+    @pytest.mark.parametrize("widens, passed", [(False, False), (True, True)])
+    def test_only_floors_widen_to_identity_tol(self, widens, passed):
+        claim = suite.Claim("x", "m.f", lambda cfg: 0.25, 0.1, widens=widens)
+        rep = suite._run_one(claim, RunConfig(identity_tol=0.5))
+        assert rep.passed is passed and rep.max_error == 0.25
+        assert suite._run_one(claim, RunConfig()).passed is False
+
+    def test_bound_is_inclusive(self):
+        claim = suite.Claim("x", "m.f", lambda cfg: 0.9, 0.9, widens=False)
+        assert suite._run_one(claim, RunConfig()).passed is True
+
+
+class TestRegistry:
+    def test_mellin_bounds_are_read_not_copied(self):
+        claims = {c.name: c for group in suite.CHECKS.values() for c in group}
+        assert claims["shift-identities"].bound is mellin.SHIFT_TOL
+        assert claims["residue-contour"].bound is mellin.RESIDUE_TOL
+
+    def test_readme_catalog_matches_registry(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        start = readme.index("| check | anchor | bound | verifies |")
+        rows = []
+        for line in readme[start:].splitlines()[2:]:
+            if not line.startswith("|"):
+                break
+            name, anchor, bound, _ = (cell.strip() for cell in line.strip("|").split("|"))
+            rows.append((name, anchor, *parse_bound(bound)))
+        registry = [
+            (c.name, c.anchor, c.bound, c.widens) for group in suite.CHECKS.values() for c in group
+        ]
+        assert rows == registry
+
+
 class TestExitCodes:
     def test_all_pass(self):
         assert suite_exit_code([make_report()]) == 0
@@ -83,7 +129,8 @@ class TestExitCodes:
             trivial_zeta=2.0, block_ratios=(),
         )
         monkeypatch.setattr(trace, "tail_from_rho", lambda *args: empty)
-        rep = suite._run_one("modulus-tail", "trace.tail_from_rho", suite._check_modulus_tail, RunConfig())
+        claim = suite.Claim("modulus-tail", "trace.tail_from_rho", suite._check_modulus_tail, 0.9, widens=False)
+        rep = suite._run_one(claim, RunConfig())
         assert rep.error is None and rep.max_error == 1.0
         assert suite_exit_code([rep]) == 1
 
@@ -124,3 +171,9 @@ class TestRunConfigValidation:
             RunConfig(jobs=0)
         with pytest.raises(ValueError):
             RunConfig(out_format="xml")
+
+    def test_identity_tol_stays_below_one(self):
+        # a failed side condition reads as error 1.0, which must never pass
+        with pytest.raises(ValueError, match="identity_tol"):
+            RunConfig(identity_tol=1.0)
+        assert RunConfig(identity_tol=0.999).identity_tol == 0.999
