@@ -12,13 +12,12 @@ classical rank-one Whittaker function.
 Normalization note: all contour measures include the 1/(2*pi*i) per variable,
 and in this normalization the rank-one transform is exactly
 Gamma(s + a) * Gamma(s - a) while the rank-two closed form has unit leading
-constant.  The latter is not assumed: it is calibrated once against the
-recursion and cached.
+constant, by Barnes' first lemma; the recursion checks that constant
+rather than supplying it.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -127,106 +126,77 @@ def _contour_abscissa(s_re: np.ndarray) -> float:
     return 0.5 * min(1.0, lo)
 
 
-def _recursion_gl3(alpha: np.ndarray, s, tol: float, nodes_per_panel: int) -> complex:
-    s1, s2 = complex(s[0]), complex(s[1])
-    eps = _contour_abscissa(np.array([s1.real, s2.real]))
-    am = alpha[2]
-    beta = alpha[:2] + am / 2.0
-    btilde = (beta[0] - beta[1]) / 2.0
-    prefactor = np.exp(log_gamma(s1 + am) + log_gamma(s2 - am))
-
-    def f(z):
-        return np.exp(
-            loggamma(s1 - z - am / 2.0)
-            + loggamma(s2 - z + am / 2.0)
-            + loggamma(z + btilde)
-            + loggamma(z - btilde)
-        )
-
-    half = _truncation_half_length(alpha)
-    val = vertical_line_integral(
-        f, eps, tol, initial_half_length=half, nodes_per_panel=nodes_per_panel
-    )
-    return complex(prefactor * val / (2j * np.pi))
-
-
-def _recursion_gl4(alpha: np.ndarray, s, tol: float, nodes_per_panel: int) -> complex:
-    s1, s2, s3 = (complex(v) for v in s)
-    eps = _contour_abscissa(np.array([s1.real, s2.real, s3.real]))
-    am = alpha[3]
-    beta = alpha[:3] + am / 3.0
-    prefactor = np.exp(log_gamma(s1 + am) + log_gamma(s3 - am))
-
-    def f(z1, z2):
-        outer = np.exp(
-            loggamma(s1 - z1 - am / 3.0)
-            + loggamma(s2 - z1 + 2.0 * am / 3.0)
-            + loggamma(s2 - z2 - 2.0 * am / 3.0)
-            + loggamma(s3 - z2 + am / 3.0)
-        )
-        return outer * mellin_gl3_closed(beta, (z1, z2))
-
-    half = _truncation_half_length(alpha)
-    val = vertical_plane_integral(
-        f, (eps, eps), tol, initial_half_length=half, nodes_per_panel=nodes_per_panel
-    )
-    return complex(prefactor * val / (2j * np.pi) ** 2)
-
-
 def mellin_recursive(
     n: int, alpha, s, tol: float = 1e-8, nodes_per_panel: int = 16
 ) -> complex:
     """Transform via the contour recursion onto one rank lower.
 
-    The rank-(n-1) parameters are alpha_j + alpha_n/(n-1); the inner transform
-    is the exact product for n = 3 and the closed rank-two form for n = 4.
-    Requires Re(s_j) > 0 for every j so the separating contour exists.
-    ``nodes_per_panel`` exists so self-convergence can be probed by doubling.
+    One step at every rank: peel off alpha_n and integrate the closed
+    rank-(n-1) transform (the exact product for n = 3, the closed rank-two
+    form for n = 4) at beta = alpha[:n-1] + a, a = alpha_n/(n-1), against
+    the outer pairs Gamma(s_j - z_j - j a) Gamma(s_{j+1} - z_j + (n-1-j) a)
+    over n - 2 vertical lines.  Requires Re(s_j) > 0 for every j so the
+    separating contour exists.  ``nodes_per_panel`` exists so
+    self-convergence can be probed by doubling.
     """
     a = _as_alpha(alpha, n)
     if len(s) != n - 1:
         raise ValueError("need n - 1 s-variables")
     if n == 2:
         return complex(mellin_gl2(a, s[0]))
+    if n not in (3, 4):
+        raise NotImplementedError("recursion implemented for n <= 4")
+    sv = [complex(v) for v in s]
+    eps = _contour_abscissa(np.array([v.real for v in sv]))
+    am = a[n - 1]
+    beta = a[: n - 1] + am / (n - 1)
+    prefactor = np.exp(log_gamma(sv[0] + am) + log_gamma(sv[n - 2] - am))
+
+    def f(*z):
+        log = 0.0
+        for j, zj in enumerate(z, start=1):
+            log = log + loggamma(sv[j - 1] - zj - j * am / (n - 1))
+            log = log + loggamma(sv[j] - zj + (n - 1 - j) * am / (n - 1))
+        inner = mellin_gl2(beta, z[0]) if n == 3 else mellin_gl3_closed(beta, z)
+        return np.exp(log) * inner
+
+    half = _truncation_half_length(a)
     if n == 3:
-        return _recursion_gl3(a, s, tol, nodes_per_panel)
-    if n == 4:
-        return _recursion_gl4(a, s, tol, nodes_per_panel)
-    raise NotImplementedError("recursion implemented for n <= 4")
+        val = vertical_line_integral(f, eps, tol, half, nodes_per_panel)
+    else:
+        val = vertical_plane_integral(f, (eps, eps), tol, half, nodes_per_panel)
+    return complex(prefactor * val / (2j * np.pi) ** (n - 2))
 
 
-@functools.lru_cache(maxsize=1)
 def gl3_normalization() -> float:
-    """Leading constant of the rank-two closed form, calibrated once.
+    """Leading constant of the rank-two closed form: exactly 1.
 
-    Measured against the recursion at tol 1e-10 at the reference point
-    alpha = 0, s = (1, 1), where the closed form with unit constant equals 1.
+    Barnes' first lemma evaluates the rank-three recursion's line integral
+    in closed form, which gives the six-Gamma quotient with unit constant in
+    this normalization (1/(2 pi i) per contour variable).  Nothing in the
+    package calls this; ``bench/run.py`` calls it as its set-up step.
     """
-    ref = mellin_recursive(3, (0.0, 0.0, 0.0), (1.0, 1.0), tol=1e-10)
-    if abs(ref.imag) > 1e-6 or ref.real <= 0:
-        raise AssertionError(f"calibration point gave non-positive value {ref}")
-    return ref.real
+    return 1.0
 
 
 def mellin_gl3_closed(alpha, s):
     """Closed rank-two transform: six Gamma factors over Gamma(s1 + s2).
 
     Accepts scalar or broadcastable array s-components.  The leading
-    constant is :func:`gl3_normalization`, calibrated against the recursion.
+    constant is 1 by Barnes' first lemma.
     """
     a = _as_alpha(alpha, 3)
-    kappa = gl3_normalization()
     s1 = np.asarray(s[0], dtype=np.complex128)
     s2 = np.asarray(s[1], dtype=np.complex128)
     if s1.ndim == 0 and s2.ndim == 0:
         log = sum(log_gamma(complex(s1) + ai) for ai in a)
         log += sum(log_gamma(complex(s2) - ai) for ai in a)
         log -= log_gamma(complex(s1 + s2))
-        return kappa * complex(np.exp(log))
+        return complex(np.exp(log))
     log = sum(loggamma(s1 + ai) for ai in a)
     log = log + sum(loggamma(s2 - ai) for ai in a)
     log = log - loggamma(s1 + s2)
-    return kappa * np.exp(log)
+    return np.exp(log)
 
 
 def mellin_value(n: int, alpha, s, tol: float = 1e-8) -> complex:
@@ -379,7 +349,7 @@ def first_residue_gl3(alpha, m: int, s_other: complex) -> complex:
         log += log_gamma(a[2] - a[0]) + log_gamma(a[2] - a[1])
     else:
         raise ValueError("m must be 1 or 2")
-    return gl3_normalization() * complex(np.exp(log))
+    return complex(np.exp(log))
 
 
 def check_pole_separation(n: int, alpha, m: int, delta: int) -> complex:

@@ -14,11 +14,11 @@ from typing import Callable
 
 import numpy as np
 
-# largest half-length a doubling window may reach, for lines and planes
-_LINE_MAX_HALF_LENGTH = 400.0
-_PLANE_MAX_HALF_LENGTH = 200.0
-# plane integrand rows evaluated per tensor-grid block
-_BLOCK_ROWS = 256
+# largest half-length a doubling window may reach, by dimension
+_MAX_HALF_LENGTH = {1: 400.0, 2: 200.0}
+# integrand values per tensor-grid block; a line window within the length
+# cap fits in one block
+_BLOCK_VALUES = 1 << 17
 
 
 class AccuracyError(RuntimeError):
@@ -27,8 +27,7 @@ class AccuracyError(RuntimeError):
 
 @functools.lru_cache(maxsize=8)
 def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    return x, w
+    return np.polynomial.legendre.leggauss(n_nodes)
 
 
 def line_nodes(half_length: float, nodes_per_panel: int = 16) -> tuple[np.ndarray, np.ndarray]:
@@ -47,6 +46,40 @@ def line_nodes(half_length: float, nodes_per_panel: int = 16) -> tuple[np.ndarra
     return t_all, w_all
 
 
+def _grid_integral(f, x0: tuple[float, ...], tol: float, half: float, nodes_per_panel: int) -> complex:
+    """Integrate f over the product of the lines Re(z_k) = x0[k], (i dt)^d included.
+
+    The shared window [-L, L]^d doubles until the outermost 2 nodes_per_panel
+    nodes on any axis (the frame of the tensor grid) contribute less than
+    tol/10 in absolute value.  The grid is evaluated in blocks of rows of the
+    first axis, each holding at most _BLOCK_VALUES integrand values.
+    """
+    d = len(x0)
+    edge = 2 * nodes_per_panel
+    while True:
+        t, w = line_nodes(half, nodes_per_panel)
+        m = t.size
+        outer = np.abs(t) >= t[-edge]  # the symmetric grid's outermost nodes
+        rows = max(1, _BLOCK_VALUES // m ** (d - 1))
+        total = 0.0 + 0.0j
+        frame = 0.0
+        for lo in range(0, m, rows):
+            grid = np.ix_(np.arange(lo, min(lo + rows, m)), *[np.arange(m)] * (d - 1))
+            vals = f(*(x + 1j * t[g] for x, g in zip(x0, grid)))
+            wb = functools.reduce(np.multiply, (w[g] for g in grid))
+            total += np.sum(wb * vals)
+            on_frame = functools.reduce(np.logical_or, (outer[g] for g in grid))
+            frame += np.sum(wb * np.abs(vals), where=on_frame)
+        if frame < tol / 10.0:
+            return complex(total * 1j**d)
+        if 2.0 * half > _MAX_HALF_LENGTH[d]:
+            raise AccuracyError(
+                f"{d}-dimensional integral frame {frame:.3e} above {tol / 10.0:.3e} "
+                f"at half-length {half:.1f}"
+            )
+        half *= 2.0
+
+
 def vertical_line_integral(
     f: Callable[[np.ndarray], np.ndarray],
     x0: float,
@@ -56,27 +89,12 @@ def vertical_line_integral(
 ) -> complex:
     """Integrate f along the line x0 + i*t, t from -L to L, including dz = i dt.
 
-    ``f`` must accept a complex ndarray.  The window [-L, L] doubles until the
-    outermost panel pair contributes less than tol/10 in absolute value, so the
-    result carries no untracked truncation error beyond tol.
+    ``f`` must accept a complex ndarray and is called once per window.  The
+    window [-L, L] doubles until the outermost panel pair contributes less
+    than tol/10 in absolute value, so the result carries no untracked
+    truncation error beyond tol; past half-length 400 it raises AccuracyError.
     """
-    half = float(initial_half_length)
-    while True:
-        t, w = line_nodes(half, nodes_per_panel)
-        vals = f(x0 + 1j * t)
-        total = 1j * np.sum(w * vals)
-        # outermost panel pair decides whether the tail is resolved
-        edge = 2 * nodes_per_panel
-        tail = np.sum(w[:edge] * np.abs(vals[:edge]))
-        tail += np.sum(w[-edge:] * np.abs(vals[-edge:]))
-        if tail < tol / 10.0:
-            return complex(total)
-        if 2.0 * half > _LINE_MAX_HALF_LENGTH:
-            raise AccuracyError(
-                f"line integral tail {tail:.3e} above {tol / 10.0:.3e} "
-                f"at half-length {half:.1f}"
-            )
-        half *= 2.0
+    return _grid_integral(f, (x0,), tol, initial_half_length, nodes_per_panel)
 
 
 def vertical_plane_integral(
@@ -90,40 +108,11 @@ def vertical_plane_integral(
 
     Integrates f(z1, z2) over the product of the lines Re(z1) = x0[0] and
     Re(z2) = x0[1], including the (i dt)^2 = -dt1 dt2 measure factor.  The
-    integrand is evaluated on a tensor grid in row blocks to bound memory;
+    integrand is called on broadcastable row blocks of the tensor grid, and
     the shared window doubles until the outer frame of the grid is below
-    tol/10 in absolute contribution.
+    tol/10 in absolute contribution; past half-length 200 it raises.
     """
-    half = float(initial_half_length)
-    while True:
-        t, w = line_nodes(half, nodes_per_panel)
-        z2 = x0[1] + 1j * t
-        m = t.size
-        edge = 2 * nodes_per_panel
-        total = 0.0 + 0.0j
-        frame = 0.0
-        for lo in range(0, m, _BLOCK_ROWS):
-            hi = min(lo + _BLOCK_ROWS, m)
-            z1 = (x0[0] + 1j * t[lo:hi])[:, None]
-            block = f(z1, z2[None, :])
-            wb = w[lo:hi][:, None] * w[None, :]
-            total += np.sum(wb * block)
-            absb = wb * np.abs(block)
-            frame += np.sum(absb[:, :edge]) + np.sum(absb[:, -edge:])
-            if lo < edge:
-                frame += np.sum(absb[: edge - lo, edge:-edge])
-            if hi > m - edge:
-                start = max(m - edge, lo) - lo
-                frame += np.sum(absb[start:, edge:-edge])
-        total = -total  # (i)^2 from dz1 dz2
-        if frame < tol / 10.0:
-            return complex(total)
-        if 2.0 * half > _PLANE_MAX_HALF_LENGTH:
-            raise AccuracyError(
-                f"plane integral frame {frame:.3e} above {tol / 10.0:.3e} "
-                f"at half-length {half:.1f}"
-            )
-        half *= 2.0
+    return _grid_integral(f, x0, tol, initial_half_length, nodes_per_panel)
 
 
 def circle_integral_mean(

@@ -22,7 +22,6 @@ import numpy as np
 from scipy.special import loggamma, rgamma
 
 from .combinatorics import Composition, degree_D
-from .mellin import gl3_normalization
 from .quadrature import AccuracyError, line_nodes
 from .special import bound_B, f_R_poly
 
@@ -181,7 +180,6 @@ def _gl3_plane(
     line: float,
     v: np.ndarray,
     rg: np.ndarray,
-    kappa: float,
 ) -> complex:
     """Double Mellin integral of the closed rank-two transform at one
     spectral point, as (2 pi i)^{-2} times the contour integral over the
@@ -206,7 +204,7 @@ def _gl3_plane(
         + loggamma(s + 1j * (tau1 + tau2))
         - 2.0 * s * log_py2
     )
-    return kappa * (h / (2.0 * math.pi)) ** 2 * complex(np.dot(np.convolve(e1, e2), rg))
+    return (h / (2.0 * math.pi)) ** 2 * complex(np.dot(np.convolve(e1, e2), rg))
 
 
 def p_y_gl3(y, params, *, spectral_step: float = 0.5) -> float:
@@ -249,7 +247,6 @@ def p_y_gl3(y, params, *, spectral_step: float = 0.5) -> float:
             "reciprocal coupling overflows on the sum grid; the fixed-grid "
             "rank-three avatar is limited to moderate T"
         )
-    kappa = gl3_normalization()
     log_py1 = math.log(math.pi * y1)
     log_py2 = math.log(math.pi * y2)
     t1g, t2g = np.meshgrid(tau, tau, indexing="ij")
@@ -258,7 +255,7 @@ def p_y_gl3(y, params, *, spectral_step: float = 0.5) -> float:
     total = 0.0 + 0.0j
     for i, j in np.argwhere(dens > cut):
         total += math.exp(dens[i, j]) * _gl3_plane(
-            log_py1, log_py2, tau[i], tau[j], line, v, rg, kappa
+            log_py1, log_py2, tau[i], tau[j], line, v, rg
         )
     scale = y1 * y2 * spectral_step**2 / (4.0 * (2.0 * math.pi) ** 2)
     return float((scale * total).real)

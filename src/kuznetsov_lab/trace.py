@@ -96,19 +96,19 @@ def _euler_phi(c: int) -> int:
 
 
 def kloosterman_sweep(c_max: int, m: int = 1, l: int = 1) -> np.ndarray:
-    """|S(m, l; c)| is not needed often one value at a time: return the array
-    of S(m, l; c) for c = 1..c_max (index c-1), using the vectorized inverse
-    ladder above a small-modulus cutoff."""
+    """S(m, l; c) for c = 1..c_max as an array (index c-1), each modulus by
+    the vectorized inverse ladder; :func:`kloosterman_gl2` is its oracle.
+
+    Modulo 1 the only residue class, x = 0, is a unit, so S = 1 there; the
+    ladder, which enumerates x = 1..c-1, would find no units."""
     if c_max < 1:
         raise ValueError("c_max must be positive")
     out = np.empty(c_max, dtype=complex)
-    for c in range(1, c_max + 1):
-        if c <= 64:
-            out[c - 1] = kloosterman_gl2(m, l, c)
-        else:
-            counts = _unit_inverse_bins(c, m, l)
-            ks = np.flatnonzero(counts)
-            out[c - 1] = np.sum(counts[ks] * np.exp(2j * np.pi * ks / c))
+    out[0] = 1.0
+    for c in range(2, c_max + 1):
+        counts = _unit_inverse_bins(c, m, l)
+        ks = np.flatnonzero(counts)
+        out[c - 1] = np.sum(counts[ks] * np.exp(2j * np.pi * ks / c))
     return out
 
 

@@ -1,7 +1,9 @@
 """Source hygiene: no library or test module imports a name it never uses,
-and no library module reaches into another one's private names."""
+no library module reaches into another one's private names, and every
+library name the bench scripts read exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -79,3 +81,88 @@ def test_private_scanner_sees_package_names_only():
         "from . import _private_module\n"
     )
     assert private_imports(source) == ["_RESIDUE_RADIUS", "_as_params", "_private_module"]
+
+
+# the bench scripts read the library from outside it: these are the tracer's
+# tables of library names and the tracer queries that take one
+TRACER_TABLES = {"LABELS", "COUNTERS", "LOGGAMMA_BINDINGS", "special_cases"}
+TRACER_QUERIES = {"count", "total"}
+
+
+def bench_reads(source: str) -> set[tuple[str, str]]:
+    """(module, attribute) pairs of the library that a bench script reads.
+
+    Counted: attribute reads on a name bound by ``from kuznetsov_lab import
+    m [as x]``, also inside string constants holding code for a child
+    interpreter; the ``"module.name"`` keys and ``(module, name)`` entries of
+    the tracer's tables; and ``"module.name[:label]"`` literals passed to
+    ``tracer.count`` and ``tracer.total``.
+    """
+    tree = ast.parse(source)
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == PACKAGE:
+            modules.update({a.asname or a.name: a.name for a in node.names})
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules:
+                reads.add((modules[node.value.id], node.attr))
+        elif isinstance(node, ast.Assign):
+            if any(isinstance(t, ast.Name) and t.id in TRACER_TABLES for t in node.targets):
+                table = node.value
+                for key in table.keys if isinstance(table, ast.Dict) else table.elts:
+                    value = ast.literal_eval(key)
+                    reads.add(tuple(value.split(".", 1)) if isinstance(value, str) else value)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            func, args = node.func, node.args
+            if (
+                func.attr in TRACER_QUERIES
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "tracer"
+                and args
+                and isinstance(args[0], ast.Constant)
+            ):
+                reads.add(tuple(args[0].value.split(":")[0].split(".", 1)))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if f"from {PACKAGE} import" in node.value:
+                reads |= bench_reads(node.value)
+    return reads
+
+
+def test_bench_reads_existing_library_names():
+    # a refactor that drops one of these does not fail the benchmark: it
+    # only zeroes a per-layer metric
+    reads = set().union(*(bench_reads(p.read_text()) for p in (ROOT / "bench").glob("*.py")))
+    missing = sorted(
+        f"{module}.{attr}"
+        for module, attr in reads
+        if not hasattr(importlib.import_module(f"{PACKAGE}.{module}"), attr)
+    )
+    assert len(reads) > 20
+    assert missing == []
+
+
+def test_bench_scanner_sees_every_kind_of_read():
+    source = (
+        "from kuznetsov_lab import mellin, testfunctions as tf\n"
+        "CHILD = 'from kuznetsov_lab import trace\\ntrace.kloosterman_sweep(3)'\n"
+        "LABELS = {'mellin.mellin_recursive': None}\n"
+        "LOGGAMMA_BINDINGS = (('special', '_loggamma'),)\n"
+        "def install(self):\n"
+        "    special_cases = {'quadrature.line_nodes': None}\n"
+        "tf.itr_log(mellin.gl3_normalization())\n"
+        "tracer.count('quadrature.vertical_line_integral')\n"
+        "tracer.total('testfunctions.itr_log:T32')\n"
+        "tracer.self_s.get('special.loggamma')\n"
+        "other.attr\n"
+    )
+    assert bench_reads(source) == {
+        ("mellin", "gl3_normalization"),
+        ("mellin", "mellin_recursive"),
+        ("quadrature", "line_nodes"),
+        ("quadrature", "vertical_line_integral"),
+        ("special", "_loggamma"),
+        ("testfunctions", "itr_log"),
+        ("trace", "kloosterman_sweep"),
+    }

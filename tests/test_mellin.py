@@ -12,7 +12,6 @@ from kuznetsov_lab.mellin import (
     _truncation_half_length,
     check_pole_separation,
     first_residue_gl3,
-    gl3_normalization,
     mellin_gl2,
     mellin_gl3_closed,
     mellin_recursive,
@@ -71,7 +70,9 @@ class TestRecursionRankTwo:
         assert abs(v.imag) < 1e-9
 
     def test_normalization_close_to_one(self):
-        assert gl3_normalization() == pytest.approx(1.0, abs=1e-9)
+        # Barnes' first lemma: alpha = 0, s = (1, 1) gives Gamma(1)^6 / Gamma(2)
+        v = mellin_recursive(3, (0, 0, 0), (1, 1), tol=1e-10)
+        assert abs(v - 1.0) <= 1e-10
 
     def test_closed_form_matches_recursion_random(self):
         rng = np.random.default_rng(11)
@@ -121,6 +122,39 @@ class TestRecursionRankThree:
         base = mellin_recursive(4, alpha, s, tol=1e-7)
         swapped = mellin_recursive(4, (0.1j, -0.15j, 0.3j, -0.25j), s, tol=1e-7)
         assert abs(base - swapped) / abs(base) <= 1e-5
+
+    # entries 0, 2, 7 and 39 of the rank-four pool in bench/refs/contour.json,
+    # computed without the library by bench/contour_oracle.py: the plane
+    # recursion over Barnes' closed rank-two form on straight lines kept away
+    # from the poles, plus the residues of the poles they cross, summed by the
+    # trapezoidal rule
+    FROZEN = [
+        (
+            (-1.222361j, -1.061646j, 0.204972j, 2.079035j),
+            (1.021221 + 0.849626j, 1.376348 - 0.061749j, 1.374449 + 0.390358j),
+            1.5562592437959274e-05 - 3.5786620624011395e-06j,
+        ),
+        (
+            (0.340385j, 0.458549j, -0.47003j, -0.328904j),
+            (1.365392 + 0.406526j, 1.009063 - 0.507453j, 0.972989 + 0.584099j),
+            0.04878341037067077 + 0.004903002306100244j,
+        ),
+        (
+            (0.091271 - 1.274577j, 0.20211 - 0.157463j, 0.085255 + 0.26235j, -0.378636 + 1.16969j),
+            (1.305127 + 0.719328j, 1.359172 - 0.273407j, 1.253357 - 0.568815j),
+            0.0005499130981864259 - 0.0006584677174967435j,
+        ),
+        (
+            (-0.009923 - 1.212947j, 0.105832 + 1.161451j, 0.138661 + 0.560055j, -0.23457 - 0.508559j),
+            (1.208812 + 0.300936j, 1.348661 - 0.546213j, 1.207826 + 0.550002j),
+            0.0005869628921141426 + 0.0005846758130088972j,
+        ),
+    ]
+
+    @pytest.mark.parametrize("alpha, s, ref", FROZEN, ids=["entry0", "entry2", "entry7", "entry39"])
+    def test_matches_frozen_oracle(self, alpha, s, ref):
+        v = mellin_recursive(4, alpha, s)
+        assert abs(v - ref) / abs(ref) <= 1e-9
 
     def test_unsupported_rank(self):
         with pytest.raises(NotImplementedError):

@@ -134,7 +134,7 @@ class TestRankThreeAvatar:
         # convolution against adaptive panel tensor integration
         from scipy.special import rgamma
 
-        from kuznetsov_lab.mellin import gl3_normalization, mellin_gl3_closed
+        from kuznetsov_lab.mellin import mellin_gl3_closed
         from kuznetsov_lab.quadrature import vertical_plane_integral
         from kuznetsov_lab.testfunctions import _gl3_plane
 
@@ -152,7 +152,7 @@ class TestRankThreeAvatar:
         v = step * np.arange(-240, 241)
         u = 2.0 * v[0] + step * np.arange(2 * v.size - 1)
         rg = rgamma(1.5 + 1j * u)
-        mine = _gl3_plane(c1, c2, tau1, tau2, 0.75, v, rg, gl3_normalization())
+        mine = _gl3_plane(c1, c2, tau1, tau2, 0.75, v, rg)
         assert abs(mine - ref) / abs(ref) < 1e-8
 
     def test_argument_swap_symmetry(self):

@@ -65,9 +65,10 @@ class TestKloosterman:
     def test_sweep_matches_scalar_path(self):
         # the vectorized inverse ladder and extended Euclid must agree exactly:
         # both bin identical integer residues
-        sweep = kloosterman_sweep(300)
-        scalar = np.array([kloosterman_gl2(1, 1, c) for c in range(1, 301)])
-        assert np.array_equal(sweep, scalar)
+        for m, l in [(1, 1), (2, 3)]:
+            sweep = kloosterman_sweep(300, m, l)
+            scalar = np.array([kloosterman_gl2(m, l, c) for c in range(1, 301)])
+            assert np.array_equal(sweep, scalar)
 
     def test_weil_bound(self):
         c_max = 5000
