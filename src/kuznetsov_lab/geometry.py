@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .combinatorics import Composition
+from .special import validate_langlands
 
 
 class DecompositionError(ValueError):
@@ -104,8 +105,7 @@ def power_function(p: IwasawaPoint, alpha: Sequence[complex]) -> complex:
     n = p.n
     if len(a) != n:
         raise ValueError("parameter length must match the matrix size")
-    if abs(a.sum()) > 1e-10 * max(1.0, np.abs(a).max()):
-        raise ValueError("parameter entries must sum to 0")
+    validate_langlands(a)
     ahat = np.cumsum(a)
     rhohat = np.cumsum([(n + 1) / 2 - i for i in range(1, n + 1)])
     out = 1.0 + 0.0j

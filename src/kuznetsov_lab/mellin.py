@@ -20,15 +20,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import loggamma
 
 from .quadrature import vertical_line_integral, vertical_plane_integral, circle_integral_mean
-from .special import DegenerateParameterError, log_gamma
+from .special import DegenerateParameterError, log_gamma, validate_langlands
 
-_SUM_TOL = 1e-10
 # pass bounds, read by the suite's claims too: the shift identities'
 # residual floor and the residues' relative error
 SHIFT_TOL = 1e-10
@@ -43,46 +41,7 @@ def _as_alpha(alpha, n: int) -> np.ndarray:
     a = np.asarray(alpha, dtype=np.complex128)
     if a.shape != (n,):
         raise ValueError(f"expected {n} spectral parameters, got shape {a.shape}")
-    if abs(a.sum()) > _SUM_TOL * max(1.0, float(np.abs(a).max())):
-        raise ValueError("spectral parameters must sum to zero")
-    return a
-
-
-@dataclass(frozen=True)
-class MellinPoint:
-    """A transform evaluation point: spectral parameters plus s-arguments."""
-
-    alpha: tuple[complex, ...]
-    s: tuple[complex, ...]
-
-    def __post_init__(self) -> None:
-        _as_alpha(self.alpha, len(self.alpha))
-        if len(self.s) != len(self.alpha) - 1:
-            raise ValueError("need one s-variable fewer than spectral parameters")
-
-    @property
-    def n(self) -> int:
-        return len(self.alpha)
-
-
-@dataclass(frozen=True)
-class ShiftVector:
-    """Nonnegative integer translate applied to the s-arguments."""
-
-    offsets: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(o < 0 for o in self.offsets):
-            raise ValueError("shift offsets must be nonnegative")
-
-    @property
-    def weight(self) -> int:
-        return sum(self.offsets)
-
-    def apply(self, s) -> tuple[complex, ...]:
-        if len(s) != len(self.offsets):
-            raise ValueError("shift length mismatch")
-        return tuple(sv + o for sv, o in zip(s, self.offsets))
+    return validate_langlands(a)
 
 
 def pochhammer(z: complex, k: int) -> complex:
@@ -245,8 +204,8 @@ def shift_residual_gl3(alpha, s, m: int) -> float:
         raise ValueError("m must be 1 or 2")
     sv = (complex(s[0]), complex(s[1]))
     lhs = subset_sum_polynomial(alpha, m, sv[m - 1]) * mellin_gl3_closed(alpha, sv)
-    shift = ShiftVector((1, 0) if m == 1 else (0, 1))
-    rhs = (sv[0] + sv[1]) * mellin_gl3_closed(alpha, shift.apply(sv))
+    shifted = (sv[0] + 1, sv[1]) if m == 1 else (sv[0], sv[1] + 1)
+    rhs = (sv[0] + sv[1]) * mellin_gl3_closed(alpha, shifted)
     return abs(lhs - rhs) / abs(rhs)
 
 
@@ -310,20 +269,6 @@ def shift_identity_check(
 # residues
 
 
-@dataclass(frozen=True)
-class ResidueSpec:
-    """Which pole: the variable index m and the integer displacement delta."""
-
-    m: int
-    delta: int = 0
-
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError("variable index m starts at 1")
-        if not 0 <= self.delta <= 3:
-            raise ValueError("implemented displacement range is 0..3")
-
-
 def residue_gl2(alpha, delta: int) -> complex:
     """Residue of the rank-one transform at s = -a - delta.
 
@@ -373,27 +318,6 @@ def check_pole_separation(n: int, alpha, m: int, delta: int) -> complex:
                     f"pole at {pole:.4f} within {d:.3f} of target contour"
                 )
     return complex(center)
-
-
-def residue_formula(n: int, spec: ResidueSpec, alpha, s_rest: complex | None = None) -> complex:
-    """Residue of the rank-(n-1) transform at s_m = -(alpha_1+...+alpha_m) - delta.
-
-    Validates general position before evaluating.  For n = 3 the residue is
-    still a function of the remaining s-variable, passed as ``s_rest``.
-    """
-    if n == 2:
-        a0 = _gl2_param(alpha)
-        a = np.array([a0, -a0])
-    else:
-        a = _as_alpha(alpha, n)
-    check_pole_separation(n, a, spec.m, spec.delta)
-    if n == 2:
-        return residue_gl2(a, spec.delta)
-    if n == 3 and spec.delta == 0:
-        if s_rest is None:
-            raise ValueError("rank two residues need the remaining s-variable")
-        return first_residue_gl3(a, spec.m, s_rest)
-    raise NotImplementedError("closed residues: n = 2 any delta <= 3, n = 3 first poles")
 
 
 def separated_tempered_alpha(n: int, rng: np.random.Generator) -> tuple[complex, ...]:

@@ -220,14 +220,16 @@ def verify_B_lemmas(
     return {"passed": not violations, "violations": violations, "checked": checked}
 
 
-def validate_langlands(
-    alpha: Sequence[complex], require_tempered: bool = False, tol: float = 1e-12
-) -> np.ndarray:
+def validate_langlands(alpha: Sequence[complex], require_tempered: bool = False) -> np.ndarray:
     """Check the zero-sum invariant (and temperedness if asked); returns the
-    parameter as a complex array."""
+    parameter as a complex array.
+
+    Both tests are relative: the sum and every real part must be within
+    1e-10 max(1, max |alpha_j|) of 0.
+    """
     a = np.asarray(alpha, dtype=complex)
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    if abs(a.sum()) > tol * scale * len(a):
+    tol = 1e-10 * max(1.0, float(np.abs(a).max(initial=0.0)))
+    if abs(a.sum()) > tol:
         raise ValueError(f"entries must sum to 0, got sum {a.sum()}")
     if require_tempered and float(np.abs(a.real).max(initial=0.0)) > tol:
         raise ValueError("parameter is not tempered (nonzero real parts)")

@@ -7,6 +7,12 @@ and the power-of-T scaling exponents that the desk-scale experiments verify:
 the norm integral grows like T to R(2 D(n) + n(n-1)) + n - 1, and the
 shifted-line integral like T to R + 3/2 minus the contour-dependent gain.
 
+Every tempered density integrated here, the rank-one and rank-three
+avatars' and the main term's |p_sharp|^2, is a power of |p_sharp| times
+the Plancherel density, and all of them come from one function,
+:func:`_log_weight`; :func:`p_sharp` and :func:`h_value` are the scalar
+definitions it is tested against.
+
 Everything integral-valued here runs in log space.  The shifted integrands
 pair a Gamma ring that grows like exp(pi t) against an inner factor that
 decays like exp(-pi max(|u|, t)); the exponential parts are combined before
@@ -15,6 +21,7 @@ exponentiation, so no intermediate overflows even at T in the hundreds.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,20 +30,19 @@ from scipy.special import loggamma, rgamma
 
 from .combinatorics import Composition, degree_D
 from .quadrature import AccuracyError, line_nodes
-from .special import bound_B, f_R_poly
-
-_TEMPERED_TOL = 1e-10
+from .special import bound_B, f_R_poly, subset_pairs, validate_langlands
 
 
 @dataclass(frozen=True)
 class TestFunctionParams:
     """Spectral localization scale T and smoothing order R.
 
-    Every Gaussian here is the one in :func:`p_sharp`,
-    exp(sum alpha_j^2 / (2 T^2)), written in each integral's own variables:
-    exp(-4 t^2 / T^2) for the rank-one avatar, whose outer variable t is
-    half the spectral parameter, and exp(-(t1^2 + t2^2 + t3^2) / (2 T^2))
-    for the rank-three one.
+    They fix :func:`p_sharp`, and through it every density here: each is
+    |p_sharp| (the main term: its square) times the Plancherel density,
+    evaluated by :func:`_log_weight` at the tempered columns of its own
+    variables, (2t, -2t) for the rank-one avatar, whose outer variable t
+    is half the spectral parameter, and (t1, t2, -t1 - t2) for the
+    rank-three one.
     """
 
     __test__ = False  # name collides with pytest's collection prefix
@@ -73,10 +79,7 @@ def h_value(alpha, params) -> float:
     Defined on the tempered line only; a parameter off the line is a domain
     error rather than an analytic continuation we silently trust.
     """
-    a = np.asarray(alpha, dtype=np.complex128)
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    if float(np.abs(a.real).max(initial=0.0)) > _TEMPERED_TOL * scale:
-        raise ValueError("spectral weight is defined for tempered parameters")
+    a = validate_langlands(alpha, require_tempered=True)
     n = a.size
     log = 2.0 * math.log(abs(p_sharp(a, params)))
     for j in range(n):
@@ -86,17 +89,40 @@ def h_value(alpha, params) -> float:
     return math.exp(log)
 
 
+def _log_weight(cols, params: TestFunctionParams, power: int) -> np.ndarray:
+    """power log|p_sharp(alpha)| plus the log Plancherel density at the
+    tempered alpha = i t, elementwise over arrays t_j = cols[j] summing to 0.
+
+    The Gaussian gives -power sum t^2 / (2 T^2); the pair polynomial at
+    alpha/2, power (R/2) log(1 + Delta^2/4) per subset pair with
+    Delta = sum_K t - sum_L t; and each unordered pair j < k, with
+    d = t_j - t_k, the two conjugate p_sharp factors
+    2 power Re log Gamma((1 + 2R + i d)/4) over the Plancherel pair
+    |Gamma(i d/2)|^2.  Where two columns coincide the density has its
+    zero, returned as -inf.
+    """
+    # the ring is summed first and in place, and each pair's difference is
+    # freed before the next: on the rank-three main-term square every
+    # array here is tens of megabytes
+    ring, coincide = 0.0, False
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j, k in itertools.combinations(range(len(cols)), 2):
+            d = cols[j] - cols[k]
+            ring += 2.0 * power * loggamma((1.0 + 2.0 * params.R + 1j * d) / 4.0).real
+            ring -= 2.0 * loggamma(0.5j * d).real
+            coincide = coincide | (d == 0.0)
+            del d
+        poly = sum(
+            np.log1p((sum(cols[k] for k in K) - sum(cols[l] for l in L)) ** 2 / 4.0)
+            for K, L in subset_pairs(len(cols))
+        )
+        out = -power * sum(c**2 for c in cols) / (2.0 * params.T**2) + power * (params.R / 2.0) * poly
+        out += ring
+    return np.where(coincide, -np.inf, out)
+
+
 # ---------------------------------------------------------------------------
 # the rank-one inverse-transform avatar on shifted lines
-
-
-def _outer_log(t: np.ndarray, p: TestFunctionParams) -> np.ndarray:
-    """log of the Gaussian times |Gamma_R(2it)|^2 along the tempered line."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = 2.0 * loggamma((0.5 + p.R + 2j * t) / 2.0).real
-        g -= 2.0 * loggamma(2j * t).real
-    out = -4.0 * t**2 / p.T**2 + g
-    return np.where(t == 0.0, -np.inf, out)
 
 
 def _outer_half_length(p: TestFunctionParams) -> float:
@@ -116,7 +142,7 @@ def _line_field(p: TestFunctionParams, line: float) -> tuple[np.ndarray, np.ndar
     u_half = t_half + 16.0
     t, wt = line_nodes(t_half)
     u, wu = line_nodes(u_half)
-    base = _outer_log(t, p)
+    base = _log_weight((2.0 * t, -2.0 * t), p, 1)
     col = np.zeros(u.size, dtype=np.complex128)
     block = 128
     for lo in range(0, t.size, block):
@@ -150,26 +176,6 @@ def p_y_batch(y_values, params, line: float = 0.75) -> np.ndarray:
 
 def p_y(y: float, params, line: float = 0.75) -> float:
     return float(p_y_batch([y], params, line=line)[0])
-
-
-def _gl3_spectral_log(t1: np.ndarray, t2: np.ndarray, p: TestFunctionParams) -> np.ndarray:
-    """log of the rank-three spectral density on the tempered line.
-
-    Parameters (i t1, i t2, -i(t1 + t2)); the three unordered differences
-    each contribute the pair-polynomial factor at full argument and the
-    quotient of the shifted Gamma ring by the coincidence measure, under
-    the Gaussian of :func:`p_sharp`.  Exact coincidences are zeros of the
-    density, returned as -inf.
-    """
-    out = -0.5 * (t1**2 + t2**2 + (t1 + t2) ** 2) / p.T**2
-    for d in (t1 - t2, 2.0 * t1 + t2, t1 + 2.0 * t2):
-        sing = np.abs(d) < 1e-12
-        dd = np.where(sing, 1.0, d)
-        out = out + (p.R / 2.0) * np.log1p(d**2)
-        out = out + 2.0 * loggamma((1.0 + 2.0 * p.R + 1j * d) / 4.0).real
-        out = out - 2.0 * loggamma(0.5j * dd).real
-        out = np.where(sing, -np.inf, out)
-    return out
 
 
 def _gl3_plane(
@@ -211,7 +217,8 @@ def p_y_gl3(y, params, *, spectral_step: float = 0.5) -> float:
     """Rank-three inverse-transform avatar at y = (y1, y2).
 
     Four nested contours: the tempered spectral plane weighted by
-    _gl3_spectral_log, times the double Mellin integral of the closed
+    p_sharp times the Plancherel density (:func:`_log_weight` at
+    (t1, t2, -t1 - t2)), times the double Mellin integral of the closed
     rank-two transform against y1 y2 (pi y1)^{-2 s1} (pi y2)^{-2 s2},
     with the overall 2^{-(n-1)}.  The Mellin plane collapses to one
     convolution per spectral node (see _gl3_plane), so a full evaluation
@@ -250,7 +257,7 @@ def p_y_gl3(y, params, *, spectral_step: float = 0.5) -> float:
     log_py1 = math.log(math.pi * y1)
     log_py2 = math.log(math.pi * y2)
     t1g, t2g = np.meshgrid(tau, tau, indexing="ij")
-    dens = _gl3_spectral_log(t1g, t2g, params)
+    dens = _log_weight((t1g, t2g, -t1g - t2g), params, 1)
     cut = dens.max() + math.log(1e-16)
     total = 0.0 + 0.0j
     for i, j in np.argwhere(dens > cut):
@@ -281,7 +288,7 @@ def residue_term(y: float, params, delta: int = 0, a=None, comp=(1, 1)) -> float
     if y <= 0:
         raise ValueError("y must be positive")
     t, wt = line_nodes(_outer_half_length(params))
-    base = _outer_log(t, params)
+    base = _log_weight((2.0 * t, -2.0 * t), params, 1)
     g = loggamma(-delta - 2j * t)
     c = math.log(math.pi * y)
     phase = np.exp(base + g.real + 1j * (g.imag + 2.0 * t * c))
@@ -328,7 +335,8 @@ def residue_decomposition_check(params, a: float = 0.75) -> dict:
 def itr_log(a: float, params, grid_step: float = 1.0 / 16, t_factor: float = 2.7, pad: float = 14.0) -> float:
     """log of the shifted-line norm integral for the rank-one transform.
 
-    Outer tempered integral against |Gamma_R(2it)|^2, inner integral of
+    Outer tempered integral against the rank-one density, :func:`_log_weight`
+    at (2t, -2t), which carries |Gamma_R(2it)|^2; inner integral of
     |Gamma(-a+i(u+t)) Gamma(-a+i(u-t))| along Re(s) = -a.  The inner Gamma
     pair is tabulated once with its exponential part removed and recombined
     by index shifting, which keeps the whole computation polynomial-sized
@@ -353,7 +361,7 @@ def itr_log(a: float, params, grid_step: float = 1.0 / 16, t_factor: float = 2.7
         tot = s + np.minimum(0.0, -np.pi * (np.abs(uc) - ti))
         mx = tot.max()
         log_inner[i] = mx + math.log(np.sum(np.exp(tot - mx)) * dv)
-    li = _outer_log(t, params) - np.pi * t + log_inner
+    li = _log_weight((2.0 * t, -2.0 * t), params, 1) - np.pi * t + log_inner
     mx = li.max()
     return float(mx + math.log(2.0 * np.sum(np.exp(li - mx)) * dv))
 
@@ -362,44 +370,27 @@ def itr_log(a: float, params, grid_step: float = 1.0 / 16, t_factor: float = 2.7
 # main-term norm integrals
 
 
-def _pair_polynomial_log3(t1: np.ndarray, t2: np.ndarray, R: int) -> np.ndarray:
-    # three singleton subset pairs at half argument
-    d12 = (t1 - t2) / 2.0
-    d13 = (2.0 * t1 + t2) / 2.0
-    d23 = (t1 + 2.0 * t2) / 2.0
-    return (R / 2.0) * (np.log1p(d12**2) + np.log1p(d13**2) + np.log1p(d23**2))
-
-
 def main_term_log(n: int, R: int, T: float) -> float:
     """log of the spectral norm integral whose T-growth is the main term.
 
-    The integrand is |p_sharp|^2 over the Plancherel Gamma ring, restricted
-    to the tempered line and evaluated on a uniform grid; the coincidence
-    hyperplanes carry double zeros and are excised exactly.
+    The integrand is |p_sharp|^2 times the Plancherel density on the
+    tempered line, summed on a uniform grid: for n = 2 the midpoints of
+    the half-line t > 0 at step 1/8, counted twice since the integrand is
+    even; for n = 3 the square |t1|, |t2| <= 3T + 15 at step 1/2.  The
+    coincidence hyperplanes carry double zeros and are excised exactly.
     """
     if n == 2:
         t = np.arange(1.0 / 16, 3.2 * T + 20.0, 1.0 / 8)
-        with np.errstate(divide="ignore"):
-            ln = 4.0 * loggamma((2.0 * R + 1.0 + 2j * t) / 4.0).real
-            ln -= 2.0 * loggamma(1j * t).real
-        li = -2.0 * t**2 / T**2 + ln
-        mx = li.max()
-        return float(mx + math.log(2.0 * np.sum(np.exp(li - mx)) / 8.0))
-    if n == 3:
-        h = 0.5
-        g = np.arange(-3.0 * T - 15.0, 3.0 * T + 15.0 + h / 2, h)
+        cols, cell = (t, -t), 2.0 / 8.0
+    elif n == 3:
+        g = np.arange(-3.0 * T - 15.0, 3.0 * T + 15.0 + 0.25, 0.5)
         t1, t2 = np.meshgrid(g, g, indexing="ij")
-        t3 = -t1 - t2
-        li = -(t1**2 + t2**2 + t3**2) / T**2 + 2.0 * _pair_polynomial_log3(t1, t2, R)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for x, yv in ((t1, t2), (t1, t3), (t2, t3)):
-                d = x - yv
-                li += 4.0 * loggamma((2.0 * R + 1.0 + 1j * d) / 4.0).real
-                li -= 2.0 * loggamma(1j * d / 2.0 + np.where(np.abs(d) < 1e-12, 1.0, 0.0)).real
-                li = np.where(np.abs(d) < 1e-12, -np.inf, li)
-        mx = li.max()
-        return float(mx + math.log(np.sum(np.exp(li - mx)) * h * h))
-    raise NotImplementedError("main-term integral implemented for n = 2, 3")
+        cols, cell = (t1, t2, -t1 - t2), 0.5 * 0.5
+    else:
+        raise NotImplementedError("main-term integral implemented for n = 2, 3")
+    li = _log_weight(cols, TestFunctionParams(T=T, R=R), 2)
+    mx = li.max()
+    return float(mx + math.log(np.sum(np.exp(li - mx)) * cell))
 
 
 # ---------------------------------------------------------------------------

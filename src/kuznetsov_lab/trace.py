@@ -66,11 +66,12 @@ def kloosterman_gl2(m: int, l: int, c: int) -> complex:
 
 
 def _unit_inverse_bins(c: int, m: int, l: int) -> np.ndarray:
-    # x~ = x^(phi(c)-1) mod c by a square-and-multiply ladder on int64 arrays;
-    # products stay below 2^63 for c up to ~3e9
+    # x~ = x^(phi(c)-1) mod c by a square-and-multiply ladder on int64 arrays,
+    # phi(c) being the number of units; products stay below 2^63 for c up
+    # to ~3e9
     x = np.arange(1, c, dtype=np.int64)
     units = x[np.gcd(x, c) == 1]
-    e = _euler_phi(c) - 1
+    e = units.size - 1
     inv = np.ones_like(units)
     base = units.copy()
     while e:
@@ -80,19 +81,6 @@ def _unit_inverse_bins(c: int, m: int, l: int) -> np.ndarray:
         e >>= 1
     ks = (m * units + l * inv) % c
     return np.bincount(ks.astype(np.intp), minlength=c).astype(float)
-
-
-def _euler_phi(c: int) -> int:
-    out, rem, p = c, c, 2
-    while p * p <= rem:
-        if rem % p == 0:
-            out -= out // p
-            while rem % p == 0:
-                rem //= p
-        p += 1 if p == 2 else 2
-    if rem > 1:
-        out -= out // rem
-    return out
 
 
 def kloosterman_sweep(c_max: int, m: int = 1, l: int = 1) -> np.ndarray:
@@ -351,8 +339,12 @@ class AplusBReport:
     floored_entries: tuple[tuple[int, float], ...] = field(default=())
 
 
-def _aplusb_pass(n, rho_f, comp, eps_p, allow_floor):
-    delta = 2.0 * eps_p / n**2
+# eps' of the canonical shift's relative spacing 2 eps'/n^2
+_APLUSB_EPS_PRIME = 1e-4
+
+
+def _aplusb_pass(n, rho_f, comp):
+    delta = 2.0 * _APLUSB_EPS_PRIME / n**2
     a_ext = [0.0] * (n + 1)
     for k in range(1, n):
         a_ext[k] = float(rho_f) + 0.5 * k * (n - k) * (1.0 + delta)
@@ -364,8 +356,6 @@ def _aplusb_pass(n, rho_f, comp, eps_p, allow_floor):
         try:
             return bound_B(x)
         except ValueError:
-            if not allow_floor:
-                raise
             # B(x) >= x holds everywhere; at an exact integer landing the
             # two-sided region shift cancels structurally and no eps' avoids
             # it, so fall back to that floor and record the entry
@@ -394,33 +384,24 @@ def verify_aplusb(n: int, rho, comp: Composition) -> AplusBReport:
     a is the canonical shift with relative spacing delta = 2 eps'/n^2 at
     eps' = 1e-4; each b
     entry carries a region-dependent offset of +-delta/2 and the worst of the
-    two signs is charged.  If B lands in its undefined band around an integer
-    the whole construction retries once with a perturbed eps'; entries whose
-    landing is structural (the offset cancels the spacing exactly, every
-    eps') are charged the universal floor B(x) >= x and listed in the report.
+    two signs is charged.  An entry where B lands in its undefined band
+    around an integer lands there structurally (the offset cancels the
+    spacing exactly, at every eps'); it is charged the universal floor
+    B(x) >= x and listed in the report.
     """
     rho_f = _half_integer(rho)
     if comp.n != n:
         raise ValueError(f"composition {comp.parts} is not a composition of {n}")
     if comp.r < 2:
         raise ValueError("single-block compositions carry no modulus sum")
-    eps_prime, tolerance = 1e-4, 1e-3
-    attempts = (eps_prime, eps_prime * 1.37)
-    result = None
-    for i, ep in enumerate(attempts):
-        try:
-            result = (_aplusb_pass(n, rho_f, comp, ep, allow_floor=False), ep)
-            break
-        except ValueError:
-            if i == len(attempts) - 1:
-                result = (_aplusb_pass(n, rho_f, comp, eps_prime, allow_floor=True), eps_prime)
-    (lhs, a, b_worst, floored), ep = result
+    tolerance = 1e-3
+    lhs, a, b_worst, floored = _aplusb_pass(n, rho_f, comp)
     target = (n - 1) // 2 + n * float(rho_f) + float(phi(comp))
     return AplusBReport(
         n=n,
         rho=rho_f,
         composition=comp,
-        eps_prime=ep,
+        eps_prime=_APLUSB_EPS_PRIME,
         a=a,
         b_worst=b_worst,
         lhs=lhs,

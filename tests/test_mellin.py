@@ -6,19 +6,14 @@ import numpy as np
 import pytest
 
 from kuznetsov_lab.mellin import (
-    MellinPoint,
-    ResidueSpec,
-    ShiftVector,
     _truncation_half_length,
     check_pole_separation,
-    first_residue_gl3,
     mellin_gl2,
     mellin_gl3_closed,
     mellin_recursive,
     mellin_value,
     pochhammer,
     residue_check,
-    residue_formula,
     residue_gl2,
     shift_identity_check,
     shift_residual_gl2,
@@ -196,13 +191,6 @@ class TestShiftIdentities:
         assert pochhammer(2.0, 3) == pytest.approx(24.0)
         assert pochhammer(0.5, 0) == 1.0
 
-    def test_shift_vector(self):
-        sv = ShiftVector((1, 0))
-        assert sv.weight == 1
-        assert sv.apply((0.5, 0.75)) == (1.5, 0.75)
-        with pytest.raises(ValueError):
-            ShiftVector((-1, 0))
-
 
 class TestResidues:
     def test_rank_one_leading(self):
@@ -226,21 +214,9 @@ class TestResidues:
             rep = residue_check(3, (0.65j, 0.2j, -0.85j), m=m)
             assert rep["passed"], rep
 
-    def test_residue_formula_dispatch(self):
-        v = residue_formula(2, ResidueSpec(m=1, delta=2), 0.55j)
-        assert v == pytest.approx(residue_gl2(0.55j, 2), rel=1e-13)
-        w = residue_formula(3, ResidueSpec(m=2), (0.65j, 0.2j, -0.85j), s_rest=0.9)
-        assert w == pytest.approx(first_residue_gl3((0.65j, 0.2j, -0.85j), 2, 0.9), rel=1e-13)
-
     def test_degenerate_parameters_rejected(self):
         with pytest.raises(DegenerateParameterError):
             check_pole_separation(3, (0.45j, 0.3j, -0.75j), 1, 0)
-
-    def test_spec_bounds(self):
-        with pytest.raises(ValueError):
-            ResidueSpec(m=1, delta=4)
-        with pytest.raises(ValueError):
-            ResidueSpec(m=0)
 
 
 class TestInverseTransform:
@@ -281,14 +257,6 @@ class TestEvaluatorBundle:
         assert _truncation_half_length(np.array((0.1j, -0.1j))) == 30.0
         tall = _truncation_half_length(np.array((9.0j, -9.0j)))
         assert tall == pytest.approx(37.0)
-
-    def test_point_types(self):
-        p = MellinPoint((0.2j, -0.2j), (0.9,))
-        assert p.n == 2
-        with pytest.raises(ValueError):
-            MellinPoint((0.2j, -0.2j), (0.9, 1.0))
-        with pytest.raises(ValueError):
-            MellinPoint((0.2j, 0.2j), (0.9,))
 
 
 class TestContourOracleMachinery:

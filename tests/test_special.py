@@ -178,6 +178,13 @@ def test_validate_langlands():
         validate_langlands([1j, 1j])
     with pytest.raises(ValueError):
         validate_langlands([0.5 + 1j, -0.5 - 1j], require_tempered=True)
+    # one relative tolerance, 1e-10 max(1, max |alpha_j|), for the sum and
+    # for the real parts
+    validate_langlands([1e6j, -1e6j + 5e-5, 0j], require_tempered=True)
+    with pytest.raises(ValueError):
+        validate_langlands([1e6j, -1e6j + 2e-4], require_tempered=False)
+    with pytest.raises(ValueError):
+        validate_langlands([2e-10 + 1j, -2e-10 - 1j], require_tempered=True)
 
 
 def test_partition_parameter_worked_example():

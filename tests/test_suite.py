@@ -1,6 +1,7 @@
 """Library-level contracts of the verification driver and report plumbing."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -40,13 +41,21 @@ class TestDriver:
         with pytest.raises(ValueError, match="selector"):
             run_suite("bogus", RunConfig())
 
-    def test_all_is_concatenation_in_group_order(self):
+    def test_all_is_concatenation_in_group_order(self, monkeypatch):
+        # the order comes from run_suite, not from the measures: constant measures
+        # keep the full battery to test_full_battery_passes
+        constant = {
+            group: [dataclasses.replace(claim, measure=lambda cfg: 0.0) for claim in claims]
+            for group, claims in suite.CHECKS.items()
+        }
+        monkeypatch.setattr(suite, "CHECKS", constant)
         cfg = RunConfig(seed=5)
         all_names = [r.name for r in run_suite("all", cfg)]
         concat = []
         for sel in SELECTORS[:-1]:
             concat += [r.name for r in run_suite(sel, cfg)]
         assert all_names == concat
+        assert all_names == [claim.name for claims in constant.values() for claim in claims]
 
     def test_full_battery_passes(self):
         reports = run_suite("all", RunConfig())

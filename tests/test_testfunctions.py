@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import loggamma
 
 from kuznetsov_lab.testfunctions import (
     ScalingFit,
     TestFunctionParams,
+    _log_weight,
     fit_scaling,
     h_value,
     itr_log,
@@ -60,6 +62,9 @@ class TestHValue:
     def test_rejects_nontempered(self):
         with pytest.raises(ValueError):
             h_value((0.1, -0.1), TestFunctionParams(T=10.0, R=1))
+        # and, by the same rule, a parameter off the zero-sum plane
+        with pytest.raises(ValueError):
+            h_value((1j, 0.5j), TestFunctionParams(T=10.0, R=1))
 
     def test_positive_and_symmetric(self):
         p = TestFunctionParams(T=8.0, R=2)
@@ -67,6 +72,37 @@ class TestHValue:
         v = h_value(a, p)
         assert v > 0
         assert h_value((-0.2j, -0.5j, 0.7j), p) == pytest.approx(v, rel=1e-10)
+
+
+class TestLogWeight:
+    @pytest.mark.parametrize("power", [1, 2])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_is_p_sharp_power_times_plancherel(self, n, power):
+        # the one density every integral here uses, against the scalar
+        # definition: power log|p_sharp(i t)| - sum_{j != k} Re log Gamma(i (t_j - t_k)/2)
+        rng = np.random.default_rng(100 * n + power)
+        for R in (1, 2):
+            p = TestFunctionParams(T=4.0, R=R)
+            t = rng.uniform(-3.0, 3.0, size=(8, n))
+            t -= t.mean(axis=1, keepdims=True)
+            got = _log_weight(tuple(t.T), p, power)
+            for row, value in zip(t, got):
+                alpha = 1j * row
+                ref = power * math.log(abs(p_sharp(alpha, p)))
+                for j in range(n):
+                    for k in range(n):
+                        if j != k:
+                            ref -= loggamma((alpha[j] - alpha[k]) / 2.0).real
+                assert abs(value - ref) <= 1e-12, (n, power, R, row)
+
+    def test_coincident_columns_are_zeros(self):
+        # (1, 0, -1) is generic; t1 = t2 and t1 = t3 are zeros of the density
+        p = TestFunctionParams(T=4.0, R=1)
+        t1 = np.array([1.0, 0.5, 0.5])
+        t2 = np.array([0.0, 0.5, -1.0])
+        got = _log_weight((t1, t2, -t1 - t2), p, 1)
+        assert np.isfinite(got[0])
+        assert got[1] == -np.inf and got[2] == -np.inf
 
 
 class TestAvatarOnLines:
@@ -166,7 +202,7 @@ class TestRankThreeAvatar:
         a = p_y_gl3((1.0, 1.0), self.PARAMS, spectral_step=0.5)
         b = p_y_gl3((1.0, 1.0), self.PARAMS, spectral_step=0.4)
         assert a > 0
-        assert b == pytest.approx(a, rel=1e-4)
+        assert b == pytest.approx(a, rel=1e-10, abs=0.0)
 
 
 class TestShiftedNormIntegral:
