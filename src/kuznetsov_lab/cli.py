@@ -277,6 +277,7 @@ def _fit_summary(fit) -> dict:
         "T_values": list(fit.T_values),
         "log_values": list(fit.log_values),
         "slope": fit.slope,
+        "local_slopes": list(fit.local_slopes),
         "intercept": fit.intercept,
         "predicted": fit.predicted,
         "residual": fit.residual,

@@ -400,6 +400,7 @@ class TestScalingCsv:
         assert code == 0
         assert fit["predicted"] == 3  # 2R + 1
         assert abs(fit["slope"] - fit["predicted"]) < 0.1
+        assert len(fit["local_slopes"]) == len(fit["T_values"]) - 1
 
     def test_out_without_scaling_is_error(self, capsys, tmp_path):
         code, _, err = run_cli(

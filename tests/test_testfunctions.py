@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import loggamma
 
+from kuznetsov_lab.quadrature import AccuracyError
 from kuznetsov_lab.testfunctions import (
     ScalingFit,
     TestFunctionParams,
@@ -196,7 +197,15 @@ class TestRankThreeAvatar:
         # map onto each other exactly under the swap
         a = p_y_gl3((0.8, 1.3), self.PARAMS)
         b = p_y_gl3((1.3, 0.8), self.PARAMS)
-        assert a == pytest.approx(b, rel=1e-12)
+        assert a == pytest.approx(b, rel=1e-12, abs=0.0)
+
+    def test_density_pin(self):
+        # a regression pin, not an oracle: the value at the centre with the
+        # density of p_sharp times the Plancherel density.  A density with
+        # the pair polynomial at alpha in place of alpha/2 is off by O(1),
+        # which the swap symmetry cannot see
+        value = p_y_gl3((1.0, 1.0), self.PARAMS)
+        assert value == pytest.approx(4.223367629629422e-07, rel=1e-9, abs=0.0)
 
     def test_spectral_step_stability(self):
         a = p_y_gl3((1.0, 1.0), self.PARAMS, spectral_step=0.5)
@@ -205,7 +214,65 @@ class TestRankThreeAvatar:
         assert b == pytest.approx(a, rel=1e-10, abs=0.0)
 
 
+def _itr_log_direct(a, params, dv=1.0 / 16):
+    """The shifted-line norm integral as the plain double sum over t = k dv
+    and u = m dv, with |u| <= t_max + 14 at every t (the integrand is below
+    e^{-14 pi} of its peak beyond): no split of the u-range and no FFT."""
+    k_max = math.ceil((2.7 * params.T + 12.0) / dv) - 1
+    m_max = k_max + round(14.0 / dv)
+    lg = loggamma(-a + 1j * dv * np.arange(-(k_max + m_max), k_max + m_max + 1)).real
+    m = np.arange(-m_max, m_max + 1) + k_max + m_max  # index of u = m dv in lg
+    log_inner = np.empty(k_max)
+    for k in range(1, k_max + 1):
+        s = lg[m + k] + lg[m - k]
+        top = s.max()
+        log_inner[k - 1] = top + math.log(np.sum(np.exp(s - top)) * dv)
+    t = dv * np.arange(1, k_max + 1)
+    li = _log_weight((2.0 * t, -2.0 * t), params, 1) + log_inner
+    top = li.max()
+    return top + math.log(2.0 * dv * np.sum(np.exp(li - top)))
+
+
+# itr_log(1.25, T, R = 2) in bench/refs/scaling.json: the same sum on a 4x
+# finer grid (step 1/64) over a wider window (t_factor 4.5, pad 24)
+ITR_REFS = {
+    32: 7.985326897327936,
+    64: 9.198743635408281,
+    128: 10.403745300778729,
+    256: 11.607685187293493,
+    512: 12.813114478281005,
+}
+
+
 class TestShiftedNormIntegral:
+    @pytest.mark.parametrize("T", sorted(ITR_REFS))
+    def test_frozen_references(self, T):
+        value = itr_log(1.25, TestFunctionParams(T=float(T), R=2))
+        assert value == pytest.approx(ITR_REFS[T], abs=1e-9)
+
+    def test_grid_step_halving(self):
+        p = TestFunctionParams(T=512.0, R=2)
+        assert abs(itr_log(1.25, p, grid_step=1.0 / 32) - itr_log(1.25, p)) <= 1e-10
+
+    @pytest.mark.parametrize("T", [8.0, 64.0])
+    def test_matches_direct_double_sum(self, T):
+        p = TestFunctionParams(T=T, R=1)
+        assert itr_log(0.25, p) == pytest.approx(_itr_log_direct(0.25, p), abs=1e-9)
+
+    def test_rounding_floor_raises(self):
+        # h(2t) spans too many orders for FFT rounding at a = 3.5, T = 1024
+        with pytest.raises(AccuracyError):
+            itr_log(3.5, TestFunctionParams(T=1024.0, R=2))
+
+    def test_local_slopes_rise_to_min_form(self):
+        # criterion 11's a = 1.25 at large T: the doubling slopes rise toward
+        # R + 3/2 - min(a + 1/2, 2a) = 1.75 and stay below it
+        fit = itr_scaling(1.25, 2, tuple(512.0 * 2**j for j in range(6)))
+        s = fit.local_slopes
+        assert all(x < y for x, y in zip(s, s[1:]))
+        assert s[-1] < 1.75
+        assert 1.75 - s[-1] <= 3e-3
+
     def test_monotone_decreasing_on_small_shifts(self):
         p = TestFunctionParams(T=8.0, R=1)
         v1, v2, v3 = (itr_log(a, p) for a in (0.1, 0.3, 0.45))
@@ -263,5 +330,6 @@ class TestFitMachinery:
         logs = [2.5 * math.log(T) + 1.0 for T in Ts]
         fit = fit_scaling(Ts, logs, 2.5)
         assert fit.slope == pytest.approx(2.5, abs=1e-12)
+        assert fit.local_slopes == pytest.approx((2.5, 2.5, 2.5), abs=1e-12)
         assert fit.residual == pytest.approx(0.0, abs=1e-12)
         assert isinstance(fit, ScalingFit)
