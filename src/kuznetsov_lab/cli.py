@@ -83,44 +83,59 @@ def _doubling_grid(t_min: float, t_max: float) -> tuple[float, ...]:
     return tuple(out)
 
 
+# the flag that sets each config key
+_CONFIG_FLAGS = {
+    "format": ("--format", {"choices": ("json", "csv"), "help": "output format"}),
+    "seed": ("--seed", {"type": int, "help": "seed for randomized verifier inputs"}),
+    "identity_tol": ("--tol", {"type": float, "help": "identity residual tolerance"}),
+    "quad_tol": ("--quad-tol", {"type": float, "help": "quadrature tolerance"}),
+    "jobs": ("--jobs", {"type": int, "help": "parallel verifier execution"}),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kuznetsov-lab",
         description="identity suites and desk-scale numerics for the trace-formula toolkit",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help=f"key=value config file (default ${CONFIG_ENV_VAR})")
-    common.add_argument("--format", choices=("json", "csv"), help="output format")
-    common.add_argument("--seed", type=int, help="seed for randomized verifier inputs")
-    common.add_argument("--tol", type=float, help="identity residual tolerance")
-    common.add_argument("--quad-tol", type=float, help="quadrature tolerance")
-    common.add_argument("--jobs", type=int, help="parallel verifier execution")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", parents=[common], help="run a verification suite")
+    def command(name, handler, summary, *keys) -> argparse.ArgumentParser:
+        # --config and one flag per config key the handler reads; a handler
+        # that reads no key takes no config flag and is called without a config
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler, config_keys=keys)
+        if keys:
+            p.add_argument("--config", help=f"key=value config file (default ${CONFIG_ENV_VAR})")
+        for key in keys:
+            flag, kwargs = _CONFIG_FLAGS[key]
+            p.add_argument(flag, dest=key, **kwargs)
+        return p
+
+    p = command("run", _cmd_run, "run a verification suite", *_CONFIG_FLAGS)
     p.add_argument("selector", choices=SELECTORS)
     p.add_argument("--timings", action="store_true", help="include wall times in output")
 
-    p = sub.add_parser("combinatorics", parents=[common], help="degree counts and composition functionals")
+    p = command("combinatorics", _cmd_combinatorics, "degree counts and composition functionals")
     p.add_argument("--dn", type=int, metavar="N", help="degree count D(N)")
     p.add_argument("--phi", metavar="n1,n2,...", help="exponent functional of a composition")
     p.add_argument("--verify-lemmas", type=int, metavar="N_MAX", help="exhaustive composition identities")
 
-    p = sub.add_parser("geometry", parents=[common], help="Iwasawa data attached to Weyl elements")
+    p = command("geometry", _cmd_geometry, "Iwasawa data attached to Weyl elements")
     p.add_argument("--xi", nargs=2, metavar=("W_SPEC", "U_JSON"), help="xi values of w u")
     p.add_argument("--conj-y", nargs=2, metavar=("W_SPEC", "Y_CSV"), help="conjugated torus coordinates")
 
-    p = sub.add_parser("special", parents=[common], help="pair polynomial and contour-gain bound")
+    p = command("special", _cmd_special, "pair polynomial and contour-gain bound")
     p.add_argument("--fr", nargs=3, metavar=("N", "R", "ALPHA_JSON"), help="pair polynomial value")
     p.add_argument("--bound-B", type=float, metavar="A", help="contour gain at shift A")
 
-    p = sub.add_parser("whittaker", parents=[common], help="Mellin transforms, shifts, residues")
+    p = command("whittaker", _cmd_whittaker, "Mellin transforms, shifts, residues", "seed", "identity_tol", "quad_tol")
     p.add_argument("--mellin", nargs=3, metavar=("N", "ALPHA_JSON", "S_JSON"), help="transform value")
     p.add_argument("--residue", nargs=3, type=int, metavar=("N", "M", "DELTA"), help="residue vs contour oracle")
     p.add_argument("--check-shift", nargs=3, type=int, metavar=("N", "M", "DELTA"), help="shift identity and degree ledger")
-    p.add_argument("--alpha", help="alpha JSON file for --residue / --check-shift")
+    p.add_argument("--alpha", help="alpha JSON file for --residue")
 
-    p = sub.add_parser("testfn", parents=[common], help="spectral test functions and scaling laws")
+    p = command("testfn", _cmd_testfn, "spectral test functions and scaling laws")
     p.add_argument("--p-sharp", action="store_true", help="transform-side value at alpha")
     p.add_argument("--h", action="store_true", help="normalized square at alpha")
     p.add_argument("--p-y", type=float, metavar="Y", help="rank-one avatar at y")
@@ -131,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R", type=int, default=1, help="smoothing order")
     p.add_argument("--out", help="write scaling data CSV (plus JSON sidecar) here")
 
-    p = sub.add_parser("trace", parents=[common], help="Kloosterman sums, tails, exponents, orthogonality")
+    p = command("trace", _cmd_trace, "Kloosterman sums, tails, exponents, orthogonality", "format")
     p.add_argument("--kloosterman", nargs=3, type=int, metavar=("M", "L", "C"), help="one exact sum")
     p.add_argument("--kloosterman-sweep", type=int, metavar="CMAX", help="all moduli up to CMAX")
     p.add_argument("--tail", nargs=3, metavar=("RHO", "EPS", "CMAX"), help="modulus-sum tail report")
@@ -145,7 +160,7 @@ def _cmd_run(args, cfg) -> tuple[str, int]:
     return render_reports(reports, cfg, include_runtime=args.timings), suite_exit_code(reports)
 
 
-def _cmd_combinatorics(args, cfg) -> tuple[str, int]:
+def _cmd_combinatorics(args) -> tuple[str, int]:
     out = {}
     code = 0
     if args.dn is not None:
@@ -177,7 +192,7 @@ def _cmd_combinatorics(args, cfg) -> tuple[str, int]:
     return _emit(out), code
 
 
-def _cmd_geometry(args, cfg) -> tuple[str, int]:
+def _cmd_geometry(args) -> tuple[str, int]:
     out = {}
     if args.xi is not None:
         w = geometry.WeylElement(_comp_from_spec(args.xi[0]))
@@ -195,7 +210,7 @@ def _cmd_geometry(args, cfg) -> tuple[str, int]:
     return _emit(out), 0
 
 
-def _cmd_special(args, cfg) -> tuple[str, int]:
+def _cmd_special(args) -> tuple[str, int]:
     out = {}
     if args.fr is not None:
         n, R = int(args.fr[0]), int(args.fr[1])
@@ -241,7 +256,7 @@ def _cmd_whittaker(args, cfg) -> tuple[str, int]:
     return _emit(out), code
 
 
-def _cmd_testfn(args, cfg) -> tuple[str, int]:
+def _cmd_testfn(args) -> tuple[str, int]:
     out = {}
     params = testfunctions.TestFunctionParams(T=args.T, R=args.R)
     alpha = _parse_alpha(_read_json(args.alpha)) if args.alpha else [0j, 0j]
@@ -285,6 +300,11 @@ def _fit_summary(fit) -> dict:
 
 
 def _cmd_trace(args, cfg) -> tuple[str, int]:
+    # the sweep is the one tabular result; CSV would drop any other
+    others = (args.kloosterman, args.tail, args.exponents, args.cuspidal)
+    sweep_alone = args.kloosterman_sweep is not None and all(op is None for op in others)
+    if cfg.out_format == "csv" and not sweep_alone:
+        raise ValueError("format csv needs --kloosterman-sweep as the only operation")
     out = {}
     if args.kloosterman is not None:
         m, l, c = args.kloosterman
@@ -346,32 +366,15 @@ def _cmd_trace(args, cfg) -> tuple[str, int]:
     return _emit(out), 0
 
 
-_DISPATCH = {
-    "run": _cmd_run,
-    "combinatorics": _cmd_combinatorics,
-    "geometry": _cmd_geometry,
-    "special": _cmd_special,
-    "whittaker": _cmd_whittaker,
-    "testfn": _cmd_testfn,
-    "trace": _cmd_trace,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(
-            getattr(args, "config", None),
-            {
-                "format": getattr(args, "format", None),
-                "seed": getattr(args, "seed", None),
-                "identity_tol": getattr(args, "tol", None),
-                "quad_tol": getattr(args, "quad_tol", None),
-                "jobs": getattr(args, "jobs", None),
-            },
-        )
-        text, code = _DISPATCH[args.command](args, cfg)
+        if args.config_keys:
+            cfg = load_config(args.config, {key: getattr(args, key) for key in args.config_keys})
+            text, code = args.handler(args, cfg)
+        else:
+            text, code = args.handler(args)
     except (ValueError, OSError, NotImplementedError, AccuracyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -178,11 +178,12 @@ def verify_partition_identities(n_max: int) -> dict:
     return {"passed": True, "checked": checked, "first_counterexample": None}
 
 
-def _require_half_integer(rho: Fraction) -> Fraction:
-    rho = Fraction(rho)
-    if rho.denominator != 2:
+def require_half_integer(rho) -> Fraction:
+    """rho as an exact Fraction of denominator 2: 1.5 passes, 1.4 raises."""
+    rho_f = Fraction(rho)
+    if rho_f.denominator != 2:
         raise ValueError(f"rho must be a half-integer, got {rho}")
-    return rho
+    return rho_f
 
 
 def exponent_vector_a(n: int, rho: Fraction) -> list[Fraction]:
@@ -208,7 +209,7 @@ def count_nonintegral_exponents(comp: Composition, rho: Fraction) -> int:
     C=(1,1,2): b_{2,1} = a_1 is an integer for every half-integer rho, so the
     middle block contributes 0 where the simple form claims 1.
     """
-    rho = _require_half_integer(rho)
+    rho = require_half_integer(rho)
     n = comp.n
     a = [Fraction(0)] + exponent_vector_a(n, rho) + [Fraction(0)]  # a[0..n]
     count = sum(1 for k in range(1, n) if a[k].denominator != 1)

@@ -32,12 +32,12 @@ class DegenerateParameterError(ValueError):
     """Spectral parameter not in general position for the requested identity."""
 
 
-def _is_nonpositive_integer(z: complex, tol: float = 1e-12) -> bool:
+def _is_nonpositive_integer(z: complex) -> bool:
     z = complex(z)
-    if abs(z.imag) > tol:
+    if abs(z.imag) > 1e-12:
         return False
     r = round(z.real)
-    return r <= 0 and abs(z.real - r) <= tol
+    return r <= 0 and abs(z.real - r) <= 1e-12
 
 
 def log_gamma(z: complex) -> complex:

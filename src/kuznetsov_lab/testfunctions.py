@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import loggamma, rgamma
 
-from .combinatorics import Composition, degree_D
+from .combinatorics import degree_D
 from .quadrature import AccuracyError, line_nodes
 from .special import bound_B, f_R_poly, subset_pairs, validate_langlands
 
@@ -268,22 +268,18 @@ def p_y_gl3(y, params, *, spectral_step: float = 0.5) -> float:
     return float((scale * total).real)
 
 
-def residue_term(y: float, params, delta: int = 0, a=None, comp=(1, 1)) -> float:
+def residue_term(y: float, params, delta: int = 0, a=None) -> float:
     """One constant-free residue term of the rank-one contour shift.
 
     This is the term picked up at the inner pole with displacement delta;
     the decomposition multiplies it by the composition constant.  When the
-    shift vector ``a`` is supplied, the admissibility gate applies: a
-    composition whose cut has a nonpositive shift entry contributes nothing,
-    and neither do displacements beyond floor(a) at the cut.
+    shift vector ``a = (a_1,)`` is supplied, the admissibility gate of the
+    one rank-one composition (1, 1) applies: nothing when a_1 <= 0, and
+    nothing for displacements beyond floor(a_1).
     """
-    comp = comp if isinstance(comp, Composition) else Composition(tuple(comp))
     if a is not None:
-        a_vec = np.atleast_1d(np.asarray(a, dtype=float))
-        cuts = np.cumsum(comp.parts)[:-1]
-        if np.any(a_vec[cuts - 1] <= 0.0):
-            return 0.0
-        if delta > math.floor(float(a_vec[cuts[0] - 1])):
+        a_1 = float(np.atleast_1d(a)[0])
+        if a_1 <= 0.0 or delta > math.floor(a_1):
             return 0.0
     if y <= 0:
         raise ValueError("y must be positive")
@@ -314,7 +310,7 @@ def residue_decomposition_check(params, a: float = 0.75) -> dict:
     basis = np.zeros_like(lhs)
     for i, y in enumerate(y_values):
         for delta in range(int(math.floor(a)) + 1):
-            basis[i] += residue_term(y, params, delta=delta, a=(a,), comp=(1, 1))
+            basis[i] += residue_term(y, params, delta=delta, a=(a,))
     kappa_fit = float(np.dot(lhs, basis) / np.dot(basis, basis))
     resid = lhs - kappa_fit * basis
     scale = float(np.abs(lhs).max())

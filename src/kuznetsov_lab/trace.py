@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .combinatorics import Composition, enumerate_compositions, phi
+from .combinatorics import Composition, enumerate_compositions, phi, require_half_integer
 from .geometry import WeylElement
 from .special import bound_B
 from .testfunctions import TestFunctionParams, h_value
@@ -265,13 +265,6 @@ def tail_from_rho(rho: float, eps: float, c_max: int) -> TailReport:
 # Exponent bookkeeping
 
 
-def _half_integer(rho) -> Fraction:
-    rho_f = Fraction(rho).limit_denominator(10**6)
-    if rho_f.denominator != 2:
-        raise ValueError(f"rho must be a half-integer, got {rho}")
-    return rho_f
-
-
 @dataclass(frozen=True)
 class ExponentReport:
     """T- and (l m)-exponent ledger for one block composition."""
@@ -294,7 +287,7 @@ def iwbounds_exponent(n: int, rho, comp: Composition) -> ExponentReport:
     and the threshold is the least half-integer rho that works uniformly:
     3/2 - 3/(2n) for odd n, 3/2 - 1/n for even n.
     """
-    rho_f = _half_integer(rho)
+    rho_f = require_half_integer(rho)
     if comp.n != n:
         raise ValueError(f"composition {comp.parts} is not a composition of {n}")
     phi_c = phi(comp)
@@ -389,7 +382,7 @@ def verify_aplusb(n: int, rho, comp: Composition) -> AplusBReport:
     spacing exactly, at every eps'); it is charged the universal floor
     B(x) >= x and listed in the report.
     """
-    rho_f = _half_integer(rho)
+    rho_f = require_half_integer(rho)
     if comp.n != n:
         raise ValueError(f"composition {comp.parts} is not a composition of {n}")
     if comp.r < 2:
@@ -622,11 +615,15 @@ def ingest_maass_csv(path) -> list[MaassFormRecord]:
     entries must equal 1).  Malformed rows raise :class:`CsvFormatError`
     naming the 1-based line; multiplicativity violations among the stored
     eigenvalues are issued as :class:`HeckeConsistencyWarning`, one per
-    violation, and do not block the ingest.  An empty file yields an empty
-    list.
+    violation, and do not block the ingest.  Leading lines that start with
+    ``#`` (such as a ``# source:`` note) are skipped.  An empty file yields
+    an empty list.
     """
     with open(path, newline="") as fh:
-        rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1) if row]
+        lines = fh.readlines()
+    # skipped as text, since a quote in a comment would open a CSV field
+    skip = next((i for i, t in enumerate(lines) if t.strip()[:1] not in ("", "#")), len(lines))
+    rows = [(n, row) for n, row in enumerate(csv.reader(lines[skip:]), start=skip + 1) if row]
     if not rows:
         return []
 

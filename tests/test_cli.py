@@ -5,6 +5,7 @@ pin the exit-code contract: 0 all passed, 1 a check failed, 2 bad usage or
 a runtime error.
 """
 
+import argparse
 import json
 from types import SimpleNamespace
 
@@ -32,6 +33,43 @@ def run_cli(capsys, *argv):
 def registered(name):
     (claim,) = [c for group in suite.CHECKS.values() for c in group if c.name == name]
     return claim
+
+
+def subcommand_flags():
+    """Each subcommand's option strings, -h/--help left out."""
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: {s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")}
+        for name, p in sub.choices.items()
+    }
+
+
+# a config flag with a valid value, and a cheap valid call of each module
+# subcommand that the flag can be appended to
+CONFIG_FLAG_VALUES = {
+    "--config": "lab.cfg", "--format": "csv", "--seed": "1",
+    "--tol": "0.5", "--quad-tol": "1e-6", "--jobs": "2",
+}
+BASE_CALLS = {
+    "combinatorics": ["combinatorics", "--dn", "4"],
+    "geometry": ["geometry", "--conj-y", "2,2", "1.5,0.5,2.0"],
+    "special": ["special", "--bound-B", "0.25"],
+    "whittaker": ["whittaker", "--check-shift", "2", "1", "1"],
+    "testfn": ["testfn", "--p-sharp", "--T", "4"],
+    "trace": ["trace", "--kloosterman", "1", "1", "5"],
+}
+KEPT_CONFIG_FLAGS = {
+    "run": set(CONFIG_FLAG_VALUES),
+    "whittaker": {"--config", "--seed", "--tol", "--quad-tol"},
+    "trace": {"--config", "--format"},
+}
+REMOVED_CONFIG_FLAGS = [
+    (command, flag)
+    for command in BASE_CALLS
+    for flag in CONFIG_FLAG_VALUES
+    if flag not in KEPT_CONFIG_FLAGS.get(command, set())
+]
 
 
 class TestRunDriver:
@@ -139,6 +177,29 @@ class TestRunDriver:
         assert exc.value.code == 2
 
 
+class TestSubcommandFlags:
+    def test_flag_count(self):
+        assert sum(len(flags) for flags in subcommand_flags().values()) == 38
+        assert len(REMOVED_CONFIG_FLAGS) == 30
+
+    def test_config_flags_are_those_the_handler_reads(self):
+        for command, flags in subcommand_flags().items():
+            kept = flags & set(CONFIG_FLAG_VALUES)
+            assert kept == KEPT_CONFIG_FLAGS.get(command, set()), command
+
+    @pytest.mark.parametrize("command", sorted(BASE_CALLS))
+    def test_base_call_succeeds(self, capsys, command):
+        code, _, _ = run_cli(capsys, *BASE_CALLS[command])
+        assert code == 0
+
+    @pytest.mark.parametrize("command, flag", REMOVED_CONFIG_FLAGS)
+    def test_unread_config_flag_is_usage_error(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(BASE_CALLS[command] + [flag, CONFIG_FLAG_VALUES[flag]])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestConfigLayering:
     def test_file_then_flags(self, capsys, tmp_path):
         cfgfile = tmp_path / "lab.cfg"
@@ -165,6 +226,17 @@ class TestConfigLayering:
         cfgfile = tmp_path / "lab.cfg"
         cfgfile.write_text("bogus = 2\n")
         code, _, err = run_cli(capsys, "run", "combinatorics", "--config", str(cfgfile))
+        assert code == 2
+        assert "bogus" in err
+
+    def test_bad_config_only_fails_commands_that_read_it(self, capsys, tmp_path, monkeypatch):
+        cfgfile = tmp_path / "lab.cfg"
+        cfgfile.write_text("bogus = 2\n")
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(cfgfile))
+        code, out, _ = run_cli(capsys, "combinatorics", "--dn", "4")
+        assert code == 0
+        assert json.loads(out)["dn"]["pass"] is True
+        code, _, err = run_cli(capsys, "run", "combinatorics")
         assert code == 2
         assert "bogus" in err
 
@@ -337,6 +409,20 @@ class TestModuleSubcommands:
         assert lines[0] == "c,value"
         assert len(lines) == 7
         assert float(lines[1].split(",")[1]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            ["--kloosterman", "1", "1", "7", "--kloosterman-sweep", "3", "--tail", "1.5", "0.01", "100"],
+            ["--tail", "1.5", "0.01", "100"],
+        ],
+        ids=["sweep-with-others", "no-sweep"],
+    )
+    def test_trace_csv_needs_sweep_alone(self, capsys, ops):
+        code, out, err = run_cli(capsys, "trace", *ops, "--format", "csv")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--kloosterman-sweep" in err
 
     def test_trace_tail_report(self, capsys):
         code, out, _ = run_cli(capsys, "trace", "--tail", "1.5", "0.01", "512")

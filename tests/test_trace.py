@@ -387,6 +387,16 @@ class TestIngest:
         assert recs[0].adjoint_L == 1.23
         assert recs[0].source == str(p)
 
+    def test_leading_comment_lines_skipped(self, tmp_path):
+        p = tmp_path / "forms.csv"
+        p.write_text('# source: hand-typed,"one row\nr,lambda_2,adjoint_L\n9.5,0.5,1.2\n')
+        (rec,) = ingest_maass_csv(p)
+        assert rec.r == 9.5 and rec.hecke == {1: 1.0, 2: 0.5}
+        # line numbers still count the comment
+        p.write_text("# source: x\nr,lambda_2,adjoint_L\n1.0,0.5,1.0\n2.0,xyz,1.0\n")
+        with pytest.raises(CsvFormatError, match="line 4"):
+            ingest_maass_csv(p)
+
     def test_parse_error_carries_line(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("r,lambda_2,adjoint_L\n1.0,0.5,1.0\n2.0,xyz,1.0\n")
