@@ -104,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
         # --config and one flag per config key the handler reads; a handler
         # that reads no key takes no config flag and is called without a config
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(handler=handler, config_keys=keys)
+        p.set_defaults(handler=handler, config_keys=keys, usage_error=p.error)
         if keys:
             p.add_argument("--config", help=f"key=value config file (default ${CONFIG_ENV_VAR})")
         for key in keys:
@@ -367,8 +367,9 @@ def _cmd_trace(args, cfg) -> tuple[str, int]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, extra = _build_parser().parse_known_args(argv)
+    if extra:  # the subcommand's usage line names the flags it does take
+        args.usage_error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         if args.config_keys:
             cfg = load_config(args.config, {key: getattr(args, key) for key in args.config_keys})

@@ -85,9 +85,7 @@ def _contour_abscissa(s_re: np.ndarray) -> float:
     return 0.5 * min(1.0, lo)
 
 
-def mellin_recursive(
-    n: int, alpha, s, tol: float = 1e-8, nodes_per_panel: int = 16
-) -> complex:
+def mellin_recursive(n: int, alpha, s, tol: float = 1e-8) -> complex:
     """Transform via the contour recursion onto one rank lower.
 
     One step at every rank: peel off alpha_n and integrate the closed
@@ -95,8 +93,7 @@ def mellin_recursive(
     form for n = 4) at beta = alpha[:n-1] + a, a = alpha_n/(n-1), against
     the outer pairs Gamma(s_j - z_j - j a) Gamma(s_{j+1} - z_j + (n-1-j) a)
     over n - 2 vertical lines.  Requires Re(s_j) > 0 for every j so the
-    separating contour exists.  ``nodes_per_panel`` exists so
-    self-convergence can be probed by doubling.
+    separating contour exists.
     """
     a = _as_alpha(alpha, n)
     if len(s) != n - 1:
@@ -121,9 +118,9 @@ def mellin_recursive(
 
     half = _truncation_half_length(a)
     if n == 3:
-        val = vertical_line_integral(f, eps, tol, half, nodes_per_panel)
+        val = vertical_line_integral(f, eps, tol, half)
     else:
-        val = vertical_plane_integral(f, (eps, eps), tol, half, nodes_per_panel)
+        val = vertical_plane_integral(f, (eps, eps), tol, half)
     return complex(prefactor * val / (2j * np.pi) ** (n - 2))
 
 

@@ -1,10 +1,10 @@
 """Contour quadrature for vertical-line integrals of rapidly decaying integrands.
 
-Everything here integrates along lines Re(z) = const using composite
-Gauss-Legendre panels.  The integrands we care about are products of Gamma
-functions, so they decay like exp(-c|Im z|) and a modest truncation window
-suffices; the window is grown adaptively until the outermost panels are
-negligible at the requested tolerance.  Panels have unit width.
+Everything here integrates along the Mellin recursion's lines Re(z) = const
+using composite 16-node Gauss-Legendre panels of unit width.  The integrands
+are products of Gamma functions, so they decay like exp(-c|Im z|) and a
+modest truncation window suffices; the window is grown adaptively until the
+outermost panels are negligible at the requested tolerance.
 """
 
 from __future__ import annotations
@@ -25,19 +25,21 @@ class AccuracyError(RuntimeError):
     """Raised when a quadrature cannot reach the requested tolerance."""
 
 
-@functools.lru_cache(maxsize=8)
-def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n_nodes)
+# built on first use: at import, the eigensolve inside leggauss would grow
+# the resident set of every process, quadrature or not
+@functools.cache
+def _panel() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(16)
 
 
-def line_nodes(half_length: float, nodes_per_panel: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """Composite unit-width panel nodes covering [-half_length, half_length].
+def line_nodes(half_length: float) -> tuple[np.ndarray, np.ndarray]:
+    """Composite unit-width 16-node panels covering [-half_length, half_length].
 
     The panel count is rounded up so the edge lands at or beyond the
     requested half-length; panels are laid out symmetrically about 0.
     """
     n_panels = max(1, int(np.ceil(half_length)))
-    x, w = _gauss_legendre(nodes_per_panel)
+    x, w = _panel()
     k = np.arange(n_panels, dtype=float)[:, None]
     t_pos = (k + 0.5 * (x + 1.0)).ravel()
     w_pos = np.tile(0.5 * w, n_panels)
@@ -46,20 +48,19 @@ def line_nodes(half_length: float, nodes_per_panel: int = 16) -> tuple[np.ndarra
     return t_all, w_all
 
 
-def _grid_integral(f, x0: tuple[float, ...], tol: float, half: float, nodes_per_panel: int) -> complex:
+def _grid_integral(f, x0: tuple[float, ...], tol: float, half: float) -> complex:
     """Integrate f over the product of the lines Re(z_k) = x0[k], (i dt)^d included.
 
-    The shared window [-L, L]^d doubles until the outermost 2 nodes_per_panel
-    nodes on any axis (the frame of the tensor grid) contribute less than
-    tol/10 in absolute value.  The grid is evaluated in blocks of rows of the
-    first axis, each holding at most _BLOCK_VALUES integrand values.
+    The shared window [-L, L]^d doubles until the outermost two panels at
+    either end of any axis (the frame of the tensor grid) contribute less
+    than tol/10 in absolute value.  The grid is evaluated in blocks of rows
+    of the first axis, each holding at most _BLOCK_VALUES integrand values.
     """
     d = len(x0)
-    edge = 2 * nodes_per_panel
     while True:
-        t, w = line_nodes(half, nodes_per_panel)
+        t, w = line_nodes(half)
         m = t.size
-        outer = np.abs(t) >= t[-edge]  # the symmetric grid's outermost nodes
+        outer = np.abs(t) >= t[-32]  # the symmetric grid's outermost nodes
         rows = max(1, _BLOCK_VALUES // m ** (d - 1))
         total = 0.0 + 0.0j
         frame = 0.0
@@ -85,7 +86,6 @@ def vertical_line_integral(
     x0: float,
     tol: float,
     initial_half_length: float = 30.0,
-    nodes_per_panel: int = 16,
 ) -> complex:
     """Integrate f along the line x0 + i*t, t from -L to L, including dz = i dt.
 
@@ -94,7 +94,7 @@ def vertical_line_integral(
     than tol/10 in absolute value, so the result carries no untracked
     truncation error beyond tol; past half-length 400 it raises AccuracyError.
     """
-    return _grid_integral(f, (x0,), tol, initial_half_length, nodes_per_panel)
+    return _grid_integral(f, (x0,), tol, initial_half_length)
 
 
 def vertical_plane_integral(
@@ -102,7 +102,6 @@ def vertical_plane_integral(
     x0: tuple[float, float],
     tol: float,
     initial_half_length: float = 30.0,
-    nodes_per_panel: int = 16,
 ) -> complex:
     """Two-dimensional analogue of :func:`vertical_line_integral`.
 
@@ -112,7 +111,7 @@ def vertical_plane_integral(
     the shared window doubles until the outer frame of the grid is below
     tol/10 in absolute contribution; past half-length 200 it raises.
     """
-    return _grid_integral(f, x0, tol, initial_half_length, nodes_per_panel)
+    return _grid_integral(f, x0, tol, initial_half_length)
 
 
 def circle_integral_mean(

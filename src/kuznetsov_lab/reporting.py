@@ -146,8 +146,8 @@ class VerificationReport:
 
 
 def input_digest(name: str, cfg: RunConfig) -> str:
-    # 16 is the Gauss-Legendre panel size of every quadrature; it stays in
-    # the tuple so digests keep the bytes they had when it was a config key
+    # 16 is the Gauss-Legendre panel size of the Mellin contours; it stays
+    # in the tuple so digests keep the bytes they had when it was a config key
     blob = repr((name, cfg.seed, cfg.quad_tol, cfg.identity_tol, 16)).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import loggamma, rgamma
 
 from .combinatorics import degree_D
-from .quadrature import AccuracyError, line_nodes
+from .quadrature import AccuracyError
 from .special import bound_B, f_R_poly, subset_pairs, validate_langlands
 
 
@@ -125,51 +125,51 @@ def _log_weight(cols, params: TestFunctionParams, power: int) -> np.ndarray:
 # the rank-one inverse-transform avatar on shifted lines
 
 
-def _outer_half_length(p: TestFunctionParams) -> float:
-    """Half-length of the rank-one outer window; the Gaussian is below
-    e^-40 at its edge."""
-    return 3.2 * p.T + 12.0
+# step of the rank-one avatar's grids: midpoints (k + 1/2) _STEP, which miss
+# t = 0, the pole of residue_term's Gamma(-delta - 2 i t)
+_STEP = 1.0 / 16
 
 
-def _line_field(p: TestFunctionParams, line: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inner-line field collapsed over t: returns (u, wu, column sums).
-
-    The y-dependence of the rank-one avatar enters only through the scalar
-    prefactor and a phase linear in u, so one field evaluation serves a whole
-    y-grid.
-    """
-    t_half = _outer_half_length(p)
-    u_half = t_half + 16.0
-    t, wt = line_nodes(t_half)
-    u, wu = line_nodes(u_half)
-    base = _log_weight((2.0 * t, -2.0 * t), p, 1)
-    col = np.zeros(u.size, dtype=np.complex128)
-    block = 128
-    for lo in range(0, t.size, block):
-        hi = min(lo + block, t.size)
-        tb = t[lo:hi][:, None]
-        g = loggamma(line + 1j * (u[None, :] + tb)) + loggamma(line + 1j * (u[None, :] - tb))
-        ltu = base[lo:hi][:, None] + g.real
-        col += np.sum(wt[lo:hi][:, None] * np.exp(ltu + 1j * g.imag), axis=0)
-    return u, wu, col
+def _outer_grid(p: TestFunctionParams) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoints t of the rank-one outer window |t| < 3.2 T + 12, where the
+    Gaussian is below e^-40, and the density there."""
+    n = int((3.2 * p.T + 12.0) / _STEP)
+    t = (np.arange(-n, n) + 0.5) * _STEP
+    return t, _log_weight((2.0 * t, -2.0 * t), p, 1)
 
 
 def p_y_batch(y_values, params, line: float = 0.75) -> np.ndarray:
     """Rank-one avatar p(y) on the vertical line Re(s) = line, for many y.
 
     line must avoid the nonpositive integers where the inner Gamma factors
-    put poles on the contour.
+    put poles on the contour.  y enters only through a scalar prefactor and
+    a phase linear in u, so one field, summed over t, serves every y.  With
+    t = (k + 1/2) _STEP and u = (j + 1/2) _STEP, u + t and u - t are whole
+    multiples of _STEP, so the Gamma factors are one loggamma line gathered
+    by index; the integrand is even in t, so t > 0 is summed twice.
     """
     if line <= 0 and abs(line - round(line)) < 1e-6:
         raise ValueError("contour line sits on a pole of the integrand")
-    u, wu, col = _line_field(params, line)
+    t, base = _outer_grid(params)
+    base = base[t > 0]
+    k = np.arange(base.size)
+    n_u = k.size + 256  # |u| < 3.2 T + 28
+    j = np.arange(-n_u, n_u)
+    m0 = k.size + n_u  # |u +- t| <= m0 _STEP
+    lg = loggamma(line + 1j * _STEP * np.arange(-m0, m0 + 1))
+    col = np.zeros(j.size, dtype=np.complex128)
+    for lo in range(0, k.size, 128):
+        kb = k[lo : lo + 128, None]
+        g = lg[m0 + j + kb + 1] + lg[m0 + j - kb]
+        col += np.sum(np.exp(base[lo : lo + 128, None] + g), axis=0)
+    u = (j + 0.5) * _STEP
     out = np.empty(len(y_values))
     for i, y in enumerate(y_values):
         if y <= 0:
             raise ValueError("y must be positive")
         c = math.log(math.pi * y)
-        pref = math.sqrt(y) * math.exp(-2.0 * line * c)
-        val = pref * np.sum(wu * col * np.exp(-2j * u * c)) / (2.0 * math.pi) ** 2
+        pref = 2.0 * _STEP**2 * math.sqrt(y) * math.exp(-2.0 * line * c)
+        val = pref * np.sum(col * np.exp(-2j * u * c)) / (2.0 * math.pi) ** 2
         out[i] = val.real
     return out
 
@@ -283,12 +283,11 @@ def residue_term(y: float, params, delta: int = 0, a=None) -> float:
             return 0.0
     if y <= 0:
         raise ValueError("y must be positive")
-    t, wt = line_nodes(_outer_half_length(params))
-    base = _log_weight((2.0 * t, -2.0 * t), params, 1)
+    t, base = _outer_grid(params)
     g = loggamma(-delta - 2j * t)
     c = math.log(math.pi * y)
     phase = np.exp(base + g.real + 1j * (g.imag + 2.0 * t * c))
-    total = np.sum(wt * phase) * (-1.0) ** delta / math.factorial(delta)
+    total = _STEP * np.sum(phase) * (-1.0) ** delta / math.factorial(delta)
     pref = math.sqrt(y) * math.exp(2.0 * delta * c) / (2.0 * math.pi)
     return float((pref * total).real)
 
@@ -478,13 +477,12 @@ def itr_scaling(a: float, R: int, T_values=(16.0, 32.0, 64.0, 128.0)) -> Scaling
     return fit_scaling(T_values, logs, R + 1.5 - bound_B(a))
 
 
-def main_term_scaling(n: int, R: int, T_values=None) -> ScalingFit:
+def main_term_scaling(n: int, R: int) -> ScalingFit:
     """Measured vs predicted growth of the main-term norm integral.
 
     Prediction R (2 D(n) + n(n-1)) + n - 1.
     """
-    if T_values is None:
-        T_values = (16.0, 32.0, 64.0, 128.0) if n == 2 else (8.0, 16.0, 32.0, 64.0)
+    T_values = (16.0, 32.0, 64.0, 128.0) if n == 2 else (8.0, 16.0, 32.0, 64.0)
     logs = [main_term_log(n, R, T) for T in T_values]
     predicted = R * (2 * degree_D(n) + n * (n - 1)) + n - 1
     return fit_scaling(T_values, logs, predicted)

@@ -199,6 +199,12 @@ class TestSubcommandFlags:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_unread_flag_usage_names_the_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["testfn", "--p-sharp", "--format", "csv"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: kuznetsov-lab testfn")
+
 
 class TestConfigLayering:
     def test_file_then_flags(self, capsys, tmp_path):

@@ -114,6 +114,15 @@ class TestAvatarOnLines:
         assert batch[0] == pytest.approx(p_y(0.7, p), rel=1e-14)
         assert batch[1] == pytest.approx(p_y(1.3, p), rel=1e-14)
 
+    @pytest.mark.parametrize("T", [3.0, 4.0, 10.0])
+    def test_independent_of_line(self, T):
+        # no pole of the inner Gamma factors lies between Re s = 0.4 and 1.25
+        p = TestFunctionParams(T=T, R=1)
+        ys = np.linspace(0.4, 2.5, 5)
+        ref = p_y_batch(ys, p, line=0.75)
+        for line in (0.4, 1.25):
+            assert p_y_batch(ys, p, line=line) == pytest.approx(ref, rel=1e-11, abs=0)
+
     def test_finite_real(self):
         v = p_y(1.0, TestFunctionParams(T=3.0, R=1))
         assert np.isfinite(v)
