@@ -5,11 +5,12 @@ cuspidal orthogonality quotient over ingested spectral data.
 
 Kloosterman phases are exact: the sum over units x mod c accumulates integer
 residues k = (m x + l x~) mod c, and only the final pass evaluates the root
-of unity e^(2 pi i k / c).  Inverses x~ come from extended Euclid
-(``pow(x, -1, c)``); the sweep path replaces the per-x inverse with a
-vectorized square-and-multiply ladder, which is cross-checked against the
-scalar path in the tests.  Sweeps over c are independent per modulus (and
-would parallelize that way); sums over spectral records are deterministic
+of unity e^(2 pi i k / c).  :func:`kloosterman_gl2` takes each inverse x~ by
+extended Euclid (``pow(x, -1, c)``) and stays the exact oracle.  The sweep
+bins residues once per prime power q and assembles every other modulus from
+those histograms by the Chinese remainder theorem, which yields the same
+integer counts, hence the same floating-point sums; the tests compare the
+two paths bit for bit.  Sums over spectral records are deterministic
 sequential folds.
 """
 
@@ -65,36 +66,101 @@ def kloosterman_gl2(m: int, l: int, c: int) -> complex:
     return complex(np.sum(weights * np.exp(2j * np.pi * ks / c)))
 
 
-def _unit_inverse_bins(c: int, m: int, l: int) -> np.ndarray:
-    # x~ = x^(phi(c)-1) mod c by a square-and-multiply ladder on int64 arrays,
-    # phi(c) being the number of units; products stay below 2^63 for c up
-    # to ~3e9
-    x = np.arange(1, c, dtype=np.int64)
-    units = x[np.gcd(x, c) == 1]
+def _smallest_prime_factors(n: int) -> list[int]:
+    # spf[c] for c = 2..n by an Eratosthenes sieve (spf[0] = 0, spf[1] = 1)
+    spf = np.zeros(n + 1, dtype=np.int64)
+    for p in range(2, math.isqrt(n) + 1):
+        if spf[p] == 0:
+            multiples = spf[p * p :: p]
+            multiples[multiples == 0] = p
+    unset = np.flatnonzero(spf == 0)
+    spf[unset] = unset
+    return spf.tolist()
+
+
+def _prime_powers(c: int, spf: list[int]):
+    """(p, p^e) for each prime power p^e exactly dividing c."""
+    while c > 1:
+        p = q = spf[c]
+        c //= p
+        while c % p == 0:
+            q *= p
+            c //= p
+        yield p, q
+
+
+def _prime_units(p: int, spf: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    # units x mod p and their inverses x~: the units are the powers g^k
+    # (k = 0..p-2) of a primitive root g, the inverse of g^k is g^(p-1-k),
+    # and the powers come from an s x s table g^(s j + i) = (g^s)^j g^i with
+    # s^2 >= p - 1
+    order_primes = [r for r, _ in _prime_powers(p - 1, spf)]
+    g = next(g for g in range(1, p) if all(pow(g, (p - 1) // r, p) != 1 for r in order_primes))
+    s = math.isqrt(p - 2) + 1
+    low = [1]
+    for _ in range(s - 1):
+        low.append(low[-1] * g % p)
+    step = low[-1] * g % p
+    high = [1]
+    for _ in range(s - 1):
+        high.append(high[-1] * step % p)
+    x = (np.outer(high, low) % p).ravel()[: p - 1]
+    return x, np.concatenate((x[:1], x[:0:-1]))
+
+
+def _prime_power_units(q: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    # units x mod q = p^e and their inverses x~ = x^(phi(q)-1) mod q by a
+    # square-and-multiply ladder on int64 arrays, phi(q) being the number of
+    # units; products stay below 2^63 for q up to ~3e9
+    x = np.arange(1, q, dtype=np.int64)
+    units = x[x % p != 0]
     e = units.size - 1
     inv = np.ones_like(units)
     base = units.copy()
     while e:
         if e & 1:
-            inv = (inv * base) % c
-        base = (base * base) % c
+            inv = (inv * base) % q
+        base = (base * base) % q
         e >>= 1
-    ks = (m * units + l * inv) % c
-    return np.bincount(ks.astype(np.intp), minlength=c).astype(float)
+    return units, inv
 
 
 def kloosterman_sweep(c_max: int, m: int = 1, l: int = 1) -> np.ndarray:
-    """S(m, l; c) for c = 1..c_max as an array (index c-1), each modulus by
-    the vectorized inverse ladder; :func:`kloosterman_gl2` is its oracle.
+    """S(m, l; c) for c = 1..c_max as an array (index c-1).
 
-    Modulo 1 the only residue class, x = 0, is a unit, so S = 1 there; the
-    ladder, which enumerates x = 1..c-1, would find no units."""
+    Each prime power q <= c_max gets its residue histogram H_q[k] = #{units
+    x mod q : m x + l x~ = k mod q} once, with m and l reduced mod q as
+    Python integers: a prime's inverses from a primitive-root power table,
+    a higher prime power's from a square-and-multiply ladder.  For c = q_1
+    ... q_r (pairwise coprime prime powers) a unit x mod c is the tuple of
+    its residues mod q_i, and k mod q_i depends only on x mod q_i, so the
+    residue counts mod c are the product of the H_(q_i) tiled to length c.
+    Those are the exact integer counts that :func:`kloosterman_gl2`, the
+    oracle, bins by extended Euclid, and the root-of-unity pass over them
+    is the same, so both return the same floating-point values.
+
+    Modulo 1 the only residue class, x = 0, is a unit, so S = 1 there."""
     if c_max < 1:
         raise ValueError("c_max must be positive")
+    spf = _smallest_prime_factors(c_max)
+    # a composite modulus only reads factors q <= c_max/2; every count is
+    # at most phi(q) < c_max
+    stored = np.min_scalar_type(c_max)
+    hist: dict[int, np.ndarray] = {}
     out = np.empty(c_max, dtype=complex)
     out[0] = 1.0
     for c in range(2, c_max + 1):
-        counts = _unit_inverse_bins(c, m, l)
+        factors = list(_prime_powers(c, spf))
+        if len(factors) == 1:
+            p, q = factors[0]
+            x, xbar = _prime_units(p, spf) if p == q else _prime_power_units(q, p)
+            counts = np.bincount(((m % q) * x + (l % q) * xbar) % q, minlength=q)
+            if 2 * q <= c_max:
+                hist[q] = counts.astype(stored)
+        else:
+            counts = np.ones(c, dtype=np.int64)
+            for _, q in factors:
+                counts.reshape(-1, q)[:] *= hist[q]
         ks = np.flatnonzero(counts)
         out[c - 1] = np.sum(counts[ks] * np.exp(2j * np.pi * ks / c))
     return out

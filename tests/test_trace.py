@@ -63,11 +63,23 @@ class TestKloosterman:
         assert np.max(np.abs(sweep.imag)) < 1e-12
 
     def test_sweep_matches_scalar_path(self):
-        # the vectorized inverse ladder and extended Euclid must agree exactly:
-        # both bin identical integer residues
-        for m, l in [(1, 1), (2, 3)]:
-            sweep = kloosterman_sweep(300, m, l)
-            scalar = np.array([kloosterman_gl2(m, l, c) for c in range(1, 301)])
+        # the CRT product of prime-power histograms and extended Euclid must
+        # agree exactly: both bin identical integer residues.  c <= 1100
+        # reaches 2^10, 3^6, 5^4, 7^3 and 31^2, and products of three or four
+        # prime powers (1020 = 4*3*5*17, 1092 = 4*3*7*13); the whole sweeps to
+        # c_max = 1, 2 and 4 pin the edges where at most H_2 is kept
+        c_max = 1100
+        for m, l in [(1, 1), (2, 3), (0, 5), (0, 0), (12, 18), (-5, 9)]:
+            scalar = np.array([kloosterman_gl2(m, l, c) for c in range(1, c_max + 1)])
+            assert np.array_equal(kloosterman_sweep(c_max, m, l), scalar)
+            for short in (1, 2, 4):
+                assert np.array_equal(kloosterman_sweep(short, m, l), scalar[:short])
+
+    def test_sweep_reduces_huge_characters_exactly(self):
+        # m x overflows int64 unless m is reduced mod q before numpy sees it
+        for m in (10**17, -(10**17), 2**70):
+            sweep = kloosterman_sweep(300, m, 1)
+            scalar = np.array([kloosterman_gl2(m, 1, c) for c in range(1, 301)])
             assert np.array_equal(sweep, scalar)
 
     def test_weil_bound(self):
