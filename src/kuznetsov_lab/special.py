@@ -130,6 +130,8 @@ def bound_B(a: float, eps: float = 1e-9) -> float:
     Positive a within eps of an integer is rejected (the two branches do not
     agree there and every consumer assumes a is bounded away from Z).
     """
+    if not math.isfinite(a):
+        raise ValueError(f"a = {a} is not finite")
     if a < 0:
         return 0.0
     if abs(a - round(a)) <= eps:

@@ -276,6 +276,8 @@ def kloosterman_tail(a, c_max: int) -> TailReport:
     a_vec = (float(a),) if np.isscalar(a) else tuple(float(x) for x in a)
     if len(a_vec) != 1:
         raise ValueError("only the rank-one modulus sum is evaluated here")
+    if not math.isfinite(a_vec[0]):
+        raise ValueError(f"shift a = {a_vec[0]} is not finite")
     exponent = modulus_exponents(a_vec)[0]
     if c_max < 4:
         raise ValueError("c_max too small for a dyadic report")

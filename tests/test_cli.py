@@ -391,6 +391,23 @@ class TestModuleSubcommands:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["special", "--bound-B", "inf"],
+            ["testfn", "--T", "nan", "--p-sharp", "--h"],
+            ["testfn", "--p-y", "nan"],
+            ["testfn", "--p-y", "inf"],
+            ["trace", "--tail", "nan", "0.01", "100"],
+        ],
+        ids=["bound-B-inf", "T-nan", "p-y-nan", "p-y-inf", "tail-nan"],
+    )
+    def test_non_finite_input_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "finite" in err
+
     def test_testfn_point_values(self, capsys):
         code, out, _ = run_cli(capsys, "testfn", "--p-sharp", "--h", "--T", "4", "--R", "1")
         payload = json.loads(out)

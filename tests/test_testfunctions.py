@@ -222,6 +222,41 @@ class TestRankThreeAvatar:
         assert a > 0
         assert b == pytest.approx(a, rel=1e-10, abs=0.0)
 
+    def test_batched_plane_equals_scalar_calls(self):
+        # guards the distinct-shift gather: nodes at steps 0.5 and 0.4 put
+        # the shifts off the Mellin grid and make tau1 + tau2 a float sum.
+        # A wrong gather moves a node by O(1).  The plane at tau = 0 sums
+        # terms 4.5e5 times its value, so the summation order alone
+        # (matrix-vector for one node, matrix-matrix for many) moves it by
+        # up to 6e-12 relative, within eps times that ratio, 1e-10
+        from scipy.special import rgamma
+
+        from kuznetsov_lab.testfunctions import _gl3_plane
+
+        step = 0.125
+        v = step * np.arange(-160, 161)
+        rg = rgamma(1.5 + 1j * (2.0 * v[0] + step * np.arange(2 * v.size - 1)))
+        c1, c2 = math.log(math.pi * 0.8), math.log(math.pi * 1.3)
+        for spectral_step in (0.5, 0.4):
+            tau = spectral_step * np.arange(-5, 6)
+            t1, t2 = (g.ravel() for g in np.meshgrid(tau, tau, indexing="ij"))
+            batched = _gl3_plane(c1, c2, t1, t2, 0.75, v, rg)
+            assert batched.shape == t1.shape
+            for k in range(t1.size):
+                scalar = _gl3_plane(c1, c2, t1[k], t2[k], 0.75, v, rg)
+                assert batched[k] == pytest.approx(scalar, rel=1e-10, abs=0.0)
+
+    def test_larger_T_pin_and_swap_symmetry(self):
+        # a regression pin, taken from the earlier per-node convolution; the
+        # batched contraction meets it within rounding.  Not an oracle: the
+        # 1e-16 density cut moves this value by 3.4e-6 relative (summing
+        # every node gives 3.611571741128004e-05), so the pin moves with it
+        params = TestFunctionParams(T=3.0, R=1)
+        assert p_y_gl3((1.0, 1.0), params) == pytest.approx(3.611559408122924e-05, rel=1e-12, abs=0.0)
+        a = p_y_gl3((0.8, 1.3), params)
+        b = p_y_gl3((1.3, 0.8), params)
+        assert a == pytest.approx(b, rel=1e-12, abs=0.0)
+
 
 def _itr_log_direct(a, params, dv=1.0 / 16):
     """The shifted-line norm integral as the plain double sum over t = k dv
