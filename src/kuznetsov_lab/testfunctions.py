@@ -11,7 +11,9 @@ Every tempered density integrated here, the rank-one and rank-three
 avatars' and the main term's |p_sharp|^2, is a power of |p_sharp| times
 the Plancherel density, and all of them come from one function,
 :func:`_log_weight`; :func:`p_sharp` and :func:`h_value` are the scalar
-definitions it is tested against.
+definitions it is tested against.  Every such density lives on an integer
+grid t = step * m, so on a plane each of its log-Gamma, log1p and square
+terms is one 1-D row over the range of its integer, gathered by index.
 
 Everything integral-valued here runs in log space.  The shifted integrands
 pair a Gamma ring that grows like exp(pi t) against an inner factor that
@@ -89,9 +91,21 @@ def h_value(alpha, params) -> float:
     return math.exp(log)
 
 
-def _log_weight(cols, params: TestFunctionParams, power: int) -> np.ndarray:
+def _on_range(f, m, step):
+    """f(step * m) elementwise over the integer array m: f is evaluated once
+    per whole number from m.min() to m.max() and gathered by index, or on
+    m itself where that range is no shorter than m (a 1-D grid, whose
+    differences are spread over a range several times its length)."""
+    lo, hi = int(m.min()), int(m.max())
+    if hi - lo + 1 >= m.size:
+        return f(step * m)
+    return f(step * np.arange(lo, hi + 1))[m - lo]
+
+
+def _log_weight(cols, step: float, params: TestFunctionParams, power: int) -> np.ndarray:
     """power log|p_sharp(alpha)| plus the log Plancherel density at the
-    tempered alpha = i t, elementwise over arrays t_j = cols[j] summing to 0.
+    tempered alpha = i t, elementwise over t_j = step * cols[j], where the
+    cols are integer arrays summing to 0.
 
     The Gaussian gives -power sum t^2 / (2 T^2); the pair polynomial at
     alpha/2, power (R/2) log(1 + Delta^2/4) per subset pair with
@@ -100,23 +114,29 @@ def _log_weight(cols, params: TestFunctionParams, power: int) -> np.ndarray:
     2 power Re log Gamma((1 + 2R + i d)/4) over the Plancherel pair
     |Gamma(i d/2)|^2.  Where two columns coincide the density has its
     zero, returned as -inf.
+
+    Every d, Delta and t is a whole number of steps, so on a plane each
+    term is one 1-D row over the range of its integer, gathered by index:
+    on N points loggamma runs on O(sqrt N) of them.
     """
-    # the ring is summed first and in place, and each pair's difference is
-    # freed before the next: on the rank-three main-term square every
-    # array here is tens of megabytes
+    # the ring is summed on its own and added last: on a dyadic step every
+    # t, d and Delta is exact, and this fixed order gives bit for bit the
+    # sums taken pointwise.  Every array here has one value per grid point
+    # (2.6 million on the main term's T = 128 plane)
     ring, coincide = 0.0, False
     with np.errstate(divide="ignore", invalid="ignore"):
         for j, k in itertools.combinations(range(len(cols)), 2):
-            d = cols[j] - cols[k]
-            ring += 2.0 * power * loggamma((1.0 + 2.0 * params.R + 1j * d) / 4.0).real
-            ring -= 2.0 * loggamma(0.5j * d).real
-            coincide = coincide | (d == 0.0)
-            del d
+            dm = cols[j] - cols[k]
+            ring += _on_range(lambda d: 2.0 * power * loggamma((1.0 + 2.0 * params.R + 1j * d) / 4.0).real, dm, step)
+            ring -= _on_range(lambda d: 2.0 * loggamma(0.5j * d).real, dm, step)
+            coincide = coincide | (dm == 0)
+            del dm
         poly = sum(
-            np.log1p((sum(cols[k] for k in K) - sum(cols[l] for l in L)) ** 2 / 4.0)
+            _on_range(lambda x: np.log1p(x**2 / 4.0), sum(cols[k] for k in K) - sum(cols[l] for l in L), step)
             for K, L in subset_pairs(len(cols))
         )
-        out = -power * sum(c**2 for c in cols) / (2.0 * params.T**2) + power * (params.R / 2.0) * poly
+        square = sum(_on_range(lambda x: x**2, c, step) for c in cols)
+        out = -power * square / (2.0 * params.T**2) + power * (params.R / 2.0) * poly
         out += ring
     return np.where(coincide, -np.inf, out)
 
@@ -134,8 +154,8 @@ def _outer_grid(p: TestFunctionParams) -> tuple[np.ndarray, np.ndarray]:
     """Midpoints t of the rank-one outer window |t| < 3.2 T + 12, where the
     Gaussian is below e^-40, and the density there."""
     n = int((3.2 * p.T + 12.0) / _STEP)
-    t = (np.arange(-n, n) + 0.5) * _STEP
-    return t, _log_weight((2.0 * t, -2.0 * t), p, 1)
+    k = np.arange(-n, n)
+    return (k + 0.5) * _STEP, _log_weight((2 * k + 1, -2 * k - 1), _STEP, p, 1)
 
 
 def p_y_batch(y_values, params, line: float = 0.75) -> np.ndarray:
@@ -225,9 +245,6 @@ def p_y_gl3(y, params, *, spectral_step: float = 0.5) -> float:
     exp(-2 pi line / step), about 4e-17; the plane sums cancel by many
     orders, and the step keeps the aliasing below that floor.  y far from
     1/pi adds phase 2 v log(pi y) and may need a smaller step still.
-    Spectral nodes whose density is below 1e-16 of its peak are skipped;
-    their plane values are not small, so from T = 3 on the skip errs
-    (3.4e-6 relative at T = 3, the wrong sign at T = 5).
     """
     y1, y2 = float(y[0]), float(y[1])
     if not (0 < y1 < math.inf and 0 < y2 < math.inf):
@@ -235,7 +252,6 @@ def p_y_gl3(y, params, *, spectral_step: float = 0.5) -> float:
     line, step = 0.75, 0.125
     half_t = 3.2 * params.T + 4.0
     n_t = int(math.ceil(half_t / spectral_step))
-    tau = spectral_step * np.arange(-n_t, n_t + 1)
     # the line fields peak near v = -shift with shifts up to twice the
     # Gaussian-supported spectral range
     half_v = 2.0 * (half_t - 4.0) + 10.0
@@ -249,10 +265,11 @@ def p_y_gl3(y, params, *, spectral_step: float = 0.5) -> float:
             "rank-three avatar is limited to moderate T"
         )
     log_py1, log_py2 = math.log(math.pi * y1), math.log(math.pi * y2)
-    t1g, t2g = np.meshgrid(tau, tau, indexing="ij")
-    dens = _log_weight((t1g, t2g, -t1g - t2g), params, 1)
-    keep = dens > dens.max() + math.log(1e-16)
-    t1, t2, weight = t1g[keep], t2g[keep], np.exp(dens[keep])
+    m = np.arange(-n_t, n_t + 1)
+    m1, m2 = np.meshgrid(m, m, indexing="ij")
+    dens = _log_weight((m1, m2, -m1 - m2), spectral_step, params, 1)
+    keep = np.isfinite(dens)
+    t1, t2, weight = spectral_step * m1[keep], spectral_step * m2[keep], np.exp(dens[keep])
     # blocks of nodes keep each (nodes, v) field under 8 MB at any T
     block = max(1, 2**19 // v.size)
     total = sum(
@@ -375,7 +392,7 @@ def itr_log(a: float, params, grid_step: float = 1.0 / 16, t_factor: float = 2.7
     # convolution plus twice the correlation, read at the even index 2k
     both = np.fft.irfft(spec * (spec + 2.0 * np.conj(np.fft.rfft(head, size))), size)
     inner = both[2 * k] - h[0] * h[2 * k]
-    lw = _log_weight((2.0 * t, -2.0 * t), params, 1) - np.pi * t
+    lw = _log_weight((2 * k, -2 * k), dv, params, 1) - np.pi * t
     mx = lw.max()
     w = np.exp(lw - mx)
     total = float(np.dot(w, inner))
@@ -399,19 +416,23 @@ def main_term_log(n: int, R: int, T: float) -> float:
     The integrand is |p_sharp|^2 times the Plancherel density on the
     tempered line, summed on a uniform grid: for n = 2 the midpoints of
     the half-line t > 0 at step 1/8, counted twice since the integrand is
-    even; for n = 3 the square |t1|, |t2| <= 3T + 15 at step 1/2.  The
-    coincidence hyperplanes carry double zeros and are excised exactly.
+    even; for n = 3 the square t1, t2 in 0.5 * {-N, ..., N} with
+    N = floor(2 (3T + 15)), that is |t| <= 3T + 15 at step 1/2.  For
+    integer T these are the points -3T - 15 + k/2; a non-integer T moves
+    onto the same symmetric grid of halves.  The coincidence hyperplanes
+    carry double zeros and are excised exactly.
     """
     if n == 2:
-        t = np.arange(1.0 / 16, 3.2 * T + 20.0, 1.0 / 8)
-        cols, cell = (t, -t), 2.0 / 8.0
+        m = np.arange(1, math.ceil(16.0 * (3.2 * T + 20.0)), 2)
+        cols, step, cell = (m, -m), 1.0 / 16, 2.0 / 8.0
     elif n == 3:
-        g = np.arange(-3.0 * T - 15.0, 3.0 * T + 15.0 + 0.25, 0.5)
-        t1, t2 = np.meshgrid(g, g, indexing="ij")
-        cols, cell = (t1, t2, -t1 - t2), 0.5 * 0.5
+        half = math.floor(2.0 * (3.0 * T + 15.0))
+        m = np.arange(-half, half + 1, dtype=np.int32)
+        m1, m2 = np.meshgrid(m, m, indexing="ij")
+        cols, step, cell = (m1, m2, -m1 - m2), 0.5, 0.5 * 0.5
     else:
         raise NotImplementedError("main-term integral implemented for n = 2, 3")
-    li = _log_weight(cols, TestFunctionParams(T=T, R=R), 2)
+    li = _log_weight(cols, step, TestFunctionParams(T=T, R=R), 2)
     mx = li.max()
     return float(mx + math.log(np.sum(np.exp(li - mx)) * cell))
 

@@ -81,12 +81,18 @@ class TestLogWeight:
     def test_is_p_sharp_power_times_plancherel(self, n, power):
         # the one density every integral here uses, against the scalar
         # definition: power log|p_sharp(i t)| - sum_{j != k} Re log Gamma(i (t_j - t_k)/2)
+        # on the step 3/37, whose points miss every dyadic grid, with rows
+        # of integers in [-37, 37] that sum to 0
         rng = np.random.default_rng(100 * n + power)
+        step = 3.0 / 37.0
         for R in (1, 2):
             p = TestFunctionParams(T=4.0, R=R)
-            t = rng.uniform(-3.0, 3.0, size=(8, n))
-            t -= t.mean(axis=1, keepdims=True)
-            got = _log_weight(tuple(t.T), p, power)
+            m = rng.integers(-37, 38, size=(64, n - 1))
+            m = np.column_stack([m, -m.sum(axis=1)])
+            m = m[np.abs(m[:, -1]) <= 37][:8]
+            assert len(m) == 8
+            t = step * m
+            got = _log_weight(tuple(m.T), step, p, power)
             for row, value in zip(t, got):
                 alpha = 1j * row
                 ref = power * math.log(abs(p_sharp(alpha, p)))
@@ -96,12 +102,24 @@ class TestLogWeight:
                             ref -= loggamma((alpha[j] - alpha[k]) / 2.0).real
                 assert abs(value - ref) <= 1e-12, (n, power, R, row)
 
+    def test_gathered_plane_equals_pointwise_rows(self):
+        # a whole plane takes each term from one row over its integer range;
+        # a single row of it is no longer than those ranges and is evaluated
+        # point by point.  Both see the same floats, so they agree bit for
+        # bit, also on the non-dyadic step 3/37
+        p = TestFunctionParams(T=4.0, R=2)
+        m = np.arange(-37, 38)
+        m1, m2 = np.meshgrid(m, m, indexing="ij")
+        plane = _log_weight((m1, m2, -m1 - m2), 3.0 / 37.0, p, 2)
+        rows = [_log_weight((a, b, -a - b), 3.0 / 37.0, p, 2) for a, b in zip(m1, m2)]
+        assert np.array_equal(plane, np.array(rows))
+
     def test_coincident_columns_are_zeros(self):
         # (1, 0, -1) is generic; t1 = t2 and t1 = t3 are zeros of the density
         p = TestFunctionParams(T=4.0, R=1)
-        t1 = np.array([1.0, 0.5, 0.5])
-        t2 = np.array([0.0, 0.5, -1.0])
-        got = _log_weight((t1, t2, -t1 - t2), p, 1)
+        m1 = np.array([2, 1, 1])
+        m2 = np.array([0, 1, -2])
+        got = _log_weight((m1, m2, -m1 - m2), 0.5, p, 1)
         assert np.isfinite(got[0])
         assert got[1] == -np.inf and got[2] == -np.inf
 
@@ -247,15 +265,24 @@ class TestRankThreeAvatar:
                 assert batched[k] == pytest.approx(scalar, rel=1e-10, abs=0.0)
 
     def test_larger_T_pin_and_swap_symmetry(self):
-        # a regression pin, taken from the earlier per-node convolution; the
-        # batched contraction meets it within rounding.  Not an oracle: the
-        # 1e-16 density cut moves this value by 3.4e-6 relative (summing
-        # every node gives 3.611571741128004e-05), so the pin moves with it
+        # a regression pin, not an oracle: the sum over every spectral node
+        # with a finite density.  A cut at 1e-16 of the peak density moved
+        # it by 3.4e-6 relative, to 3.611559408122924e-05
         params = TestFunctionParams(T=3.0, R=1)
-        assert p_y_gl3((1.0, 1.0), params) == pytest.approx(3.611559408122924e-05, rel=1e-12, abs=0.0)
+        assert p_y_gl3((1.0, 1.0), params) == pytest.approx(3.611571741128004e-05, rel=1e-12, abs=0.0)
         a = p_y_gl3((0.8, 1.3), params)
         b = p_y_gl3((1.3, 0.8), params)
         assert a == pytest.approx(b, rel=1e-12, abs=0.0)
+
+    def test_spectral_steps_agree_at_larger_T(self):
+        # the spectral sum converges faster than any power of the step, so
+        # steps 0.5 and 0.4 meet within rounding; nodes dropped for a small
+        # density alone carry plane values that are not small, and dropping
+        # them (a cut at 1e-16 of the peak) parted the steps by 1.1e-6 here
+        params = TestFunctionParams(T=3.0, R=1)
+        a = p_y_gl3((1.0, 1.0), params, spectral_step=0.5)
+        b = p_y_gl3((1.0, 1.0), params, spectral_step=0.4)
+        assert b == pytest.approx(a, rel=1e-12, abs=0.0)
 
 
 def _itr_log_direct(a, params, dv=1.0 / 16):
@@ -271,8 +298,8 @@ def _itr_log_direct(a, params, dv=1.0 / 16):
         s = lg[m + k] + lg[m - k]
         top = s.max()
         log_inner[k - 1] = top + math.log(np.sum(np.exp(s - top)) * dv)
-    t = dv * np.arange(1, k_max + 1)
-    li = _log_weight((2.0 * t, -2.0 * t), params, 1) + log_inner
+    k = np.arange(1, k_max + 1)
+    li = _log_weight((2 * k, -2 * k), dv, params, 1) + log_inner
     top = li.max()
     return top + math.log(2.0 * dv * np.sum(np.exp(li - top)))
 
@@ -360,6 +387,24 @@ class TestMainTermScaling:
     def test_unsupported_rank(self):
         with pytest.raises(NotImplementedError):
             main_term_log(4, 1, 8.0)
+
+    @pytest.mark.parametrize(
+        "n, T, value",
+        [
+            (3, 8.0, 29.08930448049626),
+            (3, 16.0, 38.753785853607035),
+            (3, 32.0, 48.447601299755334),
+            (3, 64.0, 58.14860275970847),
+            (2, 16.0, 8.300055021043901),
+            (2, 128.0, 14.54028715438238),
+        ],
+        ids=["n3-T8", "n3-T16", "n3-T32", "n3-T64", "n2-T16", "n2-T128"],
+    )
+    def test_pinned_to_float_column_sum(self, n, T, value):
+        # the density summed with loggamma on every grid point's float
+        # differences gave exactly these values; on the dyadic grids the
+        # gather by integer index changes no bit of them
+        assert main_term_log(n, 1, T) == value
 
 
 class TestFitMachinery:
