@@ -12,8 +12,8 @@ avatars' and the main term's |p_sharp|^2, is a power of |p_sharp| times
 the Plancherel density, and all of them come from one function,
 :func:`_log_weight`; :func:`p_sharp` and :func:`h_value` are the scalar
 definitions it is tested against.  Every such density lives on an integer
-grid t = step * m, so on a plane each of its log-Gamma, log1p and square
-terms is one 1-D row over the range of its integer, gathered by index.
+grid t = step * m, so each of its log-Gamma, log1p and square terms is
+one 1-D row over the range of its integer, gathered by index.
 
 Everything integral-valued here runs in log space.  The shifted integrands
 pair a Gamma ring that grows like exp(pi t) against an inner factor that
@@ -93,12 +93,8 @@ def h_value(alpha, params) -> float:
 
 def _on_range(f, m, step):
     """f(step * m) elementwise over the integer array m: f is evaluated once
-    per whole number from m.min() to m.max() and gathered by index, or on
-    m itself where that range is no shorter than m (a 1-D grid, whose
-    differences are spread over a range several times its length)."""
+    per whole number from m.min() to m.max() and gathered by index."""
     lo, hi = int(m.min()), int(m.max())
-    if hi - lo + 1 >= m.size:
-        return f(step * m)
     return f(step * np.arange(lo, hi + 1))[m - lo]
 
 
@@ -115,9 +111,9 @@ def _log_weight(cols, step: float, params: TestFunctionParams, power: int) -> np
     |Gamma(i d/2)|^2.  Where two columns coincide the density has its
     zero, returned as -inf.
 
-    Every d, Delta and t is a whole number of steps, so on a plane each
-    term is one 1-D row over the range of its integer, gathered by index:
-    on N points loggamma runs on O(sqrt N) of them.
+    Every d, Delta and t is a whole number of steps, so each term is one
+    1-D row over the range of its integer, gathered by index: on a plane
+    of N points loggamma runs on O(sqrt N) of them.
     """
     # the ring is summed on its own and added last: on a dyadic step every
     # t, d and Delta is exact, and this fixed order gives bit for bit the

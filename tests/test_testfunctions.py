@@ -1,5 +1,6 @@
 """Spectral test functions, contour-shift decomposition, scaling fits."""
 
+import itertools
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from kuznetsov_lab.testfunctions import (
     residue_decomposition_check,
     residue_term,
 )
+from kuznetsov_lab.special import subset_pairs
 
 # Gamma(3/4)^2 and Gamma(3/4)^4 / pi, evaluated exactly and frozen
 P_SHARP_AT_ZERO = 1.5016460946806297
@@ -102,11 +104,10 @@ class TestLogWeight:
                             ref -= loggamma((alpha[j] - alpha[k]) / 2.0).real
                 assert abs(value - ref) <= 1e-12, (n, power, R, row)
 
-    def test_gathered_plane_equals_pointwise_rows(self):
-        # a whole plane takes each term from one row over its integer range;
-        # a single row of it is no longer than those ranges and is evaluated
-        # point by point.  Both see the same floats, so they agree bit for
-        # bit, also on the non-dyadic step 3/37
+    def test_plane_equals_its_rows(self):
+        # a plane and each of its rows gather every term from rows over
+        # different integer ranges; step * m is the same float in both, so
+        # they agree bit for bit, also on the non-dyadic step 3/37
         p = TestFunctionParams(T=4.0, R=2)
         m = np.arange(-37, 38)
         m1, m2 = np.meshgrid(m, m, indexing="ij")
@@ -266,8 +267,7 @@ class TestRankThreeAvatar:
 
     def test_larger_T_pin_and_swap_symmetry(self):
         # a regression pin, not an oracle: the sum over every spectral node
-        # with a finite density.  A cut at 1e-16 of the peak density moved
-        # it by 3.4e-6 relative, to 3.611559408122924e-05
+        # with a finite density
         params = TestFunctionParams(T=3.0, R=1)
         assert p_y_gl3((1.0, 1.0), params) == pytest.approx(3.611571741128004e-05, rel=1e-12, abs=0.0)
         a = p_y_gl3((0.8, 1.3), params)
@@ -276,9 +276,8 @@ class TestRankThreeAvatar:
 
     def test_spectral_steps_agree_at_larger_T(self):
         # the spectral sum converges faster than any power of the step, so
-        # steps 0.5 and 0.4 meet within rounding; nodes dropped for a small
-        # density alone carry plane values that are not small, and dropping
-        # them (a cut at 1e-16 of the peak) parted the steps by 1.1e-6 here
+        # steps 0.5 and 0.4 meet within rounding when every node is summed:
+        # nodes of small density carry plane values that are not small
         params = TestFunctionParams(T=3.0, R=1)
         a = p_y_gl3((1.0, 1.0), params, spectral_step=0.5)
         b = p_y_gl3((1.0, 1.0), params, spectral_step=0.4)
@@ -373,6 +372,35 @@ class TestShiftedNormIntegral:
         assert fit075.slope < fit075.predicted
 
 
+def _main_term_log_float_columns(n, R, T):
+    """main_term_log summed point by point: float columns t_j on the same
+    grid, and loggamma, log1p and the squares taken on every point's own
+    float differences, in _log_weight's order of summation."""
+    if n == 2:
+        t = np.arange(1.0 / 16, 3.2 * T + 20.0, 1.0 / 8)
+        cols, cell = (t, -t), 2.0 / 8.0
+    else:
+        g = np.arange(-3.0 * T - 15.0, 3.0 * T + 15.0 + 0.25, 0.5)
+        t1, t2 = np.meshgrid(g, g, indexing="ij")
+        cols, cell = (t1, t2, -t1 - t2), 0.5 * 0.5
+    power, ring, coincide = 2, 0.0, False
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j, k in itertools.combinations(range(len(cols)), 2):
+            d = cols[j] - cols[k]
+            ring += 2.0 * power * loggamma((1.0 + 2.0 * R + 1j * d) / 4.0).real
+            ring -= 2.0 * loggamma(0.5j * d).real
+            coincide = coincide | (d == 0.0)
+        poly = sum(
+            np.log1p((sum(cols[k] for k in K) - sum(cols[l] for l in L)) ** 2 / 4.0)
+            for K, L in subset_pairs(len(cols))
+        )
+        out = -power * sum(c**2 for c in cols) / (2.0 * T**2) + power * (R / 2.0) * poly
+        out += ring
+    li = np.where(coincide, -np.inf, out)
+    mx = li.max()
+    return float(mx + math.log(np.sum(np.exp(li - mx)) * cell))
+
+
 class TestMainTermScaling:
     def test_rank_one(self):
         fit = main_term_scaling(2, 1)
@@ -389,22 +417,13 @@ class TestMainTermScaling:
             main_term_log(4, 1, 8.0)
 
     @pytest.mark.parametrize(
-        "n, T, value",
-        [
-            (3, 8.0, 29.08930448049626),
-            (3, 16.0, 38.753785853607035),
-            (3, 32.0, 48.447601299755334),
-            (3, 64.0, 58.14860275970847),
-            (2, 16.0, 8.300055021043901),
-            (2, 128.0, 14.54028715438238),
-        ],
+        "n, T",
+        [(3, 8.0), (3, 16.0), (3, 32.0), (3, 64.0), (2, 16.0), (2, 128.0)],
         ids=["n3-T8", "n3-T16", "n3-T32", "n3-T64", "n2-T16", "n2-T128"],
     )
-    def test_pinned_to_float_column_sum(self, n, T, value):
-        # the density summed with loggamma on every grid point's float
-        # differences gave exactly these values; on the dyadic grids the
-        # gather by integer index changes no bit of them
-        assert main_term_log(n, 1, T) == value
+    def test_pinned_to_float_column_sum(self, n, T):
+        # on the dyadic grids the gather by integer index changes no bit
+        assert main_term_log(n, 1, T) == _main_term_log_float_columns(n, 1, T)
 
 
 class TestFitMachinery:
