@@ -265,7 +265,7 @@ def _cmd_testfn(args) -> tuple[str, int]:
     if args.h:
         out["h"] = {"T": args.T, "R": args.R, "value": testfunctions.h_value(alpha, params)}
     if args.p_y is not None:
-        out["p_y"] = {"T": args.T, "R": args.R, "y": args.p_y, "value": testfunctions.p_y(args.p_y, params)}
+        out["p_y"] = {"T": args.T, "R": args.R, "y": args.p_y, "value": testfunctions.p_y_batch([args.p_y], params)[0]}
     fit = None
     if args.itr_scaling is not None:
         R, a = int(args.itr_scaling[0]), float(args.itr_scaling[1])

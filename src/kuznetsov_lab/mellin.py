@@ -156,12 +156,9 @@ def mellin_gl3_closed(alpha, s):
 
 
 def mellin_value(n: int, alpha, s, tol: float = 1e-8) -> complex:
-    """Best available evaluator: exact products for n <= 3, recursion for n = 4."""
-    if len(s) != n - 1:
-        raise ValueError("need n - 1 s-variables")
-    if n == 2:
-        return complex(mellin_gl2(alpha, s[0]))
-    if n == 3:
+    """Best available evaluator: the closed product for n = 3, and otherwise
+    :func:`mellin_recursive`, which checks len(s) and is exact for n = 2."""
+    if n == 3 and len(s) == 2:
         return complex(mellin_gl3_closed(alpha, s))
     return mellin_recursive(n, alpha, s, tol=tol)
 
@@ -379,10 +376,10 @@ def whittaker_value(alpha, y: float, b: float = 0.5, tol: float = 1e-8) -> float
     parameters the value is real; the real part is returned.
     """
     a = _gl2_param(alpha)
-    if y <= 0:
-        raise ValueError("y must be positive")
-    if b <= 0:
-        raise ValueError("the inversion line must have Re(s) > 0")
+    if not 0 < y < math.inf:
+        raise ValueError("y must be positive and finite")
+    if not 0 < b < math.inf:
+        raise ValueError("the inversion line must have 0 < Re(s) < inf")
     root_y = math.sqrt(y)
     log_piy = math.log(math.pi * y)
 

@@ -161,8 +161,9 @@ def p_y_batch(y_values, params, line: float = 0.75) -> np.ndarray:
     put poles on the contour.  y enters only through a scalar prefactor and
     a phase linear in u, so one field, summed over t, serves every y.  With
     t = (k + 1/2) _STEP and u = (j + 1/2) _STEP, u + t and u - t are whole
-    multiples of _STEP, so the Gamma factors are one loggamma line gathered
-    by index; the integrand is even in t, so t > 0 is summed twice.
+    multiples of _STEP, so each block of t gathers its Gamma factors from
+    one loggamma line (:func:`_on_range`); the integrand is even in t, so
+    t > 0 is summed twice.
     """
     if line <= 0 and abs(line - round(line)) < 1e-6:
         raise ValueError("contour line sits on a pole of the integrand")
@@ -171,15 +172,12 @@ def p_y_batch(y_values, params, line: float = 0.75) -> np.ndarray:
     t, base = _outer_grid(params)
     base = base[t > 0]
     k = np.arange(base.size)
-    n_u = k.size + 256  # |u| < 3.2 T + 28
-    j = np.arange(-n_u, n_u)
-    m0 = k.size + n_u  # |u +- t| <= m0 _STEP
-    lg = loggamma(line + 1j * _STEP * np.arange(-m0, m0 + 1))
+    j = np.arange(-k.size - 256, k.size + 256)
     col = np.zeros(j.size, dtype=np.complex128)
     for lo in range(0, k.size, 128):
         kb = k[lo : lo + 128, None]
-        g = lg[m0 + j + kb + 1] + lg[m0 + j - kb]
-        col += np.sum(np.exp(base[lo : lo + 128, None] + g), axis=0)
+        g = _on_range(lambda x: loggamma(line + 1j * x), np.stack((j + kb + 1, j - kb)), _STEP)
+        col += np.sum(np.exp(base[lo : lo + 128, None] + (g[0] + g[1])), axis=0)
     u = (j + 0.5) * _STEP
     out = np.empty(len(y_values))
     for i, y in enumerate(y_values):
@@ -188,10 +186,6 @@ def p_y_batch(y_values, params, line: float = 0.75) -> np.ndarray:
         val = pref * np.sum(col * np.exp(-2j * u * c)) / (2.0 * math.pi) ** 2
         out[i] = val.real
     return out
-
-
-def p_y(y: float, params, line: float = 0.75) -> float:
-    return float(p_y_batch([y], params, line=line)[0])
 
 
 def _gl3_plane(log_py1: float, log_py2: float, tau1, tau2, line: float, v: np.ndarray, rg: np.ndarray):
@@ -276,48 +270,47 @@ def p_y_gl3(y, params, *, spectral_step: float = 0.5) -> float:
     return float((scale * total).real)
 
 
-def residue_term(y: float, params, delta: int = 0, a=None) -> float:
-    """One constant-free residue term of the rank-one contour shift.
+def residue_term(y_values, params, delta: int = 0) -> np.ndarray:
+    """Constant-free residue terms of the rank-one contour shift, one per y.
 
-    This is the term picked up at the inner pole with displacement delta;
-    the decomposition multiplies it by the composition constant.  When the
-    shift vector ``a = (a_1,)`` is supplied, the admissibility gate of the
-    one rank-one composition (1, 1) applies: nothing when a_1 <= 0, and
-    nothing for displacements beyond floor(a_1).
+    The term picked up at the inner pole with displacement delta; the
+    decomposition multiplies it by the composition constant.  Which delta
+    are crossed is the caller's rule (:func:`residue_decomposition_check`
+    states it).  The outer grid and its Gamma line Gamma(-delta - 2it) are
+    built once and serve every y, which enters only through a prefactor and
+    the phase 2 t log(pi y).
     """
-    if a is not None:
-        a_1 = float(np.atleast_1d(a)[0])
-        if a_1 <= 0.0 or delta > math.floor(a_1):
-            return 0.0
-    if y <= 0:
-        raise ValueError("y must be positive")
+    if not all(0 < y < math.inf for y in y_values):
+        raise ValueError("y must be positive and finite")
     t, base = _outer_grid(params)
     g = loggamma(-delta - 2j * t)
-    c = math.log(math.pi * y)
-    phase = np.exp(base + g.real + 1j * (g.imag + 2.0 * t * c))
-    total = _STEP * np.sum(phase) * (-1.0) ** delta / math.factorial(delta)
-    pref = math.sqrt(y) * math.exp(2.0 * delta * c) / (2.0 * math.pi)
-    return float((pref * total).real)
+    out = np.empty(len(y_values))
+    for i, y in enumerate(y_values):
+        c = math.log(math.pi * y)
+        phase = np.exp(base + g.real + 1j * (g.imag + 2.0 * t * c))
+        total = _STEP * np.sum(phase) * (-1.0) ** delta / math.factorial(delta)
+        pref = math.sqrt(y) * math.exp(2.0 * delta * c) / (2.0 * math.pi)
+        out[i] = (pref * total).real
+    return out
 
 
 def residue_decomposition_check(params, a: float = 0.75) -> dict:
     """Fit the single composition constant in the contour-shift decomposition.
 
     Computes p(y) on the unshifted line Re(s) = 3/4 and the shifted line
-    Re(s) = -a over ten log-spaced y in [0.4, 2.5], forms the
-    displacement-summed residue column, and solves for the one scalar kappa
-    by least squares.  The relative residual measures how well the three-term
-    decomposition closes; the constant should be the composition count 2.
+    Re(s) = -a over ten log-spaced y in [0.4, 2.5].  The shift crosses the
+    displacements delta = 0, ..., floor(a), so a must be positive and
+    nonintegral; the residue column sums one batched :func:`residue_term`
+    per delta, and the one scalar kappa is solved for by least squares.  The
+    relative residual measures how well the three-term decomposition closes;
+    the constant should be the composition count 2.
     """
     if a <= 0 or abs(a - round(a)) < 1e-9:
         raise ValueError("shift a must be positive and nonintegral")
     line = 0.75
     y_values = np.geomspace(0.4, 2.5, 10)
     lhs = p_y_batch(y_values, params, line=line) - p_y_batch(y_values, params, line=-a)
-    basis = np.zeros_like(lhs)
-    for i, y in enumerate(y_values):
-        for delta in range(int(math.floor(a)) + 1):
-            basis[i] += residue_term(y, params, delta=delta, a=(a,))
+    basis = sum(residue_term(y_values, params, delta) for delta in range(math.floor(a) + 1))
     kappa_fit = float(np.dot(lhs, basis) / np.dot(basis, basis))
     resid = lhs - kappa_fit * basis
     scale = float(np.abs(lhs).max())

@@ -242,6 +242,10 @@ class TestInverseTransform:
             whittaker_value(0.5j, -1.0)
         with pytest.raises(ValueError):
             whittaker_value(0.5j, 1.0, b=0.0)
+        # a non-finite y or line has no inverse transform to approximate
+        for y, b in [(math.inf, 0.5), (math.nan, 0.5), (1.0, math.inf), (1.0, math.nan)]:
+            with pytest.raises(ValueError):
+                whittaker_value(0.5j, y, b=b)
 
 
 class TestEvaluatorBundle:
@@ -251,6 +255,7 @@ class TestEvaluatorBundle:
         value = mellin_value(3, alpha, s)
         assert value == pytest.approx(mellin_gl3_closed(alpha, s), rel=1e-13)
         assert abs(mellin_recursive(3, alpha, s) - value) / abs(value) <= 1e-6
+        assert mellin_value(2, (0.4j, -0.4j), (0.8 + 0.1j,)) == mellin_gl2((0.4j, -0.4j), 0.8 + 0.1j)
 
     def test_truncation_height_floor(self):
         assert _truncation_half_length(np.array((0.1j, -0.1j))) == 30.0

@@ -12,6 +12,7 @@ from kuznetsov_lab.testfunctions import (
     ScalingFit,
     TestFunctionParams,
     _log_weight,
+    _outer_grid,
     fit_scaling,
     h_value,
     itr_log,
@@ -19,7 +20,6 @@ from kuznetsov_lab.testfunctions import (
     main_term_log,
     main_term_scaling,
     p_sharp,
-    p_y,
     p_y_batch,
     p_y_gl3,
     residue_decomposition_check,
@@ -130,8 +130,8 @@ class TestAvatarOnLines:
         p = TestFunctionParams(T=3.0, R=1)
         ys = [0.7, 1.3]
         batch = p_y_batch(ys, p)
-        assert batch[0] == pytest.approx(p_y(0.7, p), rel=1e-14)
-        assert batch[1] == pytest.approx(p_y(1.3, p), rel=1e-14)
+        for y, value in zip(ys, batch):
+            assert value == p_y_batch([y], p)[0]
 
     @pytest.mark.parametrize("T", [3.0, 4.0, 10.0])
     def test_independent_of_line(self, T):
@@ -143,29 +143,49 @@ class TestAvatarOnLines:
             assert p_y_batch(ys, p, line=line) == pytest.approx(ref, rel=1e-11, abs=0)
 
     def test_finite_real(self):
-        v = p_y(1.0, TestFunctionParams(T=3.0, R=1))
-        assert np.isfinite(v)
+        v = p_y_batch([1.0], TestFunctionParams(T=3.0, R=1))
+        assert v.shape == (1,) and np.isfinite(v[0])
 
     def test_pole_lines_rejected(self):
         p = TestFunctionParams(T=3.0, R=1)
         with pytest.raises(ValueError):
-            p_y(1.0, p, line=0.0)
+            p_y_batch([1.0], p, line=0.0)
         with pytest.raises(ValueError):
-            p_y(1.0, p, line=-1.0)
+            p_y_batch([1.0], p, line=-1.0)
         with pytest.raises(ValueError):
-            p_y(-1.0, p)
+            p_y_batch([-1.0], p)
+
+
+def residue_reference(y, params, delta):
+    """One residue term on its own: the outer grid and its Gamma line
+    rebuilt for the single y."""
+    t, base = _outer_grid(params)
+    g = loggamma(-delta - 2j * t)
+    c = math.log(math.pi * y)
+    phase = np.exp(base + g.real + 1j * (g.imag + 2.0 * t * c))
+    total = np.sum(phase) / 16.0 * (-1.0) ** delta / math.factorial(delta)
+    pref = math.sqrt(y) * math.exp(2.0 * delta * c) / (2.0 * math.pi)
+    return float((pref * total).real)
 
 
 class TestResidueTerm:
-    def test_admissibility_gate(self):
-        p = TestFunctionParams(T=3.0, R=1)
-        assert residue_term(1.0, p, delta=0, a=(-0.5,)) == 0.0
-        assert residue_term(1.0, p, delta=1, a=(0.75,)) == 0.0
-        assert residue_term(1.0, p, delta=0, a=(0.75,)) != 0.0
-
     def test_ungated_evaluates(self):
-        v = residue_term(1.2, TestFunctionParams(T=3.0, R=1), delta=0)
-        assert np.isfinite(v) and v != 0.0
+        v = residue_term([1.2], TestFunctionParams(T=3.0, R=1), delta=0)
+        assert v.shape == (1,) and np.isfinite(v[0]) and v[0] != 0.0
+
+    @pytest.mark.parametrize("T", [3.0, 4.0])
+    @pytest.mark.parametrize("delta", [0, 1])
+    def test_batch_matches_per_y_reference(self, T, delta):
+        # one grid and Gamma line for every y leaves each value bit for bit
+        p = TestFunctionParams(T=T, R=1)
+        ys = np.geomspace(0.4, 2.5, 10)
+        batch = residue_term(ys, p, delta)
+        assert batch.tolist() == [residue_reference(y, p, delta) for y in ys]
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
+    def test_nonfinite_or_nonpositive_y_rejected(self, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            residue_term([1.0, bad], TestFunctionParams(T=3.0, R=1))
 
 
 class TestDecomposition:
