@@ -396,13 +396,17 @@ def _check_kloosterman(cfg):
         worst = max(worst, abs(trace.kloosterman_gl2(1, 1, c) - expect))
     golden = (3.0 - math.sqrt(5.0)) / 2.0
     worst = max(worst, abs(trace.kloosterman_gl2(1, 1, 5) - golden))
-    values = trace.kloosterman_sweep(2000)
-    sieve = np.ones(2001, dtype=int)
-    for d in range(2, 2001):
-        sieve[d::d] += 1
-    for c in range(1, 2001):
-        if abs(values[c - 1]) > sieve[c] * math.sqrt(c) + 1e-9:
-            worst = max(worst, 1.0)
+    # Weil |S| <= d(c) sqrt(c) and trivial |S| <= phi(c), d and phi by sieves
+    sizes = np.abs(trace.kloosterman_sweep(2000))
+    c = np.arange(2001)
+    divisors = np.zeros(2001, dtype=int)
+    totient = c.copy()
+    for d in range(1, 2001):
+        divisors[d::d] += 1
+        if totient[d] == d > 1:  # d prime
+            totient[d::d] -= totient[d::d] // d
+    if np.any(sizes > np.minimum(divisors[1:] * np.sqrt(c[1:]), totient[1:]) + 1e-9):
+        worst = max(worst, 1.0)
     for c1, c2 in ((3, 4), (5, 7), (8, 9)):
         lhs = trace.kloosterman_gl2(1, 1, c1 * c2)
         c2bar = pow(c2, -1, c1)

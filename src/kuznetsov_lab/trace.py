@@ -4,9 +4,11 @@ bookkeeping for the error-term bounds, Eisenstein divisor sums, and the
 cuspidal orthogonality quotient over ingested spectral data.
 
 Kloosterman phases are exact: the sum over units x mod c accumulates integer
-residues k = (m x + l x~) mod c, and only the final pass evaluates the root
-of unity e^(2 pi i k / c).  :func:`kloosterman_gl2` takes each inverse x~ by
-extended Euclid (``pow(x, -1, c)``) and stays the exact oracle.  The sweep
+residues k = (m x + l x~) mod c, and only the final pass takes floats.  The
+residue histogram is symmetric (x -> -x sends k to -k), so that pass is a
+real cosine sum over the half k < c/2 of the residues.
+:func:`kloosterman_gl2` takes each inverse x~ by extended Euclid
+(``pow(x, -1, c)``) and stays the exact oracle.  The sweep
 bins residues once per prime power q and assembles every other modulus from
 those histograms by the Chinese remainder theorem, which yields the same
 integer counts, hence the same floating-point sums; the tests compare the
@@ -48,10 +50,10 @@ def kloosterman_gl2(m: int, l: int, c: int) -> complex:
     """S(m, l; c) = sum over units x mod c of e^(2 pi i (m x + l x~) / c).
 
     The residues (m x + l x~) mod c are binned exactly as integers before any
-    floating-point enters, so the only rounding is in the final evaluation of
-    at most c roots of unity.  The value is real for integer inputs (x and -x
-    pair up); the full complex value is returned and the tests pin the
-    imaginary part below 1e-12.
+    floating-point enters, so the only rounding is in :func:`_root_sum`, the
+    cosine sum over the lower half of the residues.  The value is real for
+    integer inputs (x and -x pair up): a complex is returned whose imaginary
+    part is exactly 0.
     """
     if c < 1:
         raise ValueError(f"modulus must be a positive integer, got {c}")
@@ -61,9 +63,16 @@ def kloosterman_gl2(m: int, l: int, c: int) -> complex:
             continue
         xbar = pow(x, -1, c)
         counts[(m * x + l * xbar) % c] += 1
-    ks = np.flatnonzero(counts)
-    weights = np.asarray(counts, dtype=float)[ks]
-    return complex(np.sum(weights * np.exp(2j * np.pi * ks / c)))
+    return complex(_root_sum(np.array(counts), c))
+
+
+def _root_sum(counts: np.ndarray, c: int) -> float:
+    # sum_k counts[k] e^(2 pi i k / c) for a histogram with counts[k] =
+    # counts[-k mod c]: counts[0] + 2 sum_(0 < k < c/2) counts[k] cos(2 pi k / c),
+    # less counts[c/2] when c is even
+    ks = np.flatnonzero(counts[1 : (c + 1) // 2]) + 1
+    total = counts[0] + 2.0 * np.sum(counts[ks] * np.cos(2 * np.pi * ks / c))
+    return total - counts[c // 2] if c % 2 == 0 else total
 
 
 def _smallest_prime_factors(n: int) -> list[int]:
@@ -136,15 +145,17 @@ def kloosterman_sweep(c_max: int, m: int = 1, l: int = 1) -> np.ndarray:
     its residues mod q_i, and k mod q_i depends only on x mod q_i, so the
     residue counts mod c are the product of the H_(q_i) tiled to length c.
     Those are the exact integer counts that :func:`kloosterman_gl2`, the
-    oracle, bins by extended Euclid, and the root-of-unity pass over them
-    is the same, so both return the same floating-point values.
+    oracle, bins by extended Euclid, and both take the one cosine pass
+    :func:`_root_sum` over them, so both return the same floating-point
+    values (imaginary parts exactly 0).
 
     Modulo 1 the only residue class, x = 0, is a unit, so S = 1 there."""
     if c_max < 1:
         raise ValueError("c_max must be positive")
     spf = _smallest_prime_factors(c_max)
-    # a composite modulus only reads factors q <= c_max/2; every count is
-    # at most phi(q) < c_max
+    # a composite modulus only reads factors q <= c_max/2; every count mod
+    # any d <= c_max is at most phi(d) < c_max, so the products stay in the
+    # stored type
     stored = np.min_scalar_type(c_max)
     hist: dict[int, np.ndarray] = {}
     out = np.empty(c_max, dtype=complex)
@@ -158,11 +169,11 @@ def kloosterman_sweep(c_max: int, m: int = 1, l: int = 1) -> np.ndarray:
             if 2 * q <= c_max:
                 hist[q] = counts.astype(stored)
         else:
-            counts = np.ones(c, dtype=np.int64)
-            for _, q in factors:
+            (_, q), *rest = factors
+            counts = np.tile(hist[q], c // q)
+            for _, q in rest:
                 counts.reshape(-1, q)[:] *= hist[q]
-        ks = np.flatnonzero(counts)
-        out[c - 1] = np.sum(counts[ks] * np.exp(2j * np.pi * ks / c))
+        out[c - 1] = _root_sum(counts, c)
     return out
 
 

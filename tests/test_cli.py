@@ -421,7 +421,7 @@ class TestModuleSubcommands:
         assert code == 0
         # S(1,1;5) = 2 cos(2 pi / 5) + 2 cos(4 pi / 5) + 1 = (3 - sqrt 5)/2
         assert value["re"] == pytest.approx((3 - 5**0.5) / 2)
-        assert value["im"] == pytest.approx(0.0, abs=1e-12)
+        assert value["im"] == 0.0
 
     def test_trace_sweep_csv(self, capsys):
         code, out, _ = run_cli(

@@ -183,6 +183,24 @@ class TestExitCodes:
         assert rep.error is None and rep.max_error == 1.0
         assert suite_exit_code([rep]) == 1
 
+    @pytest.mark.parametrize(
+        "c, size",
+        [(2, 2.0), (1999, 100.0)],
+        ids=["trivial-only", "weil-only"],
+    )
+    def test_kloosterman_bound_breach_fails(self, monkeypatch, c, size):
+        # S(1, 1; 2) = 2 breaks only |S| <= phi(2) = 1 (Weil allows 2 sqrt 2);
+        # |S(1, 1; 1999)| = 100 breaks only Weil's 2 sqrt 1999 < 90
+        sweep = trace.kloosterman_sweep
+
+        def broken(c_max):
+            values = sweep(c_max)
+            values[c - 1] = size
+            return values
+
+        monkeypatch.setattr(trace, "kloosterman_sweep", broken)
+        assert suite._check_kloosterman(RunConfig()) == 1.0
+
 
 class TestSerialization:
     def test_payload_excludes_runtime_by_default(self):

@@ -4,10 +4,12 @@ sums against a brute-force oracle, the cuspidal quotient, and CSV ingest."""
 
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from kuznetsov_lab import trace
 from kuznetsov_lab.combinatorics import Composition, enumerate_compositions
 from kuznetsov_lab.geometry import WeylElement
 from kuznetsov_lab.testfunctions import TestFunctionParams
@@ -47,6 +49,17 @@ def euler_phi_table(n_max: int) -> np.ndarray:
     return phi
 
 
+def unit_residue_counts(m: int, l: int, c: int) -> Counter:
+    return Counter((m * x + l * pow(x, -1, c)) % c for x in range(c) if math.gcd(x, c) == 1)
+
+
+def cosine_sum_reference(m: int, l: int, c: int) -> float:
+    # S(m, l; c) as the fsum of count * cos(2 pi k / c) over the full range
+    # 0..c-1, with no use of the histogram's symmetry
+    counts = unit_residue_counts(m, l, c)
+    return math.fsum(n * math.cos(2 * math.pi * k / c) for k, n in counts.items())
+
+
 class TestKloosterman:
     def test_named_values(self):
         assert kloosterman_gl2(1, 1, 1) == pytest.approx(1.0, abs=1e-12)
@@ -60,7 +73,40 @@ class TestKloosterman:
 
     def test_real_valued(self):
         sweep = kloosterman_sweep(300)
-        assert np.max(np.abs(sweep.imag)) < 1e-12
+        assert np.all(sweep.imag == 0)
+
+    def test_residue_histogram_is_symmetric(self, monkeypatch):
+        # the cosine pass rests on counts[k] == counts[-k mod c]: x -> -x
+        # sends the residue m x + l x~ to its negative
+        seen = []
+        root_sum = trace._root_sum
+
+        def spy(counts, c):
+            seen.append((np.array(counts), c))
+            return root_sum(counts, c)
+
+        monkeypatch.setattr(trace, "_root_sum", spy)
+        for m, l in [(1, 1), (2, 3), (0, 0), (-5, 9), (10**17, 1)]:
+            seen.clear()
+            for c in range(1, 201):
+                kloosterman_gl2(m, l, c)
+            assert [c for _, c in seen] == list(range(1, 201))
+            for counts, c in seen:
+                assert np.array_equal(counts, counts[-np.arange(c) % c])
+
+    def test_sweep_meets_exact_cosine_sum(self):
+        # every c <= 300 at two pairs, plus sample moduli up to 8000: powers
+        # of 2, twice a prime, even moduli whose residue c/2 is hit (at
+        # (1, 1) also c = 4, 20, 52, ...), 7001 with residue 0 hit, a prime
+        samples = [512, 1024, 2048, 4096, 7814, 7978, 7012, 7748, 7940, 7001, 7919]
+        unit = kloosterman_sweep(8000)
+        pair = kloosterman_sweep(300, 2, 3)
+        for c in [*range(1, 301), *samples]:
+            assert abs(unit[c - 1] - cosine_sum_reference(1, 1, c)) <= 1e-12, c
+        for c in range(1, 301):
+            assert abs(pair[c - 1] - cosine_sum_reference(2, 3, c)) <= 1e-12, c
+        half_hit = [c for c in samples if c % 2 == 0 and unit_residue_counts(1, 1, c)[c // 2]]
+        assert half_hit == [7012, 7748, 7940]
 
     def test_sweep_matches_scalar_path(self):
         # the CRT product of prime-power histograms and extended Euclid must
