@@ -8,6 +8,7 @@ diagnostics go to stderr.  Exit codes: 0 success / all checks passed,
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -52,15 +53,17 @@ def _read_json(path: str):
         return json.load(fh)
 
 
-def _parse_alpha(raw) -> list[complex]:
-    # entries are numbers (imaginary parts of a tempered parameter) or
-    # [re, im] pairs
+def _parse_complex(raw, imaginary: bool = True) -> list[complex]:
+    # entries are [re, im] pairs or bare numbers: the imaginary parts of a
+    # tempered parameter, or real values with imaginary=False
     out = []
     for entry in raw:
         if isinstance(entry, (int, float)):
-            out.append(complex(0.0, float(entry)))
+            out.append(complex(0.0, float(entry)) if imaginary else complex(entry))
         else:
             out.append(complex(float(entry[0]), float(entry[1])))
+    if not all(map(cmath.isfinite, out)):
+        raise ValueError(f"entries must be finite, got {raw}")
     return out
 
 
@@ -214,7 +217,7 @@ def _cmd_special(args) -> tuple[str, int]:
     out = {}
     if args.fr is not None:
         n, R = int(args.fr[0]), int(args.fr[1])
-        alpha = _parse_alpha(_read_json(args.fr[2]))
+        alpha = _parse_complex(_read_json(args.fr[2]))
         if len(alpha) != n:
             raise ValueError(f"alpha has length {len(alpha)}, expected {n}")
         out["fr"] = {"n": n, "R": R, "value": special.f_R_poly(alpha, R)}
@@ -230,14 +233,13 @@ def _cmd_whittaker(args, cfg) -> tuple[str, int]:
     code = 0
     if args.mellin is not None:
         n = int(args.mellin[0])
-        alpha = _parse_alpha(_read_json(args.mellin[1]))
-        raw_s = _read_json(args.mellin[2])
-        s = [complex(v) if isinstance(v, (int, float)) else complex(v[0], v[1]) for v in raw_s]
+        alpha = _parse_complex(_read_json(args.mellin[1]))
+        s = _parse_complex(_read_json(args.mellin[2]), imaginary=False)
         out["mellin"] = {"n": n, "value": mellin.mellin_value(n, alpha, s, tol=cfg.quad_tol)}
     if args.residue is not None:
         n, m, delta = args.residue
         alpha = (
-            _parse_alpha(_read_json(args.alpha))
+            _parse_complex(_read_json(args.alpha))
             if args.alpha
             else mellin.separated_tempered_alpha(n, np.random.default_rng(cfg.seed))
         )
@@ -259,7 +261,7 @@ def _cmd_whittaker(args, cfg) -> tuple[str, int]:
 def _cmd_testfn(args) -> tuple[str, int]:
     out = {}
     params = testfunctions.TestFunctionParams(T=args.T, R=args.R)
-    alpha = _parse_alpha(_read_json(args.alpha)) if args.alpha else [0j, 0j]
+    alpha = _parse_complex(_read_json(args.alpha)) if args.alpha else [0j, 0j]
     if args.p_sharp:
         out["p_sharp"] = {"T": args.T, "R": args.R, "value": testfunctions.p_sharp(alpha, params)}
     if args.h:

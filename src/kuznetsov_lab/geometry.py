@@ -55,8 +55,8 @@ class IwasawaPoint:
 def toric_matrix(a: Sequence[float]) -> np.ndarray:
     """diag(a_1...a_{n-1}, ..., a_1 a_2, a_1, 1) for positive a."""
     a = np.asarray(a, dtype=float)
-    if np.any(a <= 0):
-        raise ValueError("entries must be positive")
+    if not np.all(np.isfinite(a)) or np.any(a <= 0):
+        raise ValueError("entries must be positive and finite")
     n = len(a) + 1
     d = np.ones(n)
     for i in range(n - 2, -1, -1):
@@ -64,38 +64,40 @@ def toric_matrix(a: Sequence[float]) -> np.ndarray:
     return np.diag(d)
 
 
-def iwasawa_decompose(g: np.ndarray) -> tuple[IwasawaPoint, np.ndarray, float]:
-    """g = x t(y) k c with k orthogonal and c > 0 scalar.
-
-    Rows are orthogonalized from the bottom up, which pins the normalization
-    to the bottom-right entry; determinant sign lands in k.
-    """
+def _upper_orthogonal(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g = r k with r upper triangular of positive diagonal and k orthogonal,
+    from one Householder QR of the row-reversed transpose: g^T J = q s gives
+    g = (J s^T J)(J q^T) with J the reversal."""
     g = np.asarray(g, dtype=float)
     n = g.shape[0]
     if g.shape != (n, n):
         raise ValueError("need a square matrix")
     scale = np.abs(g).max()
+    if not np.isfinite(scale):
+        raise ValueError("matrix entries must be finite")
     if scale == 0:
         raise DecompositionError("zero matrix")
-    k = np.zeros((n, n))
-    d = np.zeros(n)
-    coeff = np.zeros((n, n))
-    for i in range(n - 1, -1, -1):
-        v = g[i].astype(float).copy()
-        for j in range(i + 1, n):
-            coeff[i, j] = g[i] @ k[j]
-            v -= coeff[i, j] * k[j]
-        norm = np.linalg.norm(v)
-        if norm < 1e-13 * scale:
-            raise DecompositionError("matrix is numerically singular")
-        d[i] = norm
-        k[i] = v / norm
-    x = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            x[i, j] = coeff[i, j] / d[j]
-    c = d[n - 1]
-    y = d[:-1][::-1] / d[1:][::-1]  # y_k = d_{n-k}/d_{n-k+1}, 1-based
+    q, s = np.linalg.qr(g.T[:, ::-1])
+    d = np.diag(s)
+    if np.any(np.abs(d) < 1e-13 * scale):
+        raise DecompositionError("matrix is numerically singular")
+    sign = np.sign(d)
+    return (sign[:, None] * s).T[::-1, ::-1], (q * sign).T[::-1]
+
+
+def iwasawa_decompose(g: np.ndarray) -> tuple[IwasawaPoint, np.ndarray, float]:
+    """g = x t(y) k c with k orthogonal and c > 0 scalar.
+
+    The upper triangular factor comes from one Householder QR (see
+    _upper_orthogonal); dividing out its diagonal d gives x, and
+    normalizing d by its bottom-right entry c gives t(y).  The determinant
+    sign lands in k.
+    """
+    r, k = _upper_orthogonal(g)
+    d = np.diag(r)
+    x = np.triu(r / d, 1)
+    c = d[-1]
+    y = d[-2::-1] / d[:0:-1]  # y_k = d_{n-k}/d_{n-k+1}, 1-based
     return IwasawaPoint(x=x, y=y), k, float(c)
 
 
@@ -191,8 +193,8 @@ def weyl_conjugate_y(w: WeylElement, y: Sequence[float]) -> np.ndarray:
         raise ValueError("the identity block w_(n) does not move y")
     y = np.asarray(y, dtype=float)
     n = comp.n
-    if len(y) != n - 1 or np.any(y <= 0):
-        raise ValueError("y must be a positive vector of length n-1")
+    if len(y) != n - 1 or not np.all(np.isfinite(y)) or np.any(y <= 0):
+        raise ValueError("y must be a positive finite vector of length n-1")
     parts = comp.parts
     nhat = (0,) + comp.partial_sums
     out = np.empty(n - 1)
@@ -325,7 +327,8 @@ def xi_polynomials_long_gl4(u: np.ndarray) -> np.ndarray:
 
 def xi_values(w: WeylElement, u: np.ndarray) -> np.ndarray:
     """(xi_1, ..., xi_{n-1}) of wu via Iwasawa: with wu = u_0 t k and
-    t = diag(t_1, ..., t_n), xi_k = (t_{n-k+1} ... t_n)^2.
+    t = diag(t_1, ..., t_n), xi_k = (t_{n-k+1} ... t_n)^2, where t is read
+    off the diagonal of the upper triangular factor of wu.
 
     u must be upper unipotent supported on the inversion pattern of w.
     """
@@ -333,6 +336,8 @@ def xi_values(w: WeylElement, u: np.ndarray) -> np.ndarray:
     n = w.n
     if u.shape != (n, n):
         raise ValueError("u has the wrong size")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("u entries must be finite")
     if np.any(np.diag(u) != 1) or np.any(np.tril(u, -1) != 0):
         raise ValueError("u must be upper unipotent")
     allowed = set(w.inversion_pairs())
@@ -340,11 +345,5 @@ def xi_values(w: WeylElement, u: np.ndarray) -> np.ndarray:
         for j in range(i + 1, n):
             if u[i, j] != 0 and (i, j) not in allowed:
                 raise ValueError(f"entry ({i + 1},{j + 1}) is outside the pattern of w")
-    p, _, c = iwasawa_decompose(w.matrix() @ u)
-    t_diag = np.diag(toric_matrix(p.y)) * c
-    xi = np.empty(n - 1)
-    acc = 1.0
-    for k in range(1, n):
-        acc *= t_diag[n - k] ** 2
-        xi[k - 1] = acc
-    return xi
+    d = np.diag(_upper_orthogonal(w.matrix() @ u)[0])
+    return np.cumprod(d[:0:-1] ** 2)

@@ -227,10 +227,13 @@ def validate_langlands(alpha: Sequence[complex], require_tempered: bool = False)
     parameter as a complex array.
 
     Both tests are relative: the sum and every real part must be within
-    1e-10 max(1, max |alpha_j|) of 0.
+    1e-10 max(1, max |alpha_j|) of 0.  NaN and infinite entries are rejected.
     """
     a = np.asarray(alpha, dtype=complex)
-    tol = 1e-10 * max(1.0, float(np.abs(a).max(initial=0.0)))
+    scale = float(np.abs(a).max(initial=0.0))
+    if not math.isfinite(scale):
+        raise ValueError(f"entries must be finite, got {a}")
+    tol = 1e-10 * max(1.0, scale)
     if abs(a.sum()) > tol:
         raise ValueError(f"entries must sum to 0, got sum {a.sum()}")
     if require_tempered and float(np.abs(a.real).max(initial=0.0)) > tol:
@@ -293,10 +296,26 @@ def alpha_square_residual(pp: PartitionedParameter) -> float:
 
 
 def _log_mod_gamma_R(z: complex, R: int) -> float:
-    v = gamma_R(z, R)
-    if v == 0:
+    """log |Gamma_R(z)| as a log-Gamma difference, never exponentiated."""
+    if _is_nonpositive_integer(z):
         raise DegenerateParameterError(f"Gamma_R vanishes at {z}")
-    return math.log(abs(v))
+    return (log_gamma((0.5 + R + z) / 2) - log_gamma(z)).real
+
+
+def _ring_sum(v: np.ndarray, R: int) -> float:
+    """sum_{i != j} log |Gamma_R(v_i - v_j)| over ordered pairs."""
+    if R < 1 or R != int(R):
+        raise ValueError(f"R must be a positive integer, got {R}")
+    diffs = [v[i] - v[j] for i in range(len(v)) for j in range(len(v)) if i != j]
+    if any(abs(d) < 1e-10 for d in diffs):
+        raise DegenerateParameterError("coincident parameter entries")
+    return sum(_log_mod_gamma_R(d, R) for d in diffs)
+
+
+def _cross_sum(u: np.ndarray, v: np.ndarray, offset: complex, R: int) -> float:
+    """sum over x in u, y in v of log |Gamma_R(+-(x - y + offset))|."""
+    args = (x - y + offset for x in u for y in v)
+    return sum(_log_mod_gamma_R(z, R) + _log_mod_gamma_R(-z, R) for z in args)
 
 
 def gamma_product_decomposition_residual(
@@ -311,28 +330,14 @@ def gamma_product_decomposition_residual(
     rounding-level.
     """
     a = validate_langlands(alpha)
-    n = len(a)
-    diffs = [a[i] - a[j] for i in range(n) for j in range(n) if i != j]
-    if any(abs(d) < 1e-10 for d in diffs):
-        raise DegenerateParameterError("coincident parameter entries")
-    lhs = sum(_log_mod_gamma_R(d, R) for d in diffs)
-
+    lhs = _ring_sum(a, R)
     pp = partition_parameter(a, comp)
-    rhs = 0.0
-    for ell in range(comp.r):
-        blk = pp.block(ell)
-        for i in range(len(blk)):
-            for j in range(len(blk)):
-                if i != j:
-                    rhs += _log_mod_gamma_R(blk[i] - blk[j], R)
+    rhs = sum(_ring_sum(pp.block(ell), R) for ell in range(comp.r))
     parts = comp.parts
     for k in range(comp.r):
         for m in range(k + 1, comp.r):
             offset = pp.beta[k] / parts[k] - pp.beta[m] / parts[m]
-            for x in pp.block(k):
-                for y in pp.block(m):
-                    arg = x - y + offset
-                    rhs += _log_mod_gamma_R(arg, R) + _log_mod_gamma_R(-arg, R)
+            rhs += _cross_sum(pp.block(k), pp.block(m), offset, R)
     return abs(lhs - rhs)
 
 
@@ -346,20 +351,9 @@ def gamma_product_split_residual(alpha: Sequence[complex], k: int, R: int) -> fl
     ahat_k = a[:k].sum()
     beta = a[:k] - ahat_k / k
     gamma = a[k:] + ahat_k / (n - k)
-    diffs = [a[i] - a[j] for i in range(n) for j in range(n) if i != j]
-    if any(abs(d) < 1e-10 for d in diffs):
-        raise DegenerateParameterError("coincident parameter entries")
-    lhs = sum(_log_mod_gamma_R(d, R) for d in diffs)
-    rhs = 0.0
-    for vec in (beta, gamma):
-        for i in range(len(vec)):
-            for j in range(len(vec)):
-                if i != j:
-                    rhs += _log_mod_gamma_R(vec[i] - vec[j], R)
-    off = n / (k * (n - k)) * ahat_k
-    for b in beta:
-        for g in gamma:
-            rhs += _log_mod_gamma_R(b - g + off, R) + _log_mod_gamma_R(g - b - off, R)
+    lhs = _ring_sum(a, R)
+    rhs = _ring_sum(beta, R) + _ring_sum(gamma, R)
+    rhs += _cross_sum(beta, gamma, n / (k * (n - k)) * ahat_k, R)
     return abs(lhs - rhs)
 
 

@@ -415,7 +415,23 @@ class AplusBReport:
 _APLUSB_EPS_PRIME = 1e-4
 
 
-def _aplusb_pass(n, rho_f, comp):
+def verify_aplusb(n: int, rho, comp: Composition) -> AplusBReport:
+    """Check sum_j B(a_j) + B(b_j) >= floor((n-1)/2) + n rho + Phi(C) - 1e-3.
+
+    a is the canonical shift with relative spacing delta = 2 eps'/n^2 at
+    eps' = 1e-4; each b
+    entry carries a region-dependent offset of +-delta/2 and the worst of the
+    two signs is charged.  An entry where B lands in its undefined band
+    around an integer lands there structurally (the offset cancels the
+    spacing exactly, at every eps'); it is charged the universal floor
+    B(x) >= x and listed in the report.
+    """
+    rho_f = require_half_integer(rho)
+    if comp.n != n:
+        raise ValueError(f"composition {comp.parts} is not a composition of {n}")
+    if comp.r < 2:
+        raise ValueError("single-block compositions carry no modulus sum")
+    tolerance = 1e-3
     delta = 2.0 * _APLUSB_EPS_PRIME / n**2
     a_ext = [0.0] * (n + 1)
     for k in range(1, n):
@@ -447,40 +463,19 @@ def _aplusb_pass(n, rho_f, comp):
             lhs += v
             b_worst.append(x)
     assert len(b_worst) == n - 1
-    return lhs, tuple(a_ext[1:n]), tuple(b_worst), tuple(floored)
-
-
-def verify_aplusb(n: int, rho, comp: Composition) -> AplusBReport:
-    """Check sum_j B(a_j) + B(b_j) >= floor((n-1)/2) + n rho + Phi(C) - 1e-3.
-
-    a is the canonical shift with relative spacing delta = 2 eps'/n^2 at
-    eps' = 1e-4; each b
-    entry carries a region-dependent offset of +-delta/2 and the worst of the
-    two signs is charged.  An entry where B lands in its undefined band
-    around an integer lands there structurally (the offset cancels the
-    spacing exactly, at every eps'); it is charged the universal floor
-    B(x) >= x and listed in the report.
-    """
-    rho_f = require_half_integer(rho)
-    if comp.n != n:
-        raise ValueError(f"composition {comp.parts} is not a composition of {n}")
-    if comp.r < 2:
-        raise ValueError("single-block compositions carry no modulus sum")
-    tolerance = 1e-3
-    lhs, a, b_worst, floored = _aplusb_pass(n, rho_f, comp)
     target = (n - 1) // 2 + n * float(rho_f) + float(phi(comp))
     return AplusBReport(
         n=n,
         rho=rho_f,
         composition=comp,
         eps_prime=_APLUSB_EPS_PRIME,
-        a=a,
-        b_worst=b_worst,
+        a=tuple(a_ext[1:n]),
+        b_worst=tuple(b_worst),
         lhs=lhs,
         target=target,
         tolerance=tolerance,
         passed=lhs >= target - tolerance,
-        floored_entries=floored,
+        floored_entries=tuple(floored),
     )
 
 
@@ -691,10 +686,11 @@ def ingest_maass_csv(path) -> list[MaassFormRecord]:
 
     The header fixes which eigenvalues each row carries: consecutive indices
     starting at 2 (an explicit leading lambda_1 column is tolerated but its
-    entries must equal 1).  Malformed rows raise :class:`CsvFormatError`
-    naming the 1-based line; multiplicativity violations among the stored
-    eigenvalues are issued as :class:`HeckeConsistencyWarning`, one per
-    violation, and do not block the ingest.  Leading lines that start with
+    entries must equal 1).  Malformed rows, a NaN or infinite field among
+    them, raise :class:`CsvFormatError` naming the 1-based line;
+    multiplicativity violations among the stored eigenvalues are issued as
+    :class:`HeckeConsistencyWarning`, one per violation, and do not block
+    the ingest.  Leading lines that start with
     ``#`` (such as a ``# source:`` note) are skipped.  An empty file yields
     an empty list.
     """
@@ -732,6 +728,8 @@ def ingest_maass_csv(path) -> list[MaassFormRecord]:
                 vals.append(float(t))
             except ValueError:
                 raise CsvFormatError(f"line {lineno}: not a number: {t!r}") from None
+            if not math.isfinite(vals[-1]):
+                raise CsvFormatError(f"line {lineno}: not finite: {t!r}")
         if len(vals) != len(names):
             raise CsvFormatError(
                 f"line {lineno}: expected {len(names)} fields, got {len(vals)}"

@@ -399,14 +399,42 @@ class TestModuleSubcommands:
             ["testfn", "--p-y", "nan"],
             ["testfn", "--p-y", "inf"],
             ["trace", "--tail", "nan", "0.01", "100"],
+            ["geometry", "--conj-y", "2,2", "nan,0.5,2.0"],
+            ["geometry", "--conj-y", "2,2", "inf,0.5,2.0"],
         ],
-        ids=["bound-B-inf", "T-nan", "p-y-nan", "p-y-inf", "tail-nan"],
+        ids=["bound-B-inf", "T-nan", "p-y-nan", "p-y-inf", "tail-nan", "conj-y-nan", "conj-y-inf"],
     )
     def test_non_finite_input_exits_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "finite" in err
+
+    @pytest.mark.parametrize(
+        "argv, files",
+        [
+            (["special", "--fr", "3", "1", "{a}"], {"a": "[NaN, 0.5, -0.5]"}),
+            (["testfn", "--h", "--alpha", "{a}"], {"a": "[NaN, 0.5, -0.5]"}),
+            (["testfn", "--p-sharp", "--alpha", "{a}"], {"a": "[[0.0, Infinity], 0.5, -0.5]"}),
+            (["whittaker", "--mellin", "2", "{a}", "{s}"], {"a": "[0.5, -0.5]", "s": "[NaN]"}),
+            (["geometry", "--xi", "1,1,1,1", "{u}"], {"u": "[[1, NaN, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"}),
+            (["geometry", "--xi", "1,1,1,1", "{u}"], {"u": "[[1, 0, 0, Infinity], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"}),
+            (["trace", "--cuspidal", "{c}", "10", "1", "2", "3"], {"c": "r,lambda_2,adjoint_L\n5.0,0.5,1.0\nnan,0.5,1.0\n"}),
+            (["trace", "--cuspidal", "{c}", "10", "1", "2", "3"], {"c": "r,lambda_2,adjoint_L\n5.0,0.5,1.0\n6.0,inf,1.0\n"}),
+        ],
+        ids=["fr-alpha", "h-alpha", "p-sharp-alpha", "mellin-s", "xi-nan", "xi-inf", "csv-nan", "csv-inf"],
+    )
+    def test_non_finite_file_input_exits_2(self, capsys, tmp_path, argv, files):
+        paths = {}
+        for key, text in files.items():
+            paths[key] = tmp_path / key
+            paths[key].write_text(text)
+        code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "finite" in err
+        if "c" in files:
+            assert "line 3" in err
 
     def test_testfn_point_values(self, capsys):
         code, out, _ = run_cli(capsys, "testfn", "--p-sharp", "--h", "--T", "4", "--R", "1")

@@ -47,6 +47,9 @@ def test_toric_matrix_shape():
     assert np.allclose(np.diag(t), [30.0, 6.0, 2.0, 1.0])
     with pytest.raises(ValueError):
         toric_matrix([1.0, -1.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            toric_matrix([1.0, bad])
 
 
 def test_iwasawa_identity_and_diagonal():
@@ -74,10 +77,27 @@ def test_iwasawa_round_trip():
             assert c > 0
 
 
+def test_iwasawa_k_stays_orthogonal_when_g_is_ill_conditioned():
+    # Householder QR keeps k orthogonal to rounding whatever the conditioning
+    rng = np.random.default_rng(107)
+    for n in range(3, 7):
+        u, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        v, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        g = u @ np.diag(np.logspace(0, -8, n)) @ v
+        p, k, c = iwasawa_decompose(g)
+        assert np.abs(k @ k.T - np.eye(n)).max() < 1e-13
+        assert np.linalg.norm(p.matrix() @ k * c - g) <= 1e-13 * np.linalg.norm(g)
+
+
 def test_iwasawa_singular():
     g = np.ones((3, 3))
     with pytest.raises(DecompositionError):
         iwasawa_decompose(g)
+    for bad in (np.nan, np.inf):
+        g = np.eye(3)
+        g[0, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            iwasawa_decompose(g)
 
 
 def test_power_function_examples():

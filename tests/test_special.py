@@ -185,6 +185,9 @@ def test_validate_langlands():
         validate_langlands([1e6j, -1e6j + 2e-4], require_tempered=False)
     with pytest.raises(ValueError):
         validate_langlands([2e-10 + 1j, -2e-10 - 1j], require_tempered=True)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            validate_langlands([complex(0, bad), 0.5j, -0.5j])
 
 
 def test_partition_parameter_worked_example():
@@ -225,6 +228,15 @@ def test_gamma_product_split_matches_general():
     assert gamma_product_split_residual(alpha, 2, 2) < 1e-9
     res_general = gamma_product_decomposition_residual(alpha, Composition((2, 3)), 2)
     assert res_general < 1e-9
+
+
+def test_gamma_products_stay_in_log_space_at_large_height():
+    # |Gamma_R(1000i)| overflows float64; only its log modulus is finite
+    alpha = [500j, 0j, -500j]
+    ring = gamma_product_decomposition_residual(alpha, Composition((1, 2)), 1)
+    split = gamma_product_split_residual(alpha, 1, 1)
+    assert math.isfinite(ring) and ring <= 1e-9
+    assert math.isfinite(split) and split <= 1e-9
 
 
 def test_gamma_product_degenerate_input():

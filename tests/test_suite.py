@@ -98,6 +98,11 @@ class TestDriver:
         assert all(r.passed for r in reports)
         assert suite_exit_code(reports) == 0
 
+    def test_every_widening_claim_meets_its_own_floor(self):
+        # identity_tol below every floor leaves each claim at its registered bound
+        reports = run_suite("all", RunConfig(seed=7, identity_tol=1e-300))
+        assert [r.name for r in reports if not r.passed] == []
+
     def test_parallel_equals_serial(self):
         serial = run_suite("combinatorics", RunConfig(seed=2))
         parallel = run_suite("combinatorics", RunConfig(seed=2, jobs=4))
