@@ -49,8 +49,7 @@ def enumerate_compositions(n: int, min_length: int = 1) -> list[Composition]:
         for p in range(1, remaining + 1):
             rec(remaining - p, prefix + (p,))
 
-    rec(n, ())
-    out.sort(key=lambda c: c.parts)
+    rec(n, ())  # parts ascend at every depth, so the output is lexicographic
     return out
 
 
@@ -120,27 +119,18 @@ def kappa(comp: Composition) -> int:
 def kappa_orbit(comp: Composition) -> int:
     """Brute-force size of the S_n orbit of the interior partial-sum tuple.
 
-    Generic parameters are modeled by alpha_i = 2^i, whose subset sums are
-    injective, so two permutations give the same tuple of partial sums iff
-    they give the same flag of initial sets.  Feasible for n <= 8.
+    For generic parameters (injective subset sums) two orderings of the
+    parameters give the same tuple of partial sums iff they put the same
+    indices in each block, so the orbit is that of the block labelling: the
+    distinct rearrangements of the word with n_i copies of label i, which
+    number n! / (n_1! ... n_r!).  Counted by enumeration; feasible for n <= 8.
     """
     if comp.r < 2:
         raise ValueError("kappa_orbit needs r >= 2")
-    n = comp.n
-    if n > 8:
+    if comp.n > 8:
         raise ValueError("orbit enumeration is exponential; use n <= 8")
-    generic = [2**i for i in range(n)]
-    cuts = comp.partial_sums[:-1]
-    seen = set()
-    for perm in itertools.permutations(range(n)):
-        acc = 0
-        sums = []
-        for i, idx in enumerate(perm, start=1):
-            acc += generic[idx]
-            if i in cuts:
-                sums.append(acc)
-        seen.add(tuple(sums))
-    return len(seen)
+    labels = [i for i, p in enumerate(comp.parts) for _ in range(p)]
+    return len(set(itertools.permutations(labels)))
 
 
 def verify_partition_identities(n_max: int) -> dict:

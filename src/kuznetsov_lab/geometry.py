@@ -39,8 +39,8 @@ class IwasawaPoint:
             raise ValueError("inconsistent dimensions")
         if np.any(np.tril(x, 0) != 0):
             raise ValueError("x must be strictly upper triangular")
-        if np.any(y <= 0):
-            raise ValueError("y entries must be positive")
+        if not np.all(np.isfinite(y)) or np.any(y <= 0):
+            raise ValueError("y entries must be positive and finite")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
@@ -243,8 +243,8 @@ def modular_delta_diag(d: Sequence[float]) -> float:
     """The modular character with d(t^-1 u t) = delta(t) du on the upper
     unipotent coordinates: prod_{i<j} d_j/d_i.  Scale-invariant."""
     d = np.asarray(d, dtype=float)
-    if np.any(d <= 0):
-        raise ValueError("diagonal entries must be positive")
+    if not np.all(np.isfinite(d)) or np.any(d <= 0):
+        raise ValueError("diagonal entries must be positive and finite")
     n = len(d)
     out = 1.0
     for i in range(n):

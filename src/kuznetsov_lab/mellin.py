@@ -221,6 +221,8 @@ def shift_identity_check(
     exact, so a looser tol widens the floating-point floor but never
     tightens it.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = rng or np.random.default_rng(0)
     budget = delta * math.comb(n, m)
     worst = 0.0

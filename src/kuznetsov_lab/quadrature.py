@@ -56,6 +56,8 @@ def _grid_integral(f, x0: tuple[float, ...], tol: float, half: float) -> complex
     than tol/10 in absolute value.  The grid is evaluated in blocks of rows
     of the first axis, each holding at most _BLOCK_VALUES integrand values.
     """
+    if not 0.0 < half < np.inf:  # also rejects NaN
+        raise ValueError(f"initial half-length must be positive and finite, got {half}")
     d = len(x0)
     while True:
         t, w = line_nodes(half)

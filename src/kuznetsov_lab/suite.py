@@ -512,7 +512,7 @@ CHECKS: dict[str, list[Claim]] = {
     ],
     "trace": [
         Claim("kloosterman-exact", "trace.kloosterman_gl2", _check_kloosterman, 1e-10, widens=True),
-        Claim("modulus-tail", "trace.tail_from_rho", _check_modulus_tail, 0.9, widens=False),
+        Claim("modulus-tail", "trace.tail_from_rho", _check_modulus_tail, trace.TAIL_RATIO_BOUND, widens=False),
         Claim("exponent-ledger", "trace.iwbounds_exponent", _check_exponent_ledger, 0.0, widens=False),
         Claim("orthogonality-fixture", "trace.cuspidal_sum", _check_orthogonality, 3.0 / math.sqrt(50.0), widens=False),
     ],

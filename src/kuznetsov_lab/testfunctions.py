@@ -463,6 +463,8 @@ def fit_scaling(T_values, log_values, predicted: float) -> ScalingFit:
         raise ValueError("need at least 4 scales for a stable slope")
     if len(T_values) != len(log_values):
         raise ValueError("length mismatch")
+    if not all(0.0 < t < math.inf for t in T_values) or not all(map(math.isfinite, log_values)):
+        raise ValueError("scales must be positive and finite, log values finite")
     slope, intercept = np.polyfit(np.log(T_values), log_values, 1)
     return ScalingFit(
         T_values=tuple(T_values),

@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .combinatorics import Composition, enumerate_compositions, phi, require_half_integer
-from .geometry import WeylElement
+from .geometry import WeylElement, half_weight_exponents, weyl_norm_exponents
 from .special import bound_B
 from .testfunctions import TestFunctionParams, h_value
 
@@ -247,6 +247,10 @@ class KloostermanQuery:
 # ---------------------------------------------------------------------------
 # Convergence of the modulus sum
 
+# the last three dyadic block ratios must stay below this for geometric
+# convergence; the suite's modulus-tail claim reads it as its pass bound
+TAIL_RATIO_BOUND = 0.9
+
 
 def modulus_exponents(a: Sequence[float]) -> list[float]:
     """Exponent of c_k in the weighted modulus sum: 1 - 2a_{k-1} + 4a_k
@@ -277,7 +281,7 @@ def kloosterman_tail(a, c_max: int) -> TailReport:
 
     ``a`` is the rank-one shift vector (scalar or length-1 sequence); the
     exponent is the single-modulus case of :func:`modulus_exponents`.
-    The last three block ratios all below 0.9 certify geometric decay;
+    The last three block ratios all below TAIL_RATIO_BOUND certify geometric decay;
     a trailing run of ratios at or above 1 reports divergence (a shift too
     small to damp the Weil-size summands) - that configuration is reported,
     not raised.  The trivial-bound comparison series sum_c c * c^(-exponent)
@@ -307,8 +311,8 @@ def kloosterman_tail(a, c_max: int) -> TailReport:
     ratios = tuple(
         blocks[i + 1] / blocks[i] for i in range(len(blocks) - 1) if blocks[i] > 0
     )
-    tail3 = ratios[-3:] if len(ratios) >= 3 else ratios
-    converged = bool(ratios) and max(tail3) < 0.9
+    tail3 = ratios[-3:]
+    converged = bool(ratios) and max(tail3) < TAIL_RATIO_BOUND
     divergent = bool(tail3) and min(tail3) >= 1.0
 
     s_triv = exponent - 1.0
@@ -418,13 +422,15 @@ _APLUSB_EPS_PRIME = 1e-4
 def verify_aplusb(n: int, rho, comp: Composition) -> AplusBReport:
     """Check sum_j B(a_j) + B(b_j) >= floor((n-1)/2) + n rho + Phi(C) - 1e-3.
 
-    a is the canonical shift with relative spacing delta = 2 eps'/n^2 at
-    eps' = 1e-4; each b
-    entry carries a region-dependent offset of +-delta/2 and the worst of the
-    two signs is charged.  An entry where B lands in its undefined band
-    around an integer lands there structurally (the offset cancels the
-    spacing exactly, at every eps'); it is charged the universal floor
-    B(x) >= x and listed in the report.
+    a is the canonical shift rho + (1 + delta) h over the half-weight
+    exponents h_k = k(n-k)/2, with relative spacing delta = 2 eps'/n^2 at
+    eps' = 1e-4.  b is the negated norm exponent of w_C at a
+    (geometry.weyl_norm_exponents), one entry per y-index; each entry
+    carries a region-dependent offset of +-delta/2 and the worst of the two
+    signs is charged.  An entry where B lands in its undefined band around
+    an integer lands there structurally (the offset cancels the spacing
+    exactly, at every eps'); it is charged the universal floor B(x) >= x
+    and listed in the report with its index k (of a_k, or of y_k for b).
     """
     rho_f = require_half_integer(rho)
     if comp.n != n:
@@ -433,10 +439,7 @@ def verify_aplusb(n: int, rho, comp: Composition) -> AplusBReport:
         raise ValueError("single-block compositions carry no modulus sum")
     tolerance = 1e-3
     delta = 2.0 * _APLUSB_EPS_PRIME / n**2
-    a_ext = [0.0] * (n + 1)
-    for k in range(1, n):
-        a_ext[k] = float(rho_f) + 0.5 * k * (n - k) * (1.0 + delta)
-    nhat = (0,) + comp.partial_sums
+    a = [float(rho_f) + (1.0 + delta) * float(h) for h in half_weight_exponents(n)]
 
     floored: list[tuple[int, float]] = []
 
@@ -450,26 +453,20 @@ def verify_aplusb(n: int, rho, comp: Composition) -> AplusBReport:
             floored.append((idx, x))
             return max(x, 0.0)
 
-    lhs = sum(budget(a_ext[k], k) for k in range(1, n))
+    lhs = sum(budget(x, k) for k, x in enumerate(a, start=1))
+    b = -weyl_norm_exponents(WeylElement(comp), a)
     b_worst = []
-    for i in range(1, comp.r + 1):
-        for j in range(1, comp.parts[i - 1] + 1):
-            idx = n - nhat[i] + j
-            if idx == n:  # phantom entry: a_0 - a_{n_1} + a_{n_1} = 0
-                continue
-            base = a_ext[nhat[i - 1]] - a_ext[nhat[i - 1] + j] + a_ext[nhat[i]]
-            vals = [(budget(base + s * delta / 2.0, idx), base + s * delta / 2.0) for s in (+1, -1)]
-            v, x = min(vals)
-            lhs += v
-            b_worst.append(x)
-    assert len(b_worst) == n - 1
+    for k, base in enumerate(b.tolist(), start=1):
+        v, x = min((budget(x, k), x) for x in (base + delta / 2.0, base - delta / 2.0))
+        lhs += v
+        b_worst.append(x)
     target = (n - 1) // 2 + n * float(rho_f) + float(phi(comp))
     return AplusBReport(
         n=n,
         rho=rho_f,
         composition=comp,
         eps_prime=_APLUSB_EPS_PRIME,
-        a=tuple(a_ext[1:n]),
+        a=tuple(a),
         b_worst=tuple(b_worst),
         lhs=lhs,
         target=target,

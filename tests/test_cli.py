@@ -531,6 +531,16 @@ class TestScalingCsv:
         refit = read_scaling_csv(str(out_csv))
         assert refit.slope == pytest.approx(fit_json["slope"], abs=1e-12)
 
+    def test_nonpositive_scale_is_value_error(self, capfd, tmp_path):
+        # log T = -inf would reach the least-squares solve, which fails
+        # inside LAPACK; the fit refuses the row first
+        path = tmp_path / "bad.csv"
+        path.write_text("T,value,log_value\n0,1.0,0.0\n8,8.0,2.08\n16,16.0,2.77\n32,32.0,3.47\n")
+        (tmp_path / "bad.json").write_text(json.dumps({"predicted": 1.0}))
+        with pytest.raises(ValueError, match="positive and finite"):
+            read_scaling_csv(str(path))
+        assert "DLASCL" not in capfd.readouterr().err
+
     def test_main_term_scaling_summary(self, capsys):
         code, out, _ = run_cli(capsys, "testfn", "--main-term-scaling", "2", "1")
         fit = json.loads(out)["main_term_scaling"]

@@ -49,12 +49,13 @@ def test_enumerate_small_cases():
 
 
 def test_enumerate_lex_order_and_counts():
-    for n in range(1, 9):
-        comps = enumerate_compositions(n, 1)
-        assert len(comps) == 2 ** (n - 1)
-        parts = [c.parts for c in comps]
-        assert parts == sorted(parts)
-        assert len(set(parts)) == len(parts)
+    for n in range(1, 13):
+        for min_length in (1, 2):
+            comps = enumerate_compositions(n, min_length)
+            assert len(comps) == 2 ** (n - 1) - (min_length - 1)
+            parts = [c.parts for c in comps]
+            assert parts == sorted(parts)
+            assert len(set(parts)) == len(parts)
 
 
 def test_enumerate_domain_error():

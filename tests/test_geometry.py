@@ -13,6 +13,7 @@ from kuznetsov_lab.geometry import (
     half_weight_exponents,
     iwasawa_decompose,
     modular_delta,
+    modular_delta_diag,
     power_function,
     psi_M,
     psi_M_twisted,
@@ -215,6 +216,18 @@ def test_modular_delta_examples():
             lhs = modular_delta(y) ** -0.5
             rhs = y_norm(y, a)
             assert abs(lhs - rhs) < 1e-12 * abs(lhs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_iwasawa_point_rejects_nonfinite_y(bad):
+    with pytest.raises(ValueError, match="finite"):
+        IwasawaPoint(x=np.zeros((2, 2)), y=[bad])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_modular_delta_diag_rejects_nonfinite_entries(bad):
+    with pytest.raises(ValueError, match="finite"):
+        modular_delta_diag([1.0, bad])
 
 
 def test_delta_w_identity():

@@ -186,6 +186,11 @@ class TestShiftIdentities:
         assert r3["degree_budget"] == 3
         assert r3["poly_degree"] + 2 * r3["shift_weight"] == 3
 
+    def test_needs_a_sample(self):
+        # with no sample drawn the residual bound would hold vacuously
+        with pytest.raises(ValueError, match="samples"):
+            shift_identity_check(2, 1, 1, samples=0)
+
     def test_pochhammer(self):
         assert pochhammer(2.0, 3) == pytest.approx(24.0)
         assert pochhammer(0.5, 0) == 1.0

@@ -59,3 +59,39 @@ class TestAccuracyCap:
 
         with pytest.raises(AccuracyError, match=r"half-length 120\.0$"):
             vertical_plane_integral(f, (0.0, 0.0), 1e-8)
+
+
+BAD_HALF_LENGTHS = pytest.mark.parametrize(
+    "half", [0.0, -5.0, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"]
+)
+
+
+class TestInitialHalfLength:
+    # doubling never moves 0, drives -5 toward -inf, and inf or NaN lays out
+    # no panels; each is refused before the integrand runs, which would raise
+    # on its third call instead of letting a bad window loop on
+
+    @staticmethod
+    def _third_call_fails():
+        def f(*z):
+            f.calls += 1
+            if f.calls == 3:
+                raise RuntimeError("window did not settle")
+            return np.exp(sum(zk**2 for zk in z))
+
+        f.calls = 0
+        return f
+
+    @BAD_HALF_LENGTHS
+    def test_line(self, half):
+        f = self._third_call_fails()
+        with pytest.raises(ValueError, match="half-length"):
+            vertical_line_integral(f, 0.0, 1e-8, initial_half_length=half)
+        assert f.calls == 0
+
+    @BAD_HALF_LENGTHS
+    def test_plane(self, half):
+        f = self._third_call_fails()
+        with pytest.raises(ValueError, match="half-length"):
+            vertical_plane_integral(f, (0.0, 0.0), 1e-8, initial_half_length=half)
+        assert f.calls == 0

@@ -148,6 +148,10 @@ class TestRegistry:
         assert claims["shift-identities"].bound is mellin.SHIFT_TOL
         assert claims["residue-contour"].bound is mellin.RESIDUE_TOL
 
+    def test_tail_bound_is_read_not_copied(self):
+        claims = {c.name: c for group in suite.CHECKS.values() for c in group}
+        assert claims["modulus-tail"].bound is trace.TAIL_RATIO_BOUND
+
     def test_readme_catalog_matches_registry(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         start = readme.index("| check | anchor | bound | verifies |")
@@ -183,7 +187,7 @@ class TestExitCodes:
             trivial_zeta=2.0, block_ratios=(),
         )
         monkeypatch.setattr(trace, "tail_from_rho", lambda *args: empty)
-        claim = suite.Claim("modulus-tail", "trace.tail_from_rho", suite._check_modulus_tail, 0.9, widens=False)
+        claim = suite.Claim("modulus-tail", "trace.tail_from_rho", suite._check_modulus_tail, trace.TAIL_RATIO_BOUND, widens=False)
         rep = suite._run_one(claim, RunConfig())
         assert rep.error is None and rep.max_error == 1.0
         assert suite_exit_code([rep]) == 1

@@ -453,6 +453,20 @@ class TestFitMachinery:
         with pytest.raises(ValueError):
             fit_scaling([8, 16, 32, 64], [1.0, 2.0], 1.0)
 
+    @pytest.mark.parametrize(
+        "Ts, logs",
+        [
+            ([8.0, 16.0, 32.0, -64.0], [1.0, 2.0, 3.0, 4.0]),
+            ([8.0, 16.0, 32.0, math.inf], [1.0, 2.0, 3.0, 4.0]),
+            ([8.0, 16.0, 32.0, math.nan], [1.0, 2.0, 3.0, 4.0]),
+            ([8.0, 16.0, 32.0, 64.0], [1.0, 2.0, 3.0, -math.inf]),
+        ],
+        ids=["negative-T", "inf-T", "nan-T", "inf-log"],
+    )
+    def test_rejects_nonfinite_or_nonpositive_input(self, Ts, logs):
+        with pytest.raises(ValueError, match="positive and finite"):
+            fit_scaling(Ts, logs, 1.0)
+
     def test_exact_power_law(self):
         Ts = [8.0, 16.0, 32.0, 64.0]
         logs = [2.5 * math.log(T) + 1.0 for T in Ts]

@@ -5,6 +5,7 @@ sums against a brute-force oracle, the cuspidal quotient, and CSV ingest."""
 import math
 import warnings
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from kuznetsov_lab import trace
 from kuznetsov_lab.combinatorics import Composition, enumerate_compositions
 from kuznetsov_lab.geometry import WeylElement
+from kuznetsov_lab.special import bound_B
 from kuznetsov_lab.testfunctions import TestFunctionParams
 from kuznetsov_lab.trace import (
     CsvFormatError,
@@ -296,6 +298,37 @@ class TestAplusB:
         reps = verify_aplusb_all(6, 1.5)
         floored = {r.composition.parts for r in reps if r.floored_entries}
         assert floored == {(1, 4, 1)}
+
+    @pytest.mark.parametrize("rho", [Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)])
+    def test_ledger_matches_block_enumeration(self, rho):
+        # the block exponents enumerated by (i, j) directly:
+        # b_{i,j} = a_{nhat_{i-1}} - a_{nhat_{i-1}+j} + a_{nhat_i} with
+        # a_0 = a_n = 0, skipping the phantom entry at y-index n, each charged
+        # at the worse of its two region offsets
+        def charge(x):
+            try:
+                return bound_B(x)
+            except ValueError:
+                return max(x, 0.0)
+
+        for n in range(2, 8):
+            for comp in enumerate_compositions(n, min_length=2):
+                rep = verify_aplusb(n, rho, comp)
+                delta = 2.0 * rep.eps_prime / n**2
+                a = [float(rho) + 0.5 * k * (n - k) * (1.0 + delta) for k in range(1, n)]
+                a_ext = [0.0, *a, 0.0]
+                nhat = (0,) + comp.partial_sums
+                worst = []
+                for i in range(1, comp.r + 1):
+                    for j in range(1, comp.parts[i - 1] + 1):
+                        if n - nhat[i] + j == n:
+                            continue
+                        base = a_ext[nhat[i - 1]] - a_ext[nhat[i - 1] + j] + a_ext[nhat[i]]
+                        worst.append(min((charge(x), x) for x in (base + delta / 2, base - delta / 2)))
+                assert rep.a == tuple(a), (n, comp.parts)
+                assert sorted(rep.b_worst) == sorted(x for _, x in worst), (n, comp.parts)
+                lhs = sum(map(charge, a)) + sum(v for v, _ in worst)
+                assert rep.lhs == pytest.approx(lhs, rel=0.0, abs=1e-12), (n, comp.parts)
 
     def test_validation(self):
         with pytest.raises(ValueError):
