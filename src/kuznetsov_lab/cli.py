@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import json
 import math
 import sys
@@ -29,6 +30,10 @@ from .suite import SELECTORS, run_suite, suite_exit_code
 
 
 def _jsonable(value):
+    if isinstance(value, comb.Composition):
+        return list(value.parts)
+    if dataclasses.is_dataclass(value):
+        return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, complex):
@@ -200,14 +205,11 @@ def _cmd_geometry(args) -> tuple[str, int]:
     if args.xi is not None:
         w = geometry.WeylElement(_comp_from_spec(args.xi[0]))
         u = np.asarray(_read_json(args.xi[1]), dtype=float)
-        out["xi"] = {"w": list(w.composition.parts), "values": geometry.xi_values(w, u)}
+        out["xi"] = {"w": w.composition, "values": geometry.xi_values(w, u)}
     if args.conj_y is not None:
         w = geometry.WeylElement(_comp_from_spec(args.conj_y[0]))
         y = [float(v) for v in args.conj_y[1].split(",")]
-        out["conj_y"] = {
-            "w": list(w.composition.parts),
-            "values": geometry.weyl_conjugate_y(w, y),
-        }
+        out["conj_y"] = {"w": w.composition, "values": geometry.weyl_conjugate_y(w, y)}
     if not out:
         raise ValueError("choose at least one of --xi, --conj-y")
     return _emit(out), 0
@@ -290,15 +292,7 @@ def _cmd_testfn(args) -> tuple[str, int]:
 
 
 def _fit_summary(fit) -> dict:
-    return {
-        "T_values": list(fit.T_values),
-        "log_values": list(fit.log_values),
-        "slope": fit.slope,
-        "local_slopes": list(fit.local_slopes),
-        "intercept": fit.intercept,
-        "predicted": fit.predicted,
-        "residual": fit.residual,
-    }
+    return {**_jsonable(fit), "local_slopes": fit.local_slopes, "residual": fit.residual}
 
 
 def _cmd_trace(args, cfg) -> tuple[str, int]:
@@ -321,30 +315,10 @@ def _cmd_trace(args, cfg) -> tuple[str, int]:
         out["kloosterman_sweep"] = {"c_max": args.kloosterman_sweep, "values": [v.real for v in values]}
     if args.tail is not None:
         rho, eps, cmax = float(args.tail[0]), float(args.tail[1]), int(args.tail[2])
-        rep = trace.tail_from_rho(rho, eps, cmax)
-        out["tail"] = {
-            "a": list(rep.a),
-            "exponent": rep.exponent,
-            "c_max": rep.c_max,
-            "partial_sum": rep.partial_sum,
-            "block_ratios": list(rep.block_ratios),
-            "converged_geometric": rep.converged_geometric,
-            "divergent": rep.divergent,
-            "trivial_zeta": rep.trivial_zeta,
-            "trivial_tail_bound": rep.trivial_tail_bound,
-        }
+        out["tail"] = trace.tail_from_rho(rho, eps, cmax)
     if args.exponents is not None:
         n, rho = int(args.exponents[0]), Fraction(args.exponents[1])
-        rep = trace.iwbounds_exponent(n, rho, comb.Composition((1,) * n))
-        out["exponents"] = {
-            "n": rep.n,
-            "rho": rep.rho,
-            "composition": list(rep.composition.parts),
-            "phi": rep.phi,
-            "slack": rep.slack,
-            "lm_exponent": rep.lm_exponent,
-            "rho_threshold": rep.rho_threshold,
-        }
+        out["exponents"] = trace.iwbounds_exponent(n, rho, comb.Composition((1,) * n))
     if args.cuspidal is not None:
         path = args.cuspidal[0]
         T, R = float(args.cuspidal[1]), int(args.cuspidal[2])
@@ -352,14 +326,7 @@ def _cmd_trace(args, cfg) -> tuple[str, int]:
         forms = trace.ingest_maass_csv(path)
         params = testfunctions.TestFunctionParams(T=T, R=R)
         rep = trace.cuspidal_sum(forms, params, l, m)
-        out["cuspidal"] = {
-            "forms": len(forms),
-            "l": l,
-            "m": m,
-            "diagonal": rep.diagonal,
-            "off_diagonal": rep.off_diagonal,
-            "ratio": rep.ratio,
-        }
+        out["cuspidal"] = {"forms": len(forms), "l": l, "m": m, **_jsonable(rep)}
     if not out:
         raise ValueError(
             "choose at least one of --kloosterman, --kloosterman-sweep, --tail, "

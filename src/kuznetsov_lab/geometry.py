@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -265,11 +264,6 @@ def y_norm(y: Sequence[float], a: Sequence[float]) -> float:
     if len(a) != len(y):
         raise ValueError("length mismatch")
     return float(np.prod(y**a))
-
-
-def half_weight_exponents(n: int) -> list[Fraction]:
-    """a_j = j(n-j)/2, the exponents with delta^(-1/2)(y) = ||y||^a."""
-    return [Fraction(j * (n - j), 2) for j in range(1, n)]
 
 
 def delta_w(w: WeylElement, y: Sequence[float]) -> float:

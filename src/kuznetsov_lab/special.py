@@ -77,16 +77,11 @@ def gamma_R_pair_log(t: float, R: int) -> float:
 
     Grows like (R + 1/2) log|2t| for large |t|; finite for all t != 0.
     """
+    if R < 1 or R != int(R):
+        raise ValueError(f"R must be a positive integer, got {R}")
     if t == 0:
         return -math.inf  # Gamma_R(0) = 0
-    z = 2j * t
-    val = (
-        log_gamma((0.5 + R + z) / 2).real
-        + log_gamma((0.5 + R - z) / 2).real
-        - log_gamma(z).real
-        - log_gamma(-z).real
-    )
-    return val - math.pi * abs(t)
+    return _log_mod_gamma_R(2j * t, R) + _log_mod_gamma_R(-2j * t, R) - math.pi * abs(t)
 
 
 def subset_pairs(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -358,7 +358,7 @@ def _check_cauchy_decomposition(cfg):
     out = testfunctions.residue_decomposition_check(
         testfunctions.TestFunctionParams(T=4.0, R=1), a=0.75
     )
-    worst = max(out["max_rel_residual"], abs(out["kappa_fit"] - 2.0))
+    worst = max(out["max_rel_residual"], abs(out["kappa_fit"] - out["expected_kappa"]))
     return worst
 
 

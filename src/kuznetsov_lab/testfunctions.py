@@ -456,7 +456,7 @@ class ScalingFit:
 
 
 def fit_scaling(T_values, log_values, predicted: float) -> ScalingFit:
-    """Fit a power law from >= 4 log-spaced scales."""
+    """Fit a power law from >= 4 distinct, log-spaced scales."""
     T_values = [float(v) for v in T_values]
     log_values = [float(v) for v in log_values]
     if len(T_values) < 4:
@@ -465,6 +465,8 @@ def fit_scaling(T_values, log_values, predicted: float) -> ScalingFit:
         raise ValueError("length mismatch")
     if not all(0.0 < t < math.inf for t in T_values) or not all(map(math.isfinite, log_values)):
         raise ValueError("scales must be positive and finite, log values finite")
+    if len(set(T_values)) < len(T_values):
+        raise ValueError(f"scales must be distinct, got {T_values}")
     slope, intercept = np.polyfit(np.log(T_values), log_values, 1)
     return ScalingFit(
         T_values=tuple(T_values),

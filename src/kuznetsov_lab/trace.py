@@ -27,8 +27,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .combinatorics import Composition, enumerate_compositions, phi, require_half_integer
-from .geometry import WeylElement, half_weight_exponents, weyl_norm_exponents
+from .combinatorics import (
+    Composition,
+    enumerate_compositions,
+    exponent_vector_a,
+    phi,
+    require_half_integer,
+)
+from .geometry import WeylElement, weyl_norm_exponents
 from .special import bound_B
 from .testfunctions import TestFunctionParams, h_value
 
@@ -210,7 +216,7 @@ class KloostermanQuery:
     weyl: WeylElement | None = None
 
     def __post_init__(self) -> None:
-        if not self.moduli or any(int(c) < 1 for c in self.moduli):
+        if not self.moduli or any(c < 1 or c != int(c) for c in self.moduli):
             raise ValueError(f"moduli must be positive integers, got {self.moduli}")
         object.__setattr__(self, "moduli", tuple(int(c) for c in self.moduli))
         if self.weyl is not None and self.weyl.n != self.n:
@@ -423,14 +429,15 @@ def verify_aplusb(n: int, rho, comp: Composition) -> AplusBReport:
     """Check sum_j B(a_j) + B(b_j) >= floor((n-1)/2) + n rho + Phi(C) - 1e-3.
 
     a is the canonical shift rho + (1 + delta) h over the half-weight
-    exponents h_k = k(n-k)/2, with relative spacing delta = 2 eps'/n^2 at
-    eps' = 1e-4.  b is the negated norm exponent of w_C at a
-    (geometry.weyl_norm_exponents), one entry per y-index; each entry
-    carries a region-dependent offset of +-delta/2 and the worst of the two
-    signs is charged.  An entry where B lands in its undefined band around
-    an integer lands there structurally (the offset cancels the spacing
-    exactly, at every eps'); it is charged the universal floor B(x) >= x
-    and listed in the report with its index k (of a_k, or of y_k for b).
+    exponents h_k = k(n-k)/2 (``exponent_vector_a(n, 0)``), with relative
+    spacing delta = 2 eps'/n^2 at eps' = 1e-4.  b is the negated norm
+    exponent of w_C at a (geometry.weyl_norm_exponents), one entry per
+    y-index; each entry carries a region-dependent offset of +-delta/2 and
+    the worst of the two signs is charged.  An entry where B lands in its
+    undefined band around an integer lands there structurally (the offset
+    cancels the spacing exactly, at every eps'); it is charged the universal
+    floor B(x) >= x and listed in the report with its index k (of a_k, or of
+    y_k for b).
     """
     rho_f = require_half_integer(rho)
     if comp.n != n:
@@ -439,7 +446,7 @@ def verify_aplusb(n: int, rho, comp: Composition) -> AplusBReport:
         raise ValueError("single-block compositions carry no modulus sum")
     tolerance = 1e-3
     delta = 2.0 * _APLUSB_EPS_PRIME / n**2
-    a = [float(rho_f) + (1.0 + delta) * float(h) for h in half_weight_exponents(n)]
+    a = [float(rho_f) + (1.0 + delta) * float(h) for h in exponent_vector_a(n, 0)]
 
     floored: list[tuple[int, float]] = []
 
@@ -488,8 +495,12 @@ def verify_aplusb_all(n: int, rho) -> list[AplusBReport]:
 @dataclass(frozen=True)
 class MaassFormRecord:
     """One even rank-two spectral datum: parameter r (so alpha = (ir, -ir)),
-    a finite table of Hecke eigenvalues with lambda(1) = 1, and the value
-    L(1, Ad) used as the harmonic weight's denominator."""
+    a finite table of Hecke eigenvalues at positive integer indices, and the
+    value L(1, Ad) used as the harmonic weight's denominator.
+
+    lambda_1 is filled in as 1 when absent and must equal 1 when given, and
+    adjoint_L must be positive; a table or value that breaks one of these
+    rules raises ValueError, and so does a non-integral index."""
 
     r: float
     hecke: Mapping[int, float]
@@ -497,12 +508,13 @@ class MaassFormRecord:
     source: str = ""
 
     def __post_init__(self) -> None:
-        table = {int(k): float(v) for k, v in dict(self.hecke).items()}
-        if any(k < 1 for k in table):
-            raise ValueError("Hecke indices must be positive")
+        table = dict(self.hecke)
+        if any(k < 1 or k != int(k) for k in table):
+            raise ValueError(f"Hecke indices must be positive integers, got {list(table)}")
+        table = {int(k): float(v) for k, v in table.items()}
         if abs(table.setdefault(1, 1.0) - 1.0) > 1e-12:
             raise ValueError(
-                f"lambda(1) must equal 1, got {table[1]} (r={self.r}, source={self.source!r})"
+                f"lambda_1 must equal 1, got {table[1]} (r={self.r}, source={self.source!r})"
             )
         object.__setattr__(self, "hecke", table)
         if not self.adjoint_L > 0:
@@ -574,8 +586,8 @@ def hecke_divisor_sum(m: int, s: Sequence[complex], forms: Sequence) -> complex:
     unit-marked case is the Eisenstein divisor sum sum_{c1 c2 = m} c1^s1
     c2^s2.
     """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+    if m < 1 or m != int(m):
+        raise ValueError(f"m must be a positive integer, got {m}")
     if len(s) != len(forms):
         raise ValueError("one spectral slot per exponent")
     sizes = [1 if f is None else 2 for f in forms]
@@ -682,9 +694,11 @@ def ingest_maass_csv(path) -> list[MaassFormRecord]:
     """Read records from ``r,lambda_2,...,lambda_K,adjoint_L`` rows.
 
     The header fixes which eigenvalues each row carries: consecutive indices
-    starting at 2 (an explicit leading lambda_1 column is tolerated but its
-    entries must equal 1).  Malformed rows, a NaN or infinite field among
-    them, raise :class:`CsvFormatError` naming the 1-based line;
+    starting at 2, or at 1 with an explicit lambda_1 column.  The reader
+    keeps the CSV format rules (header, field count, finite numbers); each
+    row then becomes a :class:`MaassFormRecord`, whose own rules (lambda_1 =
+    1, adjoint_L > 0) reject a row.  Either kind of fault raises
+    :class:`CsvFormatError` naming the 1-based line;
     multiplicativity violations among the stored eigenvalues are issued as
     :class:`HeckeConsistencyWarning`, one per violation, and do not block
     the ingest.  Leading lines that start with
@@ -731,17 +745,9 @@ def ingest_maass_csv(path) -> list[MaassFormRecord]:
             raise CsvFormatError(
                 f"line {lineno}: expected {len(names)} fields, got {len(vals)}"
             )
-        hecke = {1: 1.0}
-        for k, v in zip(lam_indices, vals[1:-1]):
-            if k == 1 and abs(v - 1.0) > 1e-12:
-                raise CsvFormatError(f"line {lineno}: lambda_1 must equal 1, got {v}")
-            hecke[k] = v
-        if not vals[-1] > 0:
-            raise CsvFormatError(f"line {lineno}: adjoint_L must be positive, got {vals[-1]}")
+        hecke = dict(zip(lam_indices, vals[1:-1]))
         try:
-            rec = MaassFormRecord(
-                r=vals[0], hecke=hecke, adjoint_L=vals[-1], source=str(path)
-            )
+            rec = MaassFormRecord(r=vals[0], hecke=hecke, adjoint_L=vals[-1], source=str(path))
         except ValueError as exc:
             raise CsvFormatError(f"line {lineno}: {exc}") from None
         records.append(rec)

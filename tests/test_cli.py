@@ -6,6 +6,7 @@ a runtime error.
 """
 
 import argparse
+import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -506,6 +507,33 @@ class TestModuleSubcommands:
         assert payload["forms"] == 30
         assert abs(payload["ratio"]) < 1.0
 
+    @pytest.mark.parametrize(
+        "argv, key, report",
+        [
+            (["trace", "--tail", "1.5", "0.01", "512"], "tail", trace.TailReport),
+            (["trace", "--exponents", "4", "1/2"], "exponents", trace.ExponentReport),
+            (["trace", "--cuspidal", "{csv}", "10", "1", "2", "3"], "cuspidal", trace.CuspidalSum),
+            (["testfn", "--itr-scaling", "1", "0.25", "8", "64"], "itr_scaling", testfunctions.ScalingFit),
+            (["testfn", "--main-term-scaling", "2", "1"], "main_term_scaling", testfunctions.ScalingFit),
+        ],
+        ids=["tail", "exponents", "cuspidal", "itr-scaling", "main-term-scaling"],
+    )
+    def test_report_prints_every_field(self, capsys, tmp_path, argv, key, report):
+        csv_path = tmp_path / "forms.csv"
+        csv_path.write_text("r,lambda_2,lambda_3,adjoint_L\n5.0,0.5,-0.5,1.0\n6.0,-0.3,0.4,1.2\n")
+        code, out, _ = run_cli(capsys, *(arg.format(csv=csv_path) for arg in argv))
+        payload = json.loads(out)[key]
+        assert code == 0
+        assert {f.name for f in dataclasses.fields(report)} <= set(payload)
+
+    def test_trace_tail_prints_block_sums(self, capsys):
+        code, out, _ = run_cli(capsys, "trace", "--tail", "1.5", "0.01", "512")
+        payload = json.loads(out)["tail"]
+        rep = trace.tail_from_rho(1.5, 0.01, 512)
+        assert code == 0
+        assert payload["block_sums"] == list(rep.block_sums)
+        assert payload["trivial_block_ratio"] == rep.trivial_block_ratio
+
     def test_trace_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "trace", "--cuspidal", str(tmp_path / "nope.csv"), "10", "1", "2", "3"
@@ -540,6 +568,13 @@ class TestScalingCsv:
         with pytest.raises(ValueError, match="positive and finite"):
             read_scaling_csv(str(path))
         assert "DLASCL" not in capfd.readouterr().err
+
+    def test_repeated_scale_row_is_value_error(self, tmp_path):
+        path = tmp_path / "rep.csv"
+        path.write_text("T,value,log_value\n8,8.0,2.08\n16,16.0,2.77\n16,16.0,2.77\n32,32.0,3.47\n")
+        (tmp_path / "rep.json").write_text(json.dumps({"predicted": 1.0}))
+        with pytest.raises(ValueError, match="distinct"):
+            read_scaling_csv(str(path))
 
     def test_main_term_scaling_summary(self, capsys):
         code, out, _ = run_cli(capsys, "testfn", "--main-term-scaling", "2", "1")

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from kuznetsov_lab.combinatorics import Composition, enumerate_compositions
+from kuznetsov_lab.combinatorics import Composition, enumerate_compositions, exponent_vector_a
 from kuznetsov_lab.geometry import (
     DecompositionError,
     IwasawaPoint,
     WeylElement,
     delta_w,
     delta_w_identity_residual,
-    half_weight_exponents,
     iwasawa_decompose,
     modular_delta,
     modular_delta_diag,
@@ -210,7 +209,7 @@ def test_modular_delta_examples():
     assert abs(modular_delta([4.0]) ** -0.5 - 2.0) < 1e-14
     rng = np.random.default_rng(41)
     for n in range(2, 7):
-        a = [float(f) for f in half_weight_exponents(n)]
+        a = [float(f) for f in exponent_vector_a(n, 0)]
         for _ in range(10):
             y = rng.uniform(0.2, 5.0, size=n - 1)
             lhs = modular_delta(y) ** -0.5

@@ -90,6 +90,12 @@ def test_gamma_R_pair_log_slope():
         assert abs(slope - (R + 0.5)) < 0.02
 
 
+@pytest.mark.parametrize("R", [0, 1.5, -2])
+def test_gamma_R_pair_log_rejects_bad_R(R):
+    with pytest.raises(ValueError, match="R must be a positive integer"):
+        gamma_R_pair_log(1.0, R)
+
+
 def test_subset_pair_count_is_degree():
     for n in range(2, 8):
         assert len(subset_pairs(n)) == degree_D(n)

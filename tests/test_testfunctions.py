@@ -467,6 +467,13 @@ class TestFitMachinery:
         with pytest.raises(ValueError, match="positive and finite"):
             fit_scaling(Ts, logs, 1.0)
 
+    def test_rejects_repeated_scale(self):
+        # a repeated T used to give a RankWarning and infinite local slopes
+        with pytest.raises(ValueError, match="distinct"):
+            fit_scaling([8, 8, 8, 8], [1, 2, 3, 4], 1.0)
+        with pytest.raises(ValueError, match="distinct"):
+            fit_scaling([8, 16, 16, 32], [1, 2, 3, 4], 1.0)
+
     def test_exact_power_law(self):
         Ts = [8.0, 16.0, 32.0, 64.0]
         logs = [2.5 * math.log(T) + 1.0 for T in Ts]

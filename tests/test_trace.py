@@ -188,6 +188,14 @@ class TestKloostermanQuery:
         with pytest.raises(ValueError):
             KloostermanQuery(m=1, l=1, moduli=(2, 3), weyl=WeylElement(Composition((1, 1))))
 
+    def test_non_integer_modulus_rejected(self):
+        # 2.5 used to be truncated to the modulus 2
+        with pytest.raises(ValueError, match="positive integers"):
+            KloostermanQuery(m=1, l=1, moduli=(2.5,))
+        q = KloostermanQuery(m=1, l=1, moduli=(np.int64(3),))
+        assert q.moduli == (3,) and type(q.moduli[0]) is int
+        assert q.value() == pytest.approx(-1.0, abs=1e-12)
+
 
 class TestModulusTail:
     def test_exponent_bookkeeping(self):
@@ -380,6 +388,14 @@ class TestDivisorSums:
         with pytest.raises(ValueError):
             hecke_divisor_sum(2, (0.5, -0.4), (None, None))
 
+    def test_non_integer_m_rejected(self):
+        # 6.5 has no divisor pair, so the sum used to come back as 0j
+        with pytest.raises(ValueError, match="positive integer"):
+            hecke_divisor_sum(6.5, (0.1, -0.1), (None, None))
+        assert hecke_divisor_sum(np.int64(6), (0.1, -0.1), (None, None)) == pytest.approx(
+            borel_divisor_sum(6, 0.1), rel=1e-15
+        )
+
 
 class TestCuspidalSum:
     PARAMS = TestFunctionParams(T=10.0, R=1)
@@ -451,6 +467,14 @@ class TestMaassRecords:
     def test_adjoint_positive(self):
         with pytest.raises(ValueError):
             MaassFormRecord(r=1.0, hecke={}, adjoint_L=0.0)
+
+    def test_non_integer_index_rejected(self):
+        # 2.7 used to be stored as lambda(2)
+        with pytest.raises(ValueError, match="positive integers"):
+            MaassFormRecord(r=1.0, hecke={2.7: 0.5}, adjoint_L=1.0)
+        rec = MaassFormRecord(r=1.0, hecke={np.int64(2): 0.5, 3.0: 0.25}, adjoint_L=1.0)
+        assert rec.hecke == {1: 1.0, 2: 0.5, 3: 0.25}
+        assert all(type(k) is int for k in rec.hecke)
 
     def test_multiplicativity_messages(self):
         rec = MaassFormRecord(
