@@ -1,13 +1,13 @@
 """Mellin transforms of archimedean Whittaker functions and their algebra.
 
-The rank-one transform is an exact product of two Gamma factors.  One rank up
-there is still a closed form (a ratio of six Gamma factors), which we both
-implement directly and recover numerically from the contour recursion that
-expresses the rank-n transform through the rank-(n-1) one.  On top of the
-evaluators sit the structural identities: shift equations that trade a
-polynomial factor for a translate of the transform, first-order residue
-formulas at the leading pole families, and the inverse transform back to the
-classical rank-one Whittaker function.
+At ranks one and two the transform is closed (two Gamma factors, then six
+over one), and :func:`mellin_closed` evaluates both, reading the rank from
+the number of s-variables.  The contour recursion integrates that closed
+form one rank lower, so it recovers rank two numerically and reaches rank
+three.  On top sit the structural identities: one shift residual trading a
+polynomial factor for a translate of the transform, first-order residues at
+the leading pole families against a small-circle contour, and the inverse
+transform back to the classical rank-one Whittaker function.
 
 Normalization note: all contour measures include the 1/(2*pi*i) per variable,
 and in this normalization the rank-one transform is exactly
@@ -44,16 +44,6 @@ def _as_alpha(alpha, n: int) -> np.ndarray:
     return validate_langlands(a)
 
 
-def pochhammer(z: complex, k: int) -> complex:
-    """Rising factorial z (z+1) ... (z+k-1); empty product for k = 0."""
-    if k < 0:
-        raise ValueError("pochhammer order must be nonnegative")
-    out = 1.0 + 0.0j
-    for j in range(k):
-        out *= z + j
-    return out
-
-
 def _gl2_param(alpha) -> complex:
     """Accept a scalar parameter a or the full pair (a, -a)."""
     if np.isscalar(alpha) or np.asarray(alpha).ndim == 0:
@@ -61,17 +51,27 @@ def _gl2_param(alpha) -> complex:
     return complex(_as_alpha(alpha, 2)[0])
 
 
-def mellin_gl2(alpha, s):
-    """Rank-one transform Gamma(s + a) Gamma(s - a) for alpha = (a, -a).
+def mellin_closed(alpha, s):
+    """Closed transform at rank n = len(s) + 1, for n = 2 and n = 3.
 
-    Scalar s raises PoleError on a Gamma pole; array s evaluates elementwise
+    At n = 2 it is prod_j Gamma(s1 + alpha_j); at n = 3 that product times
+    prod_j Gamma(s2 - alpha_j) / Gamma(s1 + s2), with leading constant 1 by
+    Barnes' first lemma.  The s-components broadcast as arrays.  A scalar
+    point raises PoleError on a Gamma pole; arrays evaluate elementwise
     without the pole guard (contour nodes stay off the pole set).
     """
-    a = _gl2_param(alpha)
-    if np.isscalar(s) or np.asarray(s).ndim == 0:
-        return complex(np.exp(log_gamma(complex(s) + a) + log_gamma(complex(s) - a)))
-    sv = np.asarray(s, dtype=np.complex128)
-    return np.exp(loggamma(sv + a) + loggamma(sv - a))
+    if len(s) not in (1, 2):
+        raise ValueError(f"closed forms take one or two s-variables, got {len(s)}")
+    a = _as_alpha(alpha, len(s) + 1)
+    sv = [np.asarray(v, dtype=np.complex128) for v in s]
+    scalar = all(v.ndim == 0 for v in sv)
+    lg = log_gamma if scalar else loggamma
+    log = sum(lg(sv[0] + aj) for aj in a)
+    if len(sv) == 2:
+        log = log + sum(lg(sv[1] - aj) for aj in a)
+        log = log - lg(sv[0] + sv[1])
+    out = np.exp(log)
+    return complex(out) if scalar else out
 
 
 def _truncation_half_length(alpha: np.ndarray) -> float:
@@ -88,20 +88,18 @@ def _contour_abscissa(s_re: np.ndarray) -> float:
 def mellin_recursive(n: int, alpha, s, tol: float = 1e-8) -> complex:
     """Transform via the contour recursion onto one rank lower.
 
-    One step at every rank: peel off alpha_n and integrate the closed
-    rank-(n-1) transform (the exact product for n = 3, the closed rank-two
-    form for n = 4) at beta = alpha[:n-1] + a, a = alpha_n/(n-1), against
-    the outer pairs Gamma(s_j - z_j - j a) Gamma(s_{j+1} - z_j + (n-1-j) a)
-    over n - 2 vertical lines.  Requires Re(s_j) > 0 for every j so the
-    separating contour exists.
+    One step at n = 3 and n = 4: peel off alpha_n and integrate the closed
+    rank-(n-1) transform :func:`mellin_closed` at beta = alpha[:n-1] + a,
+    a = alpha_n/(n-1), against the outer pairs
+    Gamma(s_j - z_j - j a) Gamma(s_{j+1} - z_j + (n-1-j) a) over n - 2
+    vertical lines.  Requires Re(s_j) > 0 for every j so the separating
+    contour exists.
     """
     a = _as_alpha(alpha, n)
     if len(s) != n - 1:
         raise ValueError("need n - 1 s-variables")
-    if n == 2:
-        return complex(mellin_gl2(a, s[0]))
     if n not in (3, 4):
-        raise NotImplementedError("recursion implemented for n <= 4")
+        raise NotImplementedError("recursion implemented for n = 3 and n = 4")
     sv = [complex(v) for v in s]
     eps = _contour_abscissa(np.array([v.real for v in sv]))
     am = a[n - 1]
@@ -113,8 +111,7 @@ def mellin_recursive(n: int, alpha, s, tol: float = 1e-8) -> complex:
         for j, zj in enumerate(z, start=1):
             log = log + loggamma(sv[j - 1] - zj - j * am / (n - 1))
             log = log + loggamma(sv[j] - zj + (n - 1 - j) * am / (n - 1))
-        inner = mellin_gl2(beta, z[0]) if n == 3 else mellin_gl3_closed(beta, z)
-        return np.exp(log) * inner
+        return np.exp(log) * mellin_closed(beta, z)
 
     half = _truncation_half_length(a)
     if n == 3:
@@ -135,31 +132,11 @@ def gl3_normalization() -> float:
     return 1.0
 
 
-def mellin_gl3_closed(alpha, s):
-    """Closed rank-two transform: six Gamma factors over Gamma(s1 + s2).
-
-    Accepts scalar or broadcastable array s-components.  The leading
-    constant is 1 by Barnes' first lemma.
-    """
-    a = _as_alpha(alpha, 3)
-    s1 = np.asarray(s[0], dtype=np.complex128)
-    s2 = np.asarray(s[1], dtype=np.complex128)
-    if s1.ndim == 0 and s2.ndim == 0:
-        log = sum(log_gamma(complex(s1) + ai) for ai in a)
-        log += sum(log_gamma(complex(s2) - ai) for ai in a)
-        log -= log_gamma(complex(s1 + s2))
-        return complex(np.exp(log))
-    log = sum(loggamma(s1 + ai) for ai in a)
-    log = log + sum(loggamma(s2 - ai) for ai in a)
-    log = log - loggamma(s1 + s2)
-    return np.exp(log)
-
-
 def mellin_value(n: int, alpha, s, tol: float = 1e-8) -> complex:
-    """Best available evaluator: the closed product for n = 3, and otherwise
-    :func:`mellin_recursive`, which checks len(s) and is exact for n = 2."""
-    if n == 3 and len(s) == 2:
-        return complex(mellin_gl3_closed(alpha, s))
+    """Best available evaluator: :func:`mellin_closed` for n = 2 and n = 3,
+    and otherwise :func:`mellin_recursive`, which checks len(s)."""
+    if n in (2, 3) and len(s) == n - 1:
+        return complex(mellin_closed(alpha, s))
     return mellin_recursive(n, alpha, s, tol=tol)
 
 
@@ -176,30 +153,26 @@ def subset_sum_polynomial(alpha, m: int, s_m: complex) -> complex:
     return out
 
 
-def shift_residual_gl2(alpha, s: complex, delta: int) -> float:
-    """Relative defect in the rank-one shift identity at displacement delta.
+def shift_residual(alpha, s, m: int, delta: int) -> float:
+    """Relative defect in the shift identity that moves s_m by delta.
 
-    The identity moves s to s + delta at the cost of the degree-2*delta
-    polynomial (s+a)_delta (s-a)_delta; it holds exactly.
+    M(s) prod_{k<delta} P_m(s_m + k) = M(s + delta e_m) prod_{k<delta} Q_k,
+    with M the closed transform, P_m the subset-sum polynomial, and Q_k = 1
+    at rank one, s1 + s2 + k at rank two; the identity holds exactly.
     """
-    a = _as_alpha(alpha, 2)[0]
-    lhs = mellin_gl2(alpha, s) * pochhammer(s + a, delta) * pochhammer(s - a, delta)
-    rhs = mellin_gl2(alpha, s + delta)
-    return abs(lhs - rhs) / abs(rhs)
-
-
-def shift_residual_gl3(alpha, s, m: int) -> float:
-    """Relative defect in the rank-two shift identity with unit displacement.
-
-    Multiplying by the subset-sum polynomial in s_m equals (s1 + s2) times
-    the transform translated by the m-th unit vector.
-    """
-    if m not in (1, 2):
-        raise ValueError("m must be 1 or 2")
-    sv = (complex(s[0]), complex(s[1]))
-    lhs = subset_sum_polynomial(alpha, m, sv[m - 1]) * mellin_gl3_closed(alpha, sv)
-    shifted = (sv[0] + 1, sv[1]) if m == 1 else (sv[0], sv[1] + 1)
-    rhs = (sv[0] + sv[1]) * mellin_gl3_closed(alpha, shifted)
+    if not 1 <= m <= len(s):
+        raise ValueError(f"m must be in 1..{len(s)}, got {m}")
+    if delta < 0:
+        raise ValueError("shift displacement must be nonnegative")
+    sv = [complex(v) for v in s]
+    shifted = list(sv)
+    shifted[m - 1] += delta
+    lhs = mellin_closed(alpha, sv)
+    rhs = mellin_closed(alpha, shifted)
+    for k in range(delta):
+        lhs *= subset_sum_polynomial(alpha, m, sv[m - 1] + k)
+        if len(sv) == 2:
+            rhs *= sv[0] + sv[1] + k
     return abs(lhs - rhs) / abs(rhs)
 
 
@@ -233,7 +206,7 @@ def shift_identity_check(
         for _ in range(samples):
             t = rng.uniform(0.2, 2.0)
             sv = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
-            worst = max(worst, shift_residual_gl2((1j * t, -1j * t), sv, delta))
+            worst = max(worst, shift_residual((1j * t, -1j * t), (sv,), 1, delta))
     elif n == 3 and delta == 1:
         poly_degree, shift_weight = 1, 1
         for _ in range(samples):
@@ -243,7 +216,7 @@ def shift_identity_check(
                 complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5)),
                 complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5)),
             )
-            worst = max(worst, shift_residual_gl3(al, sv, m))
+            worst = max(worst, shift_residual(al, sv, m, 1))
     else:
         raise NotImplementedError("verified shift identities: n = 2, or n = 3 with delta = 1")
     balanced = poly_degree + 2 * shift_weight == budget
@@ -333,25 +306,24 @@ def residue_check(n: int, alpha, m: int = 1, delta: int = 0) -> dict:
 
     The contour route never uses the residue formula, so a relative
     difference within 1e-8 is an independent confirmation.  Parameters must
-    be in general position relative to the contour radius.  For n = 3 the
-    other variable is held at 0.8 + 0.05i.
+    be in general position relative to the contour radius.  The circle
+    carries s_m; for n = 3 the other variable is held at 0.8 + 0.05i.
     """
     a = _as_alpha(alpha, n)
     center = check_pole_separation(n, a, m, delta)
     if n == 2:
         closed = residue_gl2(a, delta)
-        contour = circle_integral_mean(lambda sv: mellin_gl2(a, sv), center, _RESIDUE_RADIUS)
     elif n == 3 and delta == 0:
         closed = first_residue_gl3(a, m, _RESIDUE_S_OTHER)
-        if m == 1:
-            def f(sv):
-                return mellin_gl3_closed(a, (sv, _RESIDUE_S_OTHER * np.ones_like(sv)))
-        else:
-            def f(sv):
-                return mellin_gl3_closed(a, (_RESIDUE_S_OTHER * np.ones_like(sv), sv))
-        contour = circle_integral_mean(f, center, _RESIDUE_RADIUS)
     else:
         raise NotImplementedError("closed residues: n = 2 any delta, n = 3 first poles")
+
+    def on_circle(sv):
+        point = [_RESIDUE_S_OTHER] * (n - 1)
+        point[m - 1] = sv
+        return mellin_closed(a, point)
+
+    contour = circle_integral_mean(on_circle, center, _RESIDUE_RADIUS)
     err = abs(closed - contour)
     scale = max(1.0, abs(closed))
     return {
@@ -384,13 +356,10 @@ def whittaker_value(alpha, y: float, b: float = 0.5, tol: float = 1e-8) -> float
         raise ValueError("the inversion line must have 0 < Re(s) < inf")
     root_y = math.sqrt(y)
     log_piy = math.log(math.pi * y)
+    half = (a / 2.0, -a / 2.0)
 
     def f(sv):
-        return np.exp(
-            loggamma((sv + a) / 2.0)
-            + loggamma((sv - a) / 2.0)
-            - sv * log_piy
-        )
+        return mellin_closed(half, (sv / 2.0,)) * np.exp(-sv * log_piy)
 
     val = 0.5 * root_y * vertical_line_integral(f, 2.0 * b, tol) / (2j * np.pi)
     return float(val.real)

@@ -205,13 +205,22 @@ def emit_scaling_csv(fit: ScalingFit, path: str) -> None:
 def read_scaling_csv(path: str) -> ScalingFit:
     """Re-ingest an emitted CSV (with its sidecar) into a ScalingFit; the
     fit is recomputed from the data rows, so a round trip reproduces the
-    slope to machine precision."""
+    slope to machine precision.  Each data row must hold three finite
+    numbers; a row that does not raises ValueError naming its 1-based line."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0] != ["T", "value", "log_value"]:
         raise ValueError(f"{path}: not a scaling CSV")
-    T_values = [float(r[0]) for r in rows[1:]]
-    log_values = [float(r[2]) for r in rows[1:]]
+    T_values, log_values = [], []
+    for lineno, row in enumerate(rows[1:], start=2):
+        try:
+            vals = [float(t) for t in row]
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: not a number in {row}") from None
+        if len(vals) != 3 or not all(map(math.isfinite, vals)):
+            raise ValueError(f"{path}: line {lineno}: need three finite numbers, got {row}")
+        T_values.append(vals[0])
+        log_values.append(vals[2])
     with open(_sidecar_path(path), encoding="utf-8") as fh:
         sidecar = json.load(fh)
     return fit_scaling(T_values, log_values, sidecar["predicted"])

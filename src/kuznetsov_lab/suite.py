@@ -300,12 +300,12 @@ def _check_rank_two_recursion(cfg):
             complex(rng.uniform(0.6, 1.4), rng.uniform(-0.5, 0.5)),
         )
         rec = mellin.mellin_recursive(3, alpha, s, tol=cfg.quad_tol)
-        closed = mellin.mellin_gl3_closed(alpha, s)
+        closed = mellin.mellin_closed(alpha, s)
         worst = max(worst, abs(rec - closed) / abs(closed))
         perm = (alpha[1], alpha[2], alpha[0])
         worst = max(
             worst,
-            abs(mellin.mellin_gl3_closed(perm, s) - closed) / abs(closed),
+            abs(mellin.mellin_closed(perm, s) - closed) / abs(closed),
         )
     return worst
 

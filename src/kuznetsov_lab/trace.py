@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -52,6 +53,14 @@ class HeckeConsistencyWarning(UserWarning):
 # Kloosterman sums
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; ValueError unless it is integral (numpy integers
+    and floats such as 10.0 pass)."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def kloosterman_gl2(m: int, l: int, c: int) -> complex:
     """S(m, l; c) = sum over units x mod c of e^(2 pi i (m x + l x~) / c).
 
@@ -61,6 +70,7 @@ def kloosterman_gl2(m: int, l: int, c: int) -> complex:
     integer inputs (x and -x pair up): a complex is returned whose imaginary
     part is exactly 0.
     """
+    m, l, c = _integer(m, "m"), _integer(l, "l"), _integer(c, "modulus")
     if c < 1:
         raise ValueError(f"modulus must be a positive integer, got {c}")
     counts = [0] * c
@@ -156,6 +166,7 @@ def kloosterman_sweep(c_max: int, m: int = 1, l: int = 1) -> np.ndarray:
     values (imaginary parts exactly 0).
 
     Modulo 1 the only residue class, x = 0, is a unit, so S = 1 there."""
+    c_max, m, l = _integer(c_max, "c_max"), _integer(m, "m"), _integer(l, "l")
     if c_max < 1:
         raise ValueError("c_max must be positive")
     spf = _smallest_prime_factors(c_max)
@@ -300,6 +311,7 @@ def kloosterman_tail(a, c_max: int) -> TailReport:
     if not math.isfinite(a_vec[0]):
         raise ValueError(f"shift a = {a_vec[0]} is not finite")
     exponent = modulus_exponents(a_vec)[0]
+    c_max = _integer(c_max, "c_max")
     if c_max < 4:
         raise ValueError("c_max too small for a dyadic report")
 

@@ -207,7 +207,7 @@ def test_criterion_08_rank_two_recursion_vs_closed_form():
         )
         points.append((alpha, s))
         rec = mellin.mellin_recursive(3, alpha, s)
-        closed = mellin.mellin_gl3_closed(alpha, s)
+        closed = mellin.mellin_closed(alpha, s)
         worst = max(worst, abs(rec - closed) / abs(closed))
     worst_perm = 0.0
     for alpha, s in points[:5]:

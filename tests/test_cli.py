@@ -327,7 +327,7 @@ class TestModuleSubcommands:
         payload = json.loads(out)["mellin"]
         assert code == 0
         assert set(payload) == {"n", "value"}
-        expect = mellin.mellin_gl3_closed((0.4j, 0.3j, -0.7j), (0.8 + 0.1j, 0.7 - 0.2j))
+        expect = mellin.mellin_closed((0.4j, 0.3j, -0.7j), (0.8 + 0.1j, 0.7 - 0.2j))
         assert complex(payload["value"]["re"], payload["value"]["im"]) == pytest.approx(expect)
 
     def test_whittaker_accuracy_error_exits_2(self, capsys, tmp_path, monkeypatch):
@@ -360,7 +360,7 @@ class TestModuleSubcommands:
     @pytest.mark.parametrize("tol, passed", [("1e-12", False), ("1e-9", True)])
     def test_shift_bound_agrees_with_suite(self, capsys, monkeypatch, tol, passed):
         # 5e-10 lies between the floor 1e-10 and a loosened --tol 1e-9
-        monkeypatch.setattr(mellin, "shift_residual_gl2", lambda *args: 5e-10)
+        monkeypatch.setattr(mellin, "shift_residual", lambda *args: 5e-10)
         code, out, _ = run_cli(capsys, "whittaker", "--check-shift", "2", "1", "1", "--tol", tol)
         assert json.loads(out)["check_shift"]["passed"] is passed
         assert code == (0 if passed else 1)
@@ -574,6 +574,18 @@ class TestScalingCsv:
         path.write_text("T,value,log_value\n8,8.0,2.08\n16,16.0,2.77\n16,16.0,2.77\n32,32.0,3.47\n")
         (tmp_path / "rep.json").write_text(json.dumps({"predicted": 1.0}))
         with pytest.raises(ValueError, match="distinct"):
+            read_scaling_csv(str(path))
+
+    @pytest.mark.parametrize(
+        "row, fault",
+        [("8,8.0", "three finite numbers"), ("8,abc,2.08", "not a number"), ("8,inf,2.08", "finite")],
+        ids=["short-row", "non-number", "non-finite"],
+    )
+    def test_bad_row_names_file_and_line(self, tmp_path, row, fault):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"T,value,log_value\n4,4.0,1.39\n{row}\n16,16.0,2.77\n32,32.0,3.47\n")
+        (tmp_path / "bad.json").write_text(json.dumps({"predicted": 1.0}))
+        with pytest.raises(ValueError, match=f"bad.csv: line 3: .*{fault}"):
             read_scaling_csv(str(path))
 
     def test_main_term_scaling_summary(self, capsys):

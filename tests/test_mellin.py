@@ -8,15 +8,13 @@ import pytest
 from kuznetsov_lab.mellin import (
     _truncation_half_length,
     check_pole_separation,
-    mellin_gl2,
-    mellin_gl3_closed,
+    mellin_closed,
     mellin_recursive,
     mellin_value,
-    pochhammer,
     residue_check,
     residue_gl2,
     shift_identity_check,
-    shift_residual_gl2,
+    shift_residual,
     whittaker_value,
 )
 from kuznetsov_lab.quadrature import circle_integral_mean, line_nodes
@@ -38,24 +36,26 @@ def _random_tempered3(rng):
 
 class TestRankOne:
     def test_trivial_point(self):
-        assert mellin_gl2(0.0, 1.0) == pytest.approx(1.0)
+        assert mellin_closed((0.0, 0.0), (1.0,)) == pytest.approx(1.0)
 
     def test_half_integer_point(self):
         # Gamma(3/2) Gamma(1/2) = pi/2
-        assert mellin_gl2(0.5, 1.0) == pytest.approx(math.pi / 2, rel=1e-14)
+        assert mellin_closed((0.5, -0.5), (1.0,)) == pytest.approx(math.pi / 2, rel=1e-14)
 
     def test_even_in_alpha(self):
-        s = 0.8 + 0.3j
-        assert mellin_gl2(0.45j, s) == pytest.approx(mellin_gl2(-0.45j, s), rel=1e-14)
+        s = (0.8 + 0.3j,)
+        assert mellin_closed((0.45j, -0.45j), s) == pytest.approx(
+            mellin_closed((-0.45j, 0.45j), s), rel=1e-14
+        )
 
     def test_pair_and_scalar_parameter_agree(self):
-        assert mellin_gl2((0.3j, -0.3j), 1.2) == pytest.approx(
-            mellin_gl2(0.3j, 1.2), rel=1e-14
-        )
+        # the rank-one entry points that also take the scalar a
+        assert residue_gl2((0.3j, -0.3j), 1) == residue_gl2(0.3j, 1)
+        assert whittaker_value((0.3j, -0.3j), 1.2) == whittaker_value(0.3j, 1.2)
 
     def test_pole_raises(self):
         with pytest.raises(PoleError):
-            mellin_gl2(0.5, -0.5)
+            mellin_closed((0.5, -0.5), (-0.5,))
 
 
 class TestRecursionRankTwo:
@@ -76,7 +76,7 @@ class TestRecursionRankTwo:
             alpha = _random_tempered3(rng)
             s = (0.75, 0.75)
             rec = mellin_recursive(3, alpha, s, tol=1e-9)
-            closed = mellin_gl3_closed(alpha, s)
+            closed = mellin_closed(alpha, s)
             worst = max(worst, abs(rec - closed) / abs(closed))
         assert worst <= 1e-6
 
@@ -98,9 +98,32 @@ class TestRecursionRankTwo:
     def test_closed_form_manifestly_symmetric(self):
         alpha = (0.4j, 0.15j, -0.55j)
         s = (0.9 + 0.2j, 0.7 - 0.1j)
-        v = mellin_gl3_closed(alpha, s)
-        w = mellin_gl3_closed((alpha[2], alpha[0], alpha[1]), s)
+        v = mellin_closed(alpha, s)
+        w = mellin_closed((alpha[2], alpha[0], alpha[1]), s)
         assert v == pytest.approx(w, rel=1e-13)
+
+
+class TestClosedPoleGuard:
+    ALPHA = (0.4j, 0.15j, -0.55j)
+
+    def test_rank_two_scalar_pole_raises(self):
+        with pytest.raises(PoleError):
+            mellin_closed(self.ALPHA, (-self.ALPHA[0], 0.7 + 0.1j))
+
+    def test_rank_two_pole_inside_array_evaluates(self):
+        s1 = np.array([-self.ALPHA[0], 0.9 + 0.2j])
+        vals = mellin_closed(self.ALPHA, (s1, 0.7 + 0.1j))
+        assert np.isfinite(vals[1])
+        assert vals[1] == pytest.approx(mellin_closed(self.ALPHA, (0.9 + 0.2j, 0.7 + 0.1j)), rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "alpha, s",
+        [((0.3j, -0.3j), (0.8 + 0.2j,)), (ALPHA, (0.9 + 0.2j, 0.7 - 0.1j))],
+        ids=["rank-one", "rank-two"],
+    )
+    def test_scalar_point_equals_array_entry(self, alpha, s):
+        grid = [np.array([v, v + 0.5]) for v in s]
+        assert mellin_closed(alpha, grid)[0] == pytest.approx(mellin_closed(alpha, s), rel=1e-15)
 
 
 class TestRecursionRankThree:
@@ -163,14 +186,14 @@ class TestShiftIdentities:
             for _ in range(100):
                 t = rng.uniform(0.1, 2.5)
                 s = complex(rng.uniform(0.4, 2.5), rng.uniform(-1.5, 1.5))
-                worst = max(worst, shift_residual_gl2((1j * t, -1j * t), s, delta))
+                worst = max(worst, shift_residual((1j * t, -1j * t), (s,), 1, delta))
             assert worst <= 1e-12, f"delta={delta}: {worst:.2e}"
 
     def test_named_example(self):
-        assert shift_residual_gl2((0.3j, -0.3j), 0.7, 1) <= 1e-13
+        assert shift_residual((0.3j, -0.3j), (0.7,), 1, 1) <= 1e-13
 
     def test_delta_zero_is_identity(self):
-        assert shift_residual_gl2((0.4j, -0.4j), 1.1, 0) == 0.0
+        assert shift_residual((0.4j, -0.4j), (1.1,), 1, 0) == 0.0
 
     def test_rank_two_unit_shift(self):
         for m in (1, 2):
@@ -190,10 +213,6 @@ class TestShiftIdentities:
         # with no sample drawn the residual bound would hold vacuously
         with pytest.raises(ValueError, match="samples"):
             shift_identity_check(2, 1, 1, samples=0)
-
-    def test_pochhammer(self):
-        assert pochhammer(2.0, 3) == pytest.approx(24.0)
-        assert pochhammer(0.5, 0) == 1.0
 
 
 class TestResidues:
@@ -258,9 +277,9 @@ class TestEvaluatorBundle:
         alpha = (0.4j, 0.15j, -0.55j)
         s = (0.8, 0.9)
         value = mellin_value(3, alpha, s)
-        assert value == pytest.approx(mellin_gl3_closed(alpha, s), rel=1e-13)
+        assert value == pytest.approx(mellin_closed(alpha, s), rel=1e-13)
         assert abs(mellin_recursive(3, alpha, s) - value) / abs(value) <= 1e-6
-        assert mellin_value(2, (0.4j, -0.4j), (0.8 + 0.1j,)) == mellin_gl2((0.4j, -0.4j), 0.8 + 0.1j)
+        assert mellin_value(2, (0.4j, -0.4j), (0.8 + 0.1j,)) == mellin_closed((0.4j, -0.4j), (0.8 + 0.1j,))
 
     def test_truncation_height_floor(self):
         assert _truncation_half_length(np.array((0.1j, -0.1j))) == 30.0

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import importlib
 import io
 import json
 import math
@@ -165,6 +166,14 @@ class TestRegistry:
             (c.name, c.anchor, c.bound, c.widens) for group in suite.CHECKS.values() for c in group
         ]
         assert rows == registry
+
+    def test_anchors_resolve(self):
+        # an anchor is printed in the canonical output; it must name a live
+        # function of its library module, so a rename cannot leave it stale
+        for claim in (c for group in suite.CHECKS.values() for c in group):
+            module, name = claim.anchor.split(".")
+            lib = importlib.import_module(f"kuznetsov_lab.{module}")
+            assert callable(getattr(lib, name, None)), claim.anchor
 
 
 class TestExitCodes:

@@ -219,7 +219,7 @@ class TestRankThreeAvatar:
         # convolution against adaptive panel tensor integration
         from scipy.special import rgamma
 
-        from kuznetsov_lab.mellin import mellin_gl3_closed
+        from kuznetsov_lab.mellin import mellin_closed
         from kuznetsov_lab.quadrature import vertical_plane_integral
         from kuznetsov_lab.testfunctions import _gl3_plane
 
@@ -228,7 +228,7 @@ class TestRankThreeAvatar:
         c1, c2 = math.log(math.pi * 0.9), math.log(math.pi * 1.1)
 
         def f(s1, s2):
-            return mellin_gl3_closed(alpha, (s1, s2)) * np.exp(
+            return mellin_closed(alpha, (s1, s2)) * np.exp(
                 -2.0 * s1 * c1 - 2.0 * s2 * c2
             )
 

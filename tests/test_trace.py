@@ -165,6 +165,20 @@ class TestKloosterman:
         with pytest.raises(ValueError):
             kloosterman_sweep(0)
 
+    def test_oracle_rejects_non_integral_input(self):
+        # these used to escape as TypeError from the residue arithmetic
+        with pytest.raises(ValueError, match="modulus must be an integer"):
+            kloosterman_gl2(1, 1, 2.5)
+        with pytest.raises(ValueError, match="m must be an integer"):
+            kloosterman_gl2(1.5, 1, 5)
+        assert kloosterman_gl2(np.int64(2), 5, 13.0) == kloosterman_gl2(2, 5, 13)
+
+    def test_sweep_rejects_non_integral_input(self):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            kloosterman_sweep(10, 1.5, 1)
+        assert np.array_equal(kloosterman_sweep(10.0), kloosterman_sweep(10))
+        assert np.array_equal(kloosterman_sweep(np.int64(10), np.int64(2)), kloosterman_sweep(10, 2))
+
 
 class TestKloostermanQuery:
     def test_rank_one_evaluates(self):
@@ -237,6 +251,12 @@ class TestModulusTail:
             kloosterman_tail((1.0, 2.0), 100)
         with pytest.raises(ValueError):
             kloosterman_tail(2.0, 2)
+
+    def test_non_integral_c_max_rejected(self):
+        # 10.5 used to escape as TypeError from the sweep's sieve
+        with pytest.raises(ValueError, match="c_max must be an integer"):
+            kloosterman_tail(1.0, 10.5)
+        assert kloosterman_tail(1.0, 10.0) == kloosterman_tail(1.0, 10)
 
 
 class TestExponentReports:
