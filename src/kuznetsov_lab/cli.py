@@ -81,7 +81,8 @@ def _comp_from_spec(spec: str) -> comb.Composition:
 
 
 def _doubling_grid(t_min: float, t_max: float) -> tuple[float, ...]:
-    if not 0 < t_min < t_max:
+    t_min, t_max = special.require_positive((t_min, t_max), "Tmin and Tmax")
+    if not t_min < t_max:
         raise ValueError("need 0 < Tmin < Tmax")
     out = [float(t_min)]
     while out[-1] * 2.0 <= t_max + 1e-9:

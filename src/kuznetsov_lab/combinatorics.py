@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -23,8 +24,7 @@ class Composition:
     r: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.parts or any(p < 1 for p in self.parts):
-            raise ValueError(f"parts must be positive integers, got {self.parts}")
+        object.__setattr__(self, "parts", require_integer(tuple(self.parts), "parts", positive=True))
         object.__setattr__(self, "n", sum(self.parts))
         object.__setattr__(self, "r", len(self.parts))
 
@@ -37,8 +37,7 @@ class Composition:
 def enumerate_compositions(n: int, min_length: int = 1) -> list[Composition]:
     """All ordered compositions of n with at least min_length parts, in
     lexicographic order of the parts tuple."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = require_integer(n, "n", positive=True)
     out: list[Composition] = []
 
     def rec(remaining: int, prefix: tuple[int, ...]) -> None:
@@ -166,6 +165,24 @@ def verify_partition_identities(n_max: int) -> dict:
                     "first_counterexample": parts,
                 }
     return {"passed": True, "checked": checked, "first_counterexample": None}
+
+
+def require_integer(value, name: str, positive: bool = False):
+    """``value`` as an int, or a nonempty tuple or list as a tuple of ints;
+    ValueError unless every entry is integral (numpy integers and floats such
+    as 10.0 pass; NaN, infinities, 2.5 and strings do not) and, with
+    ``positive``, at least 1."""
+    many = isinstance(value, (tuple, list))
+    entries = tuple(value) if many else (value,)
+    # a plain int (every Composition part) skips the abstract-base-class check
+    if not entries or not all(
+        (type(v) is int or isinstance(v, numbers.Real) and math.isfinite(v) and v == int(v)) and (v >= 1 or not positive)
+        for v in entries
+    ):
+        kind = "positive integer" if positive else "integer"
+        kind = f"{kind}s" if many else ("a " if positive else "an ") + kind
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return tuple(map(int, entries)) if many else int(value)
 
 
 def require_half_integer(rho) -> Fraction:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .combinatorics import Composition
-from .special import validate_langlands
+from .special import require_positive, validate_langlands
 
 
 class DecompositionError(ValueError):
@@ -32,14 +32,12 @@ class IwasawaPoint:
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
+        y = require_positive(self.y, "y entries")
         n = x.shape[0]
         if x.shape != (n, n) or len(y) != n - 1:
             raise ValueError("inconsistent dimensions")
         if np.any(np.tril(x, 0) != 0):
             raise ValueError("x must be strictly upper triangular")
-        if not np.all(np.isfinite(y)) or np.any(y <= 0):
-            raise ValueError("y entries must be positive and finite")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
@@ -53,9 +51,7 @@ class IwasawaPoint:
 
 def toric_matrix(a: Sequence[float]) -> np.ndarray:
     """diag(a_1...a_{n-1}, ..., a_1 a_2, a_1, 1) for positive a."""
-    a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)) or np.any(a <= 0):
-        raise ValueError("entries must be positive and finite")
+    a = require_positive(a, "entries")
     n = len(a) + 1
     d = np.ones(n)
     for i in range(n - 2, -1, -1):
@@ -190,10 +186,10 @@ def weyl_conjugate_y(w: WeylElement, y: Sequence[float]) -> np.ndarray:
     comp = w.composition
     if comp.r < 2:
         raise ValueError("the identity block w_(n) does not move y")
-    y = np.asarray(y, dtype=float)
+    y = require_positive(y, "y")
     n = comp.n
-    if len(y) != n - 1 or not np.all(np.isfinite(y)) or np.any(y <= 0):
-        raise ValueError("y must be a positive finite vector of length n-1")
+    if len(y) != n - 1:
+        raise ValueError(f"y must have length n-1 = {n - 1}, got {len(y)}")
     parts = comp.parts
     nhat = (0,) + comp.partial_sums
     out = np.empty(n - 1)
@@ -241,9 +237,7 @@ def weyl_norm_exponents(w: WeylElement, a: Sequence[float]) -> np.ndarray:
 def modular_delta_diag(d: Sequence[float]) -> float:
     """The modular character with d(t^-1 u t) = delta(t) du on the upper
     unipotent coordinates: prod_{i<j} d_j/d_i.  Scale-invariant."""
-    d = np.asarray(d, dtype=float)
-    if not np.all(np.isfinite(d)) or np.any(d <= 0):
-        raise ValueError("diagonal entries must be positive and finite")
+    d = require_positive(d, "diagonal entries")
     n = len(d)
     out = 1.0
     for i in range(n):

@@ -24,8 +24,9 @@ import math
 import numpy as np
 from scipy.special import loggamma
 
+from .combinatorics import require_integer
 from .quadrature import vertical_line_integral, vertical_plane_integral, circle_integral_mean
-from .special import DegenerateParameterError, log_gamma, validate_langlands
+from .special import DegenerateParameterError, log_gamma, require_positive, validate_langlands
 
 # pass bounds, read by the suite's claims too: the shift identities'
 # residual floor and the residues' relative error
@@ -194,8 +195,7 @@ def shift_identity_check(
     exact, so a looser tol widens the floating-point floor but never
     tightens it.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    samples = require_integer(samples, "samples", positive=True)
     rng = rng or np.random.default_rng(0)
     budget = delta * math.comb(n, m)
     worst = 0.0
@@ -350,10 +350,7 @@ def whittaker_value(alpha, y: float, b: float = 0.5, tol: float = 1e-8) -> float
     parameters the value is real; the real part is returned.
     """
     a = _gl2_param(alpha)
-    if not 0 < y < math.inf:
-        raise ValueError("y must be positive and finite")
-    if not 0 < b < math.inf:
-        raise ValueError("the inversion line must have 0 < Re(s) < inf")
+    y, b = require_positive(y, "y"), require_positive(b, "inversion abscissa b")
     root_y = math.sqrt(y)
     log_piy = math.log(math.pi * y)
     half = (a / 2.0, -a / 2.0)

@@ -1,6 +1,6 @@
 """Contour quadrature for vertical-line integrals of rapidly decaying integrands.
 
-Everything here integrates along the Mellin recursion's lines Re(z) = const
+Everything here integrates along vertical lines Re(z) = const
 using composite 16-node Gauss-Legendre panels of unit width.  The integrands
 are products of Gamma functions, so they decay like exp(-c|Im z|) and a
 modest truncation window suffices; the window is grown adaptively until the
@@ -13,6 +13,8 @@ import functools
 from typing import Callable
 
 import numpy as np
+
+from .special import require_positive
 
 # largest half-length a doubling window may reach, by dimension
 _MAX_HALF_LENGTH = {1: 400.0, 2: 200.0}
@@ -56,8 +58,8 @@ def _grid_integral(f, x0: tuple[float, ...], tol: float, half: float) -> complex
     than tol/10 in absolute value.  The grid is evaluated in blocks of rows
     of the first axis, each holding at most _BLOCK_VALUES integrand values.
     """
-    if not 0.0 < half < np.inf:  # also rejects NaN
-        raise ValueError(f"initial half-length must be positive and finite, got {half}")
+    half = require_positive(half, "initial half-length")
+    require_positive(tol, "tol")
     d = len(x0)
     while True:
         t, w = line_nodes(half)

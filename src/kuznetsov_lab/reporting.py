@@ -16,6 +16,8 @@ import math
 import os
 from dataclasses import dataclass, fields, replace
 
+from .combinatorics import require_integer
+from .special import require_positive
 from .testfunctions import ScalingFit, fit_scaling
 
 CONFIG_ENV_VAR = "KUZNETSOV_LAB_CONFIG"
@@ -40,16 +42,13 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.quad_tol <= 0 or self.identity_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.identity_tol >= 1:
+        require_positive(self.quad_tol, "quad_tol")
+        if require_positive(self.identity_tol, "identity_tol") >= 1:
             raise ValueError("identity_tol must be below 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
+        require_integer(self.jobs, "jobs", positive=True)
+        require_integer(self.seed, "seed")
         if self.out_format not in _FORMATS:
             raise ValueError(f"format must be one of {_FORMATS}")
-        if self.seed != int(self.seed):
-            raise ValueError("seed must be an integer")
 
 
 # config files and flags use "format"; the field avoids shadowing the builtin

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import loggamma as _loggamma
 
-from .combinatorics import Composition, degree_D
+from .combinatorics import Composition, degree_D, require_integer
 
 
 class PoleError(ValueError):
@@ -61,8 +61,7 @@ def gamma_R(z: complex, R: int) -> complex:
     integer R >= 1 the numerator argument is a half-integer there, so the zero
     is never cancelled by a numerator pole.
     """
-    if R < 1 or R != int(R):
-        raise ValueError(f"R must be a positive integer, got {R}")
+    R = require_integer(R, "R", positive=True)
     num_arg = (0.5 + R + z) / 2
     if _is_nonpositive_integer(z):
         return 0.0 + 0.0j
@@ -77,8 +76,7 @@ def gamma_R_pair_log(t: float, R: int) -> float:
 
     Grows like (R + 1/2) log|2t| for large |t|; finite for all t != 0.
     """
-    if R < 1 or R != int(R):
-        raise ValueError(f"R must be a positive integer, got {R}")
+    R = require_integer(R, "R", positive=True)
     if t == 0:
         return -math.inf  # Gamma_R(0) = 0
     return _log_mod_gamma_R(2j * t, R) + _log_mod_gamma_R(-2j * t, R) - math.pi * abs(t)
@@ -108,6 +106,7 @@ def f_R_poly(alpha: Sequence[complex], R: int) -> complex:
     the value is real and >= 1.  Odd R uses principal-branch half powers.
     """
     a = np.asarray(alpha, dtype=complex)
+    R = require_integer(R, "R", positive=True)
     n = len(a)
     if n < 2:
         raise ValueError("need n >= 2")
@@ -236,6 +235,15 @@ def validate_langlands(alpha: Sequence[complex], require_tempered: bool = False)
     return a
 
 
+def require_positive(values, name: str):
+    """``values`` as a float, or as a float array for a sequence or array;
+    ValueError unless every entry is positive and finite (NaN fails)."""
+    v = np.asarray(values, dtype=float)
+    if not ((v > 0) & (v < math.inf)).all():
+        raise ValueError(f"{name} must be positive and finite, got {values!r}")
+    return float(v) if v.ndim == 0 else v
+
+
 @dataclass(frozen=True)
 class PartitionedParameter:
     """A zero-sum parameter split along a composition: per-block recentered
@@ -299,8 +307,7 @@ def _log_mod_gamma_R(z: complex, R: int) -> float:
 
 def _ring_sum(v: np.ndarray, R: int) -> float:
     """sum_{i != j} log |Gamma_R(v_i - v_j)| over ordered pairs."""
-    if R < 1 or R != int(R):
-        raise ValueError(f"R must be a positive integer, got {R}")
+    R = require_integer(R, "R", positive=True)
     diffs = [v[i] - v[j] for i in range(len(v)) for j in range(len(v)) if i != j]
     if any(abs(d) < 1e-10 for d in diffs):
         raise DegenerateParameterError("coincident parameter entries")

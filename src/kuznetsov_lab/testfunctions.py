@@ -30,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import loggamma, rgamma
 
-from .combinatorics import degree_D
+from .combinatorics import degree_D, require_integer
 from .quadrature import AccuracyError
-from .special import bound_B, f_R_poly, subset_pairs, validate_langlands
+from .special import bound_B, f_R_poly, require_positive, subset_pairs, validate_langlands
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,8 @@ class TestFunctionParams:
     R: int
 
     def __post_init__(self) -> None:
-        if not 0 < self.T < math.inf:
-            raise ValueError("T must be positive and finite")
-        if int(self.R) != self.R or self.R < 1:
-            raise ValueError("R must be an integer >= 1")
+        require_positive(self.T, "T")
+        require_integer(self.R, "R", positive=True)
 
 
 def p_sharp(alpha, params) -> complex:
@@ -165,10 +163,9 @@ def p_y_batch(y_values, params, line: float = 0.75) -> np.ndarray:
     one loggamma line (:func:`_on_range`); the integrand is even in t, so
     t > 0 is summed twice.
     """
-    if line <= 0 and abs(line - round(line)) < 1e-6:
-        raise ValueError("contour line sits on a pole of the integrand")
-    if not all(0 < y < math.inf for y in y_values):
-        raise ValueError("y must be positive and finite")
+    if not math.isfinite(line) or (line <= 0 and abs(line - round(line)) < 1e-6):
+        raise ValueError(f"contour line {line} must be finite and off the poles of the integrand")
+    y_values = require_positive(y_values, "y")
     t, base = _outer_grid(params)
     base = base[t > 0]
     k = np.arange(base.size)
@@ -236,9 +233,7 @@ def p_y_gl3(y, params, *, spectral_step: float = 0.5) -> float:
     orders, and the step keeps the aliasing below that floor.  y far from
     1/pi adds phase 2 v log(pi y) and may need a smaller step still.
     """
-    y1, y2 = float(y[0]), float(y[1])
-    if not (0 < y1 < math.inf and 0 < y2 < math.inf):
-        raise ValueError("y components must be positive and finite")
+    y1, y2 = require_positive(y, "y")
     line, step = 0.75, 0.125
     half_t = 3.2 * params.T + 4.0
     n_t = int(math.ceil(half_t / spectral_step))
@@ -280,8 +275,7 @@ def residue_term(y_values, params, delta: int = 0) -> np.ndarray:
     built once and serve every y, which enters only through a prefactor and
     the phase 2 t log(pi y).
     """
-    if not all(0 < y < math.inf for y in y_values):
-        raise ValueError("y must be positive and finite")
+    y_values = require_positive(y_values, "y")
     t, base = _outer_grid(params)
     g = loggamma(-delta - 2j * t)
     out = np.empty(len(y_values))
@@ -305,8 +299,9 @@ def residue_decomposition_check(params, a: float = 0.75) -> dict:
     relative residual measures how well the three-term decomposition closes;
     the constant should be the composition count 2.
     """
-    if a <= 0 or abs(a - round(a)) < 1e-9:
-        raise ValueError("shift a must be positive and nonintegral")
+    a = require_positive(a, "shift a")
+    if abs(a - round(a)) < 1e-9:
+        raise ValueError("shift a must be nonintegral")
     line = 0.75
     y_values = np.geomspace(0.4, 2.5, 10)
     lhs = p_y_batch(y_values, params, line=line) - p_y_batch(y_values, params, line=-a)
@@ -363,8 +358,8 @@ def itr_log(a: float, params, grid_step: float = 1.0 / 16, t_factor: float = 2.7
     T = 512 and 6e-8 at T = 16384; it is exceeded from T = 2048 at
     a = 2.5 and from T = 1024 at a = 3.5.
     """
-    if abs(a - round(a)) < 1e-9 and a >= 0:
-        raise ValueError("shift a must avoid the pole set of the integrand")
+    if not math.isfinite(a) or (abs(a - round(a)) < 1e-9 and a >= 0):
+        raise ValueError(f"shift a = {a} must be finite and off the pole set of the integrand")
     dv = grid_step
     k = np.arange(1, math.ceil((t_factor * params.T + 12.0) / dv))
     t = k * dv
@@ -411,6 +406,7 @@ def main_term_log(n: int, R: int, T: float) -> float:
     onto the same symmetric grid of halves.  The coincidence hyperplanes
     carry double zeros and are excised exactly.
     """
+    params = TestFunctionParams(T=T, R=R)
     if n == 2:
         m = np.arange(1, math.ceil(16.0 * (3.2 * T + 20.0)), 2)
         cols, step, cell = (m, -m), 1.0 / 16, 2.0 / 8.0
@@ -421,7 +417,7 @@ def main_term_log(n: int, R: int, T: float) -> float:
         cols, step, cell = (m1, m2, -m1 - m2), 0.5, 0.5 * 0.5
     else:
         raise NotImplementedError("main-term integral implemented for n = 2, 3")
-    li = _log_weight(cols, step, TestFunctionParams(T=T, R=R), 2)
+    li = _log_weight(cols, step, params, 2)
     mx = li.max()
     return float(mx + math.log(np.sum(np.exp(li - mx)) * cell))
 

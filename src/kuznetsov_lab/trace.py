@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,9 +33,10 @@ from .combinatorics import (
     exponent_vector_a,
     phi,
     require_half_integer,
+    require_integer,
 )
 from .geometry import WeylElement, weyl_norm_exponents
-from .special import bound_B
+from .special import bound_B, require_positive
 from .testfunctions import TestFunctionParams, h_value
 
 
@@ -53,14 +53,6 @@ class HeckeConsistencyWarning(UserWarning):
 # Kloosterman sums
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int; ValueError unless it is integral (numpy integers
-    and floats such as 10.0 pass)."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def kloosterman_gl2(m: int, l: int, c: int) -> complex:
     """S(m, l; c) = sum over units x mod c of e^(2 pi i (m x + l x~) / c).
 
@@ -70,7 +62,7 @@ def kloosterman_gl2(m: int, l: int, c: int) -> complex:
     integer inputs (x and -x pair up): a complex is returned whose imaginary
     part is exactly 0.
     """
-    m, l, c = _integer(m, "m"), _integer(l, "l"), _integer(c, "modulus")
+    m, l, c = require_integer(m, "m"), require_integer(l, "l"), require_integer(c, "modulus")
     if c < 1:
         raise ValueError(f"modulus must be a positive integer, got {c}")
     counts = [0] * c
@@ -166,7 +158,7 @@ def kloosterman_sweep(c_max: int, m: int = 1, l: int = 1) -> np.ndarray:
     values (imaginary parts exactly 0).
 
     Modulo 1 the only residue class, x = 0, is a unit, so S = 1 there."""
-    c_max, m, l = _integer(c_max, "c_max"), _integer(m, "m"), _integer(l, "l")
+    c_max, m, l = require_integer(c_max, "c_max"), require_integer(m, "m"), require_integer(l, "l")
     if c_max < 1:
         raise ValueError("c_max must be positive")
     spf = _smallest_prime_factors(c_max)
@@ -227,9 +219,7 @@ class KloostermanQuery:
     weyl: WeylElement | None = None
 
     def __post_init__(self) -> None:
-        if not self.moduli or any(c < 1 or c != int(c) for c in self.moduli):
-            raise ValueError(f"moduli must be positive integers, got {self.moduli}")
-        object.__setattr__(self, "moduli", tuple(int(c) for c in self.moduli))
+        object.__setattr__(self, "moduli", require_integer(tuple(self.moduli), "moduli", positive=True))
         if self.weyl is not None and self.weyl.n != self.n:
             raise ValueError(
                 f"Weyl element acts on GL({self.weyl.n}) but the moduli vector implies GL({self.n})"
@@ -311,7 +301,7 @@ def kloosterman_tail(a, c_max: int) -> TailReport:
     if not math.isfinite(a_vec[0]):
         raise ValueError(f"shift a = {a_vec[0]} is not finite")
     exponent = modulus_exponents(a_vec)[0]
-    c_max = _integer(c_max, "c_max")
+    c_max = require_integer(c_max, "c_max")
     if c_max < 4:
         raise ValueError("c_max too small for a dyadic report")
 
@@ -511,8 +501,8 @@ class MaassFormRecord:
     value L(1, Ad) used as the harmonic weight's denominator.
 
     lambda_1 is filled in as 1 when absent and must equal 1 when given, and
-    adjoint_L must be positive; a table or value that breaks one of these
-    rules raises ValueError, and so does a non-integral index."""
+    adjoint_L must be positive and finite; a table or value that breaks
+    one of these rules raises ValueError, and so does a non-integral index."""
 
     r: float
     hecke: Mapping[int, float]
@@ -520,17 +510,14 @@ class MaassFormRecord:
     source: str = ""
 
     def __post_init__(self) -> None:
-        table = dict(self.hecke)
-        if any(k < 1 or k != int(k) for k in table):
-            raise ValueError(f"Hecke indices must be positive integers, got {list(table)}")
-        table = {int(k): float(v) for k, v in table.items()}
+        keys = require_integer(list(self.hecke), "Hecke indices", positive=True) if self.hecke else ()
+        table = dict(zip(keys, map(float, self.hecke.values())))
         if abs(table.setdefault(1, 1.0) - 1.0) > 1e-12:
             raise ValueError(
                 f"lambda_1 must equal 1, got {table[1]} (r={self.r}, source={self.source!r})"
             )
         object.__setattr__(self, "hecke", table)
-        if not self.adjoint_L > 0:
-            raise ValueError(f"adjoint_L must be positive, got {self.adjoint_L}")
+        require_positive(self.adjoint_L, "adjoint_L")
 
     @property
     def alpha(self) -> tuple[complex, complex]:
@@ -598,8 +585,7 @@ def hecke_divisor_sum(m: int, s: Sequence[complex], forms: Sequence) -> complex:
     unit-marked case is the Eisenstein divisor sum sum_{c1 c2 = m} c1^s1
     c2^s2.
     """
-    if m < 1 or m != int(m):
-        raise ValueError(f"m must be a positive integer, got {m}")
+    m = require_integer(m, "m", positive=True)
     if len(s) != len(forms):
         raise ValueError("one spectral slot per exponent")
     sizes = [1 if f is None else 2 for f in forms]

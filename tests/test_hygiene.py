@@ -166,3 +166,45 @@ def test_bench_scanner_sees_every_kind_of_read():
         ("testfunctions", "itr_log"),
         ("trace", "kloosterman_sweep"),
     }
+
+
+def integer_comparisons(source: str) -> list[str]:
+    """Enclosing function of each comparison with an ``int(...)`` call as
+    an operand, the hand-written form of the integer rule."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Compare) and any(
+                isinstance(op, ast.Call) and isinstance(op.func, ast.Name) and op.func.id == "int"
+                for op in (child.left, *child.comparators)
+            ):
+                found.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_integer_rule_stated_once():
+    found = {
+        path.stem: integer_comparisons(path.read_text())
+        for path in LIBRARY
+        if integer_comparisons(path.read_text())
+    }
+    assert found == {"combinatorics": ["require_integer"]}
+
+
+def test_integer_scanner_sees_each_idiom():
+    source = (
+        "def f(x):\n"
+        "    if x != int(x) or int(x) != x:\n"
+        "        pass\n"
+        "    return [v == int(v) for v in x]\n"
+        "y = 1 < int('2')\n"
+        "z = int(3) + 1 == 4\n"
+    )
+    assert integer_comparisons(source) == ["f", "f", "f", "<module>"]

@@ -95,3 +95,28 @@ class TestInitialHalfLength:
         with pytest.raises(ValueError, match="half-length"):
             vertical_plane_integral(f, (0.0, 0.0), 1e-8, initial_half_length=half)
         assert f.calls == 0
+
+
+BAD_TOLS = pytest.mark.parametrize(
+    "tol", [0.0, -1.0, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"]
+)
+
+
+class TestTolerance:
+    # no frame is below a zero, negative or NaN tolerance, so the window
+    # would double to its cap before raising AccuracyError; every frame is
+    # below an infinite one, so the first window would be returned as is
+
+    @BAD_TOLS
+    def test_line(self, tol):
+        f = TestInitialHalfLength._third_call_fails()
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            vertical_line_integral(f, 0.0, tol)
+        assert f.calls == 0
+
+    @BAD_TOLS
+    def test_plane(self, tol):
+        f = TestInitialHalfLength._third_call_fails()
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            vertical_plane_integral(f, (0.0, 0.0), tol)
+        assert f.calls == 0
