@@ -73,6 +73,7 @@ def degree_D(n: int) -> int:
     The sum over subset sizes and the central-binomial form must agree; both
     are computed and cross-checked on every call.
     """
+    n = require_integer(n, "n")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     by_sum = sum(
@@ -141,6 +142,7 @@ def verify_partition_identities(n_max: int) -> dict:
 
     Returns {"passed": bool, "checked": int, "first_counterexample": ...}.
     """
+    n_max = require_integer(n_max, "n_max")
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     checked = 0
@@ -195,7 +197,7 @@ def require_half_integer(rho) -> Fraction:
 
 def exponent_vector_a(n: int, rho: Fraction) -> list[Fraction]:
     """The canonical shift a_k = rho + k(n-k)/2, k = 1..n-1 (exact)."""
-    rho = Fraction(rho)
+    n, rho = require_integer(n, "n"), Fraction(rho)
     return [rho + Fraction(k * (n - k), 2) for k in range(1, n)]
 
 

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from kuznetsov_lab import cli, mellin, special, testfunctions, trace
+from kuznetsov_lab import cli, combinatorics, mellin, special, testfunctions, trace
 from kuznetsov_lab.combinatorics import Composition, enumerate_compositions, require_integer
 from kuznetsov_lab.reporting import RunConfig
 from kuznetsov_lab.special import require_positive
@@ -51,6 +51,25 @@ BAD_CALLS = {
 def test_bad_argument_is_value_error(call):
     with pytest.raises(ValueError):
         call()
+
+
+# integer arguments that reach range() or math.factorial, each called with
+# 1.5: (entry, argument name)
+NON_INTEGRAL_CALLS = {
+    "shift_residual": (lambda d: mellin.shift_residual((0.3j, -0.3j), (0.8,), 1, d), "delta"),
+    "residue_gl2": (lambda d: mellin.residue_gl2(0.3j, d), "delta"),
+    "residue_check": (lambda d: mellin.residue_check(2, (0.3j, -0.3j), 1, d), "delta"),
+    "degree_D": (combinatorics.degree_D, "n"),
+    "exponent_vector_a": (lambda n: combinatorics.exponent_vector_a(n, 0.5), "n"),
+    "verify_partition_identities": (combinatorics.verify_partition_identities, "n_max"),
+}
+
+
+@pytest.mark.parametrize("call, name", NON_INTEGRAL_CALLS.values(), ids=NON_INTEGRAL_CALLS.keys())
+def test_non_integral_argument_named(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got 1.5$"):
+        call(1.5)
+    call(2.0)  # an integral float passes
 
 
 class TestRequireInteger:

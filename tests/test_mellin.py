@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import loggamma
 
 from kuznetsov_lab.mellin import (
     _truncation_half_length,
@@ -172,6 +173,48 @@ class TestRecursionRankThree:
         alpha, s, ref = self.FROZEN[0]
         v = mellin_recursive(4, alpha, s, tol=1e-7)
         assert abs(v - ref) / abs(ref) <= 1e-9
+
+    # values of the earlier tensor-grid plane rule, which evaluated the whole
+    # integrand at every pair of nodes: one window at half-length 55
+    # (|Im alpha| = 15) and one call at tol 1e-13
+    TENSOR_GRID = [
+        (
+            (0.1j, -0.1j, -15j, 15j),
+            (0.6 + 0.1j, 0.7, 0.8 - 0.2j),
+            1e-8,
+            55.0,
+            6.226197051012476e-59 - 4.1909304002341865e-59j,
+        ),
+        (
+            (0.1j, 0.2j, -0.3j, 0.0),
+            (0.7 + 0.2j, 0.9, 0.6 - 0.1j),
+            1e-13,
+            30.0,
+            17.553633260388423 - 4.953761506216393j,
+        ),
+    ]
+
+    @pytest.mark.parametrize("alpha, s, tol, half, ref", TENSOR_GRID, ids=["half-length-55", "tol-1e-13"])
+    def test_matches_tensor_grid_rule(self, alpha, s, tol, half, ref):
+        assert _truncation_half_length(np.array(alpha)) == half
+        v = mellin_recursive(4, alpha, s, tol=tol)
+        assert abs(v - ref) / abs(ref) <= 1e-12
+
+    def test_plane_evaluates_node_sums_not_grid(self, monkeypatch):
+        # 1/Gamma(z1 + z2) is taken on the 119 x 16 x 16 node-sum table of the
+        # default window (30 panels a side), not on its 960^2 = 9.2e5 pairs
+        # of nodes; with the ten Gammas of the row and column that is 4.0e4
+        from kuznetsov_lab import mellin
+
+        evaluated = []
+
+        def counting(z):
+            evaluated.append(np.size(z))
+            return loggamma(z)
+
+        monkeypatch.setattr(mellin, "loggamma", counting)
+        mellin_recursive(4, (0.1j, 0.2j, -0.3j, 0.0), (0.7 + 0.2j, 0.9, 0.6 - 0.1j))
+        assert sum(evaluated) < 1e5
 
     def test_unsupported_rank(self):
         with pytest.raises(NotImplementedError):

@@ -1,15 +1,26 @@
-"""Vertical line and plane integrals: window doubling and the accuracy cap."""
+"""Vertical line and plane integrals: window doubling, the accuracy cap and
+the plane rule's node-sum table."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.special import rgamma
 
 from kuznetsov_lab.quadrature import (
     AccuracyError,
+    line_nodes,
     vertical_line_integral,
     vertical_plane_integral,
 )
+
+
+def gauss(z):
+    return np.exp(z**2)
+
+
+def ones(w):
+    return np.ones_like(w)
 
 
 class Recorder:
@@ -38,10 +49,20 @@ class TestWindowDoubling:
         assert 7.9 < f.reach < 8.0
 
     def test_plane_gaussian(self):
-        f = Recorder(lambda z1, z2: np.exp(z1**2 + z2**2))
-        val = vertical_plane_integral(f, (0.0, 0.0), 1e-12, initial_half_length=1)
+        f = Recorder(gauss)
+        val = vertical_plane_integral(f, gauss, ones, (0.0, 0.0), 1e-12, initial_half_length=1)
         assert val == pytest.approx(-math.pi, abs=1e-13)
         assert 7.9 < f.reach < 8.0
+
+    @pytest.mark.parametrize("wide_axis", ["row", "column"])
+    def test_plane_frame_covers_rows_and_columns(self, wide_axis):
+        # the Gaussian of width 4 needs the window at 32, four times the
+        # narrow one's 8; a frame over one axis alone would stop at 8
+        wide = Recorder(lambda z: np.exp(z**2 / 16.0))
+        factors = (wide, gauss) if wide_axis == "row" else (gauss, wide)
+        val = vertical_plane_integral(*factors, ones, (0.0, 0.0), 1e-12, initial_half_length=1)
+        assert val == pytest.approx(-4.0 * math.pi, abs=1e-12)
+        assert 31.9 < wide.reach < 32.0
 
 
 class TestAccuracyCap:
@@ -54,11 +75,11 @@ class TestAccuracyCap:
             vertical_line_integral(lambda z: 1.0 / (1.0 - z**2), 0.0, 1e-8)
 
     def test_plane_raises_at_cap(self):
-        def f(z1, z2):
-            return 1.0 / ((1.0 - z1**2) * (1.0 - z2**2))
+        def f(z):
+            return 1.0 / (1.0 - z**2)
 
         with pytest.raises(AccuracyError, match=r"half-length 120\.0$"):
-            vertical_plane_integral(f, (0.0, 0.0), 1e-8)
+            vertical_plane_integral(f, f, ones, (0.0, 0.0), 1e-8)
 
 
 BAD_HALF_LENGTHS = pytest.mark.parametrize(
@@ -93,7 +114,7 @@ class TestInitialHalfLength:
     def test_plane(self, half):
         f = self._third_call_fails()
         with pytest.raises(ValueError, match="half-length"):
-            vertical_plane_integral(f, (0.0, 0.0), 1e-8, initial_half_length=half)
+            vertical_plane_integral(f, f, f, (0.0, 0.0), 1e-8, initial_half_length=half)
         assert f.calls == 0
 
 
@@ -118,5 +139,31 @@ class TestTolerance:
     def test_plane(self, tol):
         f = TestInitialHalfLength._third_call_fails()
         with pytest.raises(ValueError, match="tol must be positive and finite"):
-            vertical_plane_integral(f, (0.0, 0.0), tol)
+            vertical_plane_integral(f, f, f, (0.0, 0.0), tol)
         assert f.calls == 0
+
+
+class TestPlaneRule:
+    # the plane rule takes the diagonal factor on panel-index sums plus
+    # in-panel offsets; a brute-force sum over the tensor grid evaluates it
+    # at each pair of nodes instead.  A tolerance no frame reaches returns
+    # the first window, so the two sums cover the same nodes
+
+    @staticmethod
+    def row(z):
+        return np.exp(z**2)
+
+    @staticmethod
+    def column(z):
+        return np.exp(2.0 * z**2 - 0.3 * z)
+
+    @pytest.mark.parametrize("half", [1, 2, 3])
+    def test_equals_tensor_grid(self, half):
+        x0 = (0.5, 0.25)
+        t, w = line_nodes(half)
+        z1 = x0[0] + 1j * t[:, None]
+        z2 = x0[1] + 1j * t[None, :]
+        terms = np.outer(w, w) * self.row(z1) * self.column(z2) * rgamma(z1 + z2)
+        grid = -np.sum(terms)  # (i dt)^2
+        val = vertical_plane_integral(self.row, self.column, rgamma, x0, 1e300, initial_half_length=half)
+        assert abs(val - grid) <= 1e-13 * abs(grid)

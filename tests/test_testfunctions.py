@@ -216,10 +216,11 @@ class TestRankThreeAvatar:
 
     def test_plane_matches_adaptive_quadrature(self):
         # same closed transform, two independent quadratures: uniform-grid
-        # convolution against adaptive panel tensor integration
-        from scipy.special import rgamma
+        # convolution against adaptive panel integration, which takes the
+        # closed form as its Gamma row in s1, its Gamma column in s2 and
+        # 1/Gamma(s1 + s2)
+        from scipy.special import loggamma, rgamma
 
-        from kuznetsov_lab.mellin import mellin_closed
         from kuznetsov_lab.quadrature import vertical_plane_integral
         from kuznetsov_lab.testfunctions import _gl3_plane
 
@@ -227,12 +228,13 @@ class TestRankThreeAvatar:
         alpha = (1j * tau1, 1j * tau2, -1j * (tau1 + tau2))
         c1, c2 = math.log(math.pi * 0.9), math.log(math.pi * 1.1)
 
-        def f(s1, s2):
-            return mellin_closed(alpha, (s1, s2)) * np.exp(
-                -2.0 * s1 * c1 - 2.0 * s2 * c2
-            )
+        def row(s1):
+            return np.exp(sum(loggamma(s1 + a) for a in alpha) - 2.0 * s1 * c1)
 
-        ref = vertical_plane_integral(f, (0.75, 0.75), 1e-12) / (2j * math.pi) ** 2
+        def column(s2):
+            return np.exp(sum(loggamma(s2 - a) for a in alpha) - 2.0 * s2 * c2)
+
+        ref = vertical_plane_integral(row, column, rgamma, (0.75, 0.75), 1e-12) / (2j * math.pi) ** 2
         step = 0.125
         v = step * np.arange(-240, 241)
         u = 2.0 * v[0] + step * np.arange(2 * v.size - 1)
