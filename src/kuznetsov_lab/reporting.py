@@ -145,8 +145,8 @@ class VerificationReport:
 
 
 def input_digest(name: str, cfg: RunConfig) -> str:
-    # 16 is the Gauss-Legendre panel size of the Mellin contours; it stays
-    # in the tuple so digests keep the bytes they had when it was a config key
+    # the literal 16 was once a config key; it stays in the tuple so every
+    # digest keeps its bytes, which test_seed_7_digests_are_pinned pins
     blob = repr((name, cfg.seed, cfg.quad_tol, cfg.identity_tol, 16)).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 

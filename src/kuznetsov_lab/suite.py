@@ -303,10 +303,7 @@ def _check_rank_two_recursion(cfg):
         closed = mellin.mellin_closed(alpha, s)
         worst = max(worst, abs(rec - closed) / abs(closed))
         perm = (alpha[1], alpha[2], alpha[0])
-        worst = max(
-            worst,
-            abs(mellin.mellin_closed(perm, s) - closed) / abs(closed),
-        )
+        worst = max(worst, abs(mellin.mellin_recursive(3, perm, s, tol=cfg.quad_tol) - closed) / abs(closed))
     return worst
 
 

@@ -344,6 +344,20 @@ class TestModuleSubcommands:
         assert out == ""
         assert err.startswith("error:") and "tail above tolerance" in err
 
+    def test_whittaker_mellin_near_pole_exits_2(self, capsys, tmp_path):
+        # Re s = 0.05 puts the rank-four plane's lines 0.025 from the poles,
+        # where the step-1/16 sum misses the step-1/32 sum by 1.4e6; the
+        # oracle (bench/contour_oracle.py) gives 363072, and the earlier
+        # Gauss-Legendre rule printed 933551 and exited 0
+        apath = tmp_path / "alpha.json"
+        apath.write_text("[0.4, -0.1, -0.3, 0]")
+        spath = tmp_path / "s.json"
+        spath.write_text("[0.05, 0.05, 0.05]")
+        code, out, err = run_cli(capsys, "whittaker", "--mellin", "4", str(apath), str(spath))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "every-other-node sum" in err
+
     @pytest.mark.parametrize(
         "n, alpha, s", [("3", "[0.4, 0.3, -0.7]", "[0.8]"), ("2", "[0.4, -0.4]", "[]")]
     )

@@ -18,7 +18,7 @@ from kuznetsov_lab.mellin import (
     shift_residual,
     whittaker_value,
 )
-from kuznetsov_lab.quadrature import circle_integral_mean, line_nodes
+from kuznetsov_lab.quadrature import AccuracyError, circle_integral_mean, line_nodes
 from kuznetsov_lab.special import DegenerateParameterError, PoleError
 
 # modified-Bessel route evaluated separately at 30 digits and frozen here:
@@ -174,36 +174,42 @@ class TestRecursionRankThree:
         v = mellin_recursive(4, alpha, s, tol=1e-7)
         assert abs(v - ref) / abs(ref) <= 1e-9
 
-    # values of the earlier tensor-grid plane rule, which evaluated the whole
-    # integrand at every pair of nodes: one window at half-length 55
-    # (|Im alpha| = 15) and one call at tol 1e-13
+    # values of bench/contour_oracle.rank3_reference, computed without the
+    # library (its first peel, the one mellin_recursive takes; at |Im alpha| =
+    # 15 the oracle's other peels cancel and spread by 3.3e3): one window at
+    # half-length 55 (|Im alpha| = 15), and one point whose every-other-node
+    # estimate, 2.5e-10, meets tol 1e-8 but not 1e-13
     TENSOR_GRID = [
         (
             (0.1j, -0.1j, -15j, 15j),
             (0.6 + 0.1j, 0.7, 0.8 - 0.2j),
             1e-8,
             55.0,
-            6.226197051012476e-59 - 4.1909304002341865e-59j,
+            6.226197054909268e-59 - 4.190930400652173e-59j,
         ),
         (
             (0.1j, 0.2j, -0.3j, 0.0),
             (0.7 + 0.2j, 0.9, 0.6 - 0.1j),
             1e-13,
-            30.0,
-            17.553633260388423 - 4.953761506216393j,
+            10.9,
+            17.553633335984433 - 4.953761527259713j,
         ),
     ]
 
     @pytest.mark.parametrize("alpha, s, tol, half, ref", TENSOR_GRID, ids=["half-length-55", "tol-1e-13"])
     def test_matches_tensor_grid_rule(self, alpha, s, tol, half, ref):
-        assert _truncation_half_length(np.array(alpha)) == half
-        v = mellin_recursive(4, alpha, s, tol=tol)
+        assert _truncation_half_length(np.array(alpha)) == pytest.approx(half, abs=1e-12)
+        v = mellin_recursive(4, alpha, s)  # at the default tol, 1e-8
         assert abs(v - ref) / abs(ref) <= 1e-12
+        if tol < 1e-8:
+            with pytest.raises(AccuracyError, match="every-other-node sum"):
+                mellin_recursive(4, alpha, s, tol=tol)
 
     def test_plane_evaluates_node_sums_not_grid(self, monkeypatch):
-        # 1/Gamma(z1 + z2) is taken on the 119 x 16 x 16 node-sum table of the
-        # default window (30 panels a side), not on its 960^2 = 9.2e5 pairs
-        # of nodes; with the ten Gammas of the row and column that is 4.0e4
+        # 1/Gamma(z1 + z2) is taken on the 2m - 1 = 1407 node sums of the
+        # window (m = 704 nodes a side at half-length 11), not on its 704^2 =
+        # 5.0e5 pairs of nodes; with the ten Gammas of the row and column
+        # that is 8.4e3
         from kuznetsov_lab import mellin
 
         evaluated = []
@@ -219,6 +225,56 @@ class TestRecursionRankThree:
     def test_unsupported_rank(self):
         with pytest.raises(NotImplementedError):
             mellin_recursive(5, (0.0,) * 5, (1.0,) * 4)
+
+
+class TestNearPolePoints:
+    # tempered points of bench/refs/contour.json (rank3.474, .554, .686 and
+    # rank4.4, .28, .34), refs from bench/contour_oracle.py.  The ones with
+    # some Re s below 0.06 put the line within 0.03 of a pole, where the
+    # earlier Gauss-Legendre rule returned values off by 0.22 to 285
+    # relative; each point must meet its ref or raise
+    POINTS = [
+        (
+            (-0.126586j, -0.816818j, 0.943404j),
+            (0.020434 + 0.999512j, 0.348698 - 0.542887j),
+            -0.12764333743499298 - 0.07900104435563038j,
+        ),
+        (
+            (-1.100274j, -0.812914j, 1.913188j),
+            (0.03784 - 0.537811j, 0.983019 + 0.461769j),
+            7.053642697685297e-05 + 0.00030788254129128154j,
+        ),
+        (
+            (-1.494378j, 1.034381j, 0.459997j),
+            (0.389781 - 0.923932j, 1.36932 + 0.721558j),
+            -0.005282970217519924 + 0.017480897168427663j,
+        ),
+        (
+            (-1.429573j, -1.334308j, -0.741284j, 3.505165j),
+            (0.892304 - 0.788147j, 0.395373 - 0.261537j, 1.250806 - 0.129506j),
+            2.7595516850349392e-12 + 1.1695428671600649e-11j,
+        ),
+        (
+            (-1.089149j, -1.17278j, 1.101601j, 1.160328j),
+            (0.058312 + 0.122042j, 0.632887 - 0.293349j, 1.314502 + 0.311152j),
+            0.0001959804568601706 + 0.0005735776594809251j,
+        ),
+        (
+            (1.135013j, 0.335833j, 0.457083j, -1.927929j),
+            (0.307074 + 0.74346j, 0.040478 + 0.256754j, 0.038222 - 0.879653j),
+            2.6135771721757564e-06 + 1.4987256180289068e-06j,
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "alpha, s, ref", POINTS, ids=["rank3.474", "rank3.554", "rank3.686", "rank4.4", "rank4.28", "rank4.34"]
+    )
+    def test_meets_ref_or_raises(self, alpha, s, ref):
+        try:
+            v = mellin_recursive(len(alpha), alpha, s)
+        except AccuracyError:
+            return
+        assert abs(v - ref) / abs(ref) <= 1e-8
 
 
 class TestShiftIdentities:
@@ -325,7 +381,7 @@ class TestEvaluatorBundle:
         assert mellin_value(2, (0.4j, -0.4j), (0.8 + 0.1j,)) == mellin_closed((0.4j, -0.4j), (0.8 + 0.1j,))
 
     def test_truncation_height_floor(self):
-        assert _truncation_half_length(np.array((0.1j, -0.1j))) == 30.0
+        assert _truncation_half_length(np.array((0.1j, -0.1j))) == pytest.approx(10.3)
         tall = _truncation_half_length(np.array((9.0j, -9.0j)))
         assert tall == pytest.approx(37.0)
 
@@ -339,11 +395,12 @@ class TestContourOracleMachinery:
     @pytest.mark.parametrize("half_length", [0.3, 1.0, 37.5, 400.0])
     @pytest.mark.parametrize("nodes", [16])
     def test_line_nodes_equal_panel_loop(self, half_length, nodes):
-        # reference: one Gauss-Legendre panel per unit interval, mirrored
-        x, w = np.polynomial.legendre.leggauss(nodes)
+        # reference: each unit interval a panel of 2 x 16 = 32 midpoints of
+        # step 1/32, mirrored
         n_panels = max(1, math.ceil(half_length))
-        t_pos = np.concatenate([k + 0.5 * (x + 1.0) for k in range(n_panels)])
-        w_pos = np.concatenate([0.5 * w for _ in range(n_panels)])
+        mid = (np.arange(2 * nodes) + 0.5) / (2 * nodes)
+        t_pos = np.concatenate([k + mid for k in range(n_panels)])
+        w_pos = np.full(t_pos.size, 1.0 / (2 * nodes))
         t, wt = line_nodes(half_length)
         assert np.array_equal(t, np.concatenate([-t_pos[::-1], t_pos]))
         assert np.array_equal(wt, np.concatenate([w_pos[::-1], w_pos]))

@@ -1,5 +1,5 @@
-"""Vertical line and plane integrals: window doubling, the accuracy cap and
-the plane rule's node-sum table."""
+"""Vertical line and plane integrals: window doubling, the accuracy cap, the
+every-other-node error estimate and the plane rule's node sums."""
 
 import math
 
@@ -38,7 +38,7 @@ class Recorder:
 
 
 class TestWindowDoubling:
-    # from half-length 1 the Gaussian's outer panels stay above tol/10 until
+    # from half-length 1 the Gaussian's outer two units stay above tol/10 until
     # the window reaches 8, so the windows are 1, 2, 4 and 8
 
     def test_line_gaussian(self):
@@ -66,7 +66,7 @@ class TestWindowDoubling:
 
 
 class TestAccuracyCap:
-    # 1/(1 + t^2) on Re z = 0 decays too slowly: the outer panels still hold
+    # 1/(1 + t^2) on Re z = 0 decays too slowly: the outer two units still hold
     # about 4/L^2 per axis when the next doubling would pass the cap (frame
     # 7.0e-5 on the line at L = 240, 1.8e-3 on the plane at L = 120)
 
@@ -82,6 +82,34 @@ class TestAccuracyCap:
             vertical_plane_integral(f, f, ones, (0.0, 0.0), 1e-8)
 
 
+class TestErrorEstimate:
+    # e^{z^2}/(z - 0.05) has its pole 0.05 right of Re z = 0: there the step
+    # 1/16 of the every-other-node sum is off by 4.1e-2 on the line and 7.3e-2
+    # on the plane, so the rule raises unless tol/10 covers that.  Re z = -1
+    # crosses no pole, lies 1.05 away and gives the same integral
+
+    @staticmethod
+    def near_pole(z):
+        return np.exp(z**2) / (z - 0.05)
+
+    def test_line(self):
+        with pytest.raises(AccuracyError, match="every-other-node sum off by 4.133e-02"):
+            vertical_line_integral(self.near_pole, 0.0, 1e-8)
+        far = vertical_line_integral(self.near_pole, -1.0, 1e-8)
+        near = vertical_line_integral(self.near_pole, 0.0, 1.0)
+        assert abs(near - far) <= 0.1 * abs(far)
+
+    def test_plane(self):
+        with pytest.raises(AccuracyError, match="every-other-node sum off by 7.325e-02"):
+            vertical_plane_integral(gauss, self.near_pole, ones, (0.0, 0.0), 1e-8)
+        far = vertical_plane_integral(gauss, self.near_pole, ones, (0.0, -1.0), 1e-8)
+        near = vertical_plane_integral(gauss, self.near_pole, ones, (0.0, 0.0), 1.0)
+        assert abs(near - far) <= 0.1 * abs(far)
+        # the line integral of the Gaussian is i sqrt(pi)
+        line = vertical_line_integral(self.near_pole, -1.0, 1e-8)
+        assert far == pytest.approx(1j * math.sqrt(math.pi) * line, rel=1e-12)
+
+
 BAD_HALF_LENGTHS = pytest.mark.parametrize(
     "half", [0.0, -5.0, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"]
 )
@@ -89,7 +117,7 @@ BAD_HALF_LENGTHS = pytest.mark.parametrize(
 
 class TestInitialHalfLength:
     # doubling never moves 0, drives -5 toward -inf, and inf or NaN lays out
-    # no panels; each is refused before the integrand runs, which would raise
+    # no nodes; each is refused before the integrand runs, which would raise
     # on its third call instead of letting a bad window loop on
 
     @staticmethod
@@ -144,9 +172,9 @@ class TestTolerance:
 
 
 class TestPlaneRule:
-    # the plane rule takes the diagonal factor on panel-index sums plus
-    # in-panel offsets; a brute-force sum over the tensor grid evaluates it
-    # at each pair of nodes instead.  A tolerance no frame reaches returns
+    # the plane rule takes the diagonal factor once on each node sum, a
+    # multiple of the step; a brute-force sum over the tensor grid evaluates
+    # it at each pair of nodes instead.  A tolerance no frame reaches returns
     # the first window, so the two sums cover the same nodes
 
     @staticmethod

@@ -215,10 +215,10 @@ class TestRankThreeAvatar:
             p_y_gl3((0.0, 1.0), self.PARAMS)
 
     def test_plane_matches_adaptive_quadrature(self):
-        # same closed transform, two independent quadratures: uniform-grid
-        # convolution against adaptive panel integration, which takes the
-        # closed form as its Gamma row in s1, its Gamma column in s2 and
-        # 1/Gamma(s1 + s2)
+        # same closed transform, two independent quadratures: a fixed grid
+        # of step 1/8 against the adaptive rule at step 1/32 with its own
+        # window and estimate, which takes the closed form as its Gamma row
+        # in s1, its Gamma column in s2 and 1/Gamma(s1 + s2)
         from scipy.special import loggamma, rgamma
 
         from kuznetsov_lab.quadrature import vertical_plane_integral
