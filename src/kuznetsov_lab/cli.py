@@ -153,7 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", help="alpha JSON file (default 0)")
     p.add_argument("--T", type=float, default=10.0, help="spectral scale")
     p.add_argument("--R", type=int, default=1, help="smoothing order")
-    p.add_argument("--out", help="write scaling data CSV (plus JSON sidecar) here")
+    p.add_argument("--out", help="write the one scaling fit's data CSV (plus JSON sidecar) here")
 
     p = command("trace", _cmd_trace, "Kloosterman sums, tails, exponents, orthogonality", "format")
     p.add_argument("--kloosterman", nargs=3, type=int, metavar=("M", "L", "C"), help="one exact sum")
@@ -262,6 +262,10 @@ def _cmd_whittaker(args, cfg) -> tuple[str, int]:
 
 
 def _cmd_testfn(args) -> tuple[str, int]:
+    # the scaling CSV holds one fit; a second would be dropped
+    scalings = (args.itr_scaling, args.main_term_scaling)
+    if args.out and sum(op is not None for op in scalings) != 1:
+        raise ValueError("--out needs exactly one scaling operation: --itr-scaling or --main-term-scaling")
     out = {}
     params = testfunctions.TestFunctionParams(T=args.T, R=args.R)
     alpha = _parse_complex(_read_json(args.alpha)) if args.alpha else [0j, 0j]
@@ -286,8 +290,6 @@ def _cmd_testfn(args) -> tuple[str, int]:
             "choose at least one of --p-sharp, --h, --p-y, --itr-scaling, --main-term-scaling"
         )
     if args.out:
-        if fit is None:
-            raise ValueError("--out needs a scaling operation")
         emit_scaling_csv(fit, args.out)
     return _emit(out), 0
 

@@ -47,14 +47,17 @@ def _doubling(window_sum, d: int, tol: float, half: float) -> complex:
     units at either end of any axis, contributes less than tol/10 in
     absolute value; then return the window's sum if the sum over every other
     node agrees with it within tol/10 max(1, |sum|), and raise AccuracyError
-    if not.  window_sum(t, w, on_frame) returns the window's sum, the
-    every-other-node sum and the frame from one axis's nodes, weights and
-    frame mask."""
+    if not.  A window whose sum or frame is not finite raises at once: every
+    wider window holds its nodes.  window_sum(t, w, on_frame) returns the
+    window's sum, the every-other-node sum and the frame from one axis's
+    nodes, weights and frame mask."""
     half = require_positive(half, "initial half-length")
     require_positive(tol, "tol")
     while True:
         t, w = line_nodes(half)
         total, coarse, frame = window_sum(t, w, np.abs(t) >= t[-2 * _PER_UNIT])
+        if not (np.isfinite(total) and np.isfinite(frame)):
+            raise AccuracyError(f"{d}-dimensional integrand not finite at half-length {half:.1f}")
         if frame < tol / 10.0:
             gap, bound = abs(total - coarse), tol / 10.0 * max(1.0, abs(total))
             if not gap <= bound:

@@ -375,9 +375,7 @@ def _check_main_term_slopes(cfg):
 
 def _check_rank_three_avatar(cfg):
     params = testfunctions.TestFunctionParams(T=1.5, R=1)
-    a = testfunctions.p_y_gl3((0.8, 1.3), params)
-    b = testfunctions.p_y_gl3((1.3, 0.8), params)
-    center = testfunctions.p_y_gl3((1.0, 1.0), params)
+    a, b, center = testfunctions.p_y_gl3([(0.8, 1.3), (1.3, 0.8), (1.0, 1.0)], params)
     worst = abs(a - b) / abs(a)
     if not center > 0:
         worst = max(worst, 1.0)

@@ -185,45 +185,51 @@ def p_y_batch(y_values, params, line: float = 0.75) -> np.ndarray:
     return out
 
 
-def _gl3_plane(log_py1: float, log_py2: float, tau1, tau2, line: float, v: np.ndarray, rg: np.ndarray):
-    """Double Mellin integral of the closed rank-two transform at spectral
-    points (tau1, tau2), as (2 pi i)^{-2} times the contour integral over
-    the product of two copies of Re(s) = line.  tau1 and tau2 broadcast
-    against each other; scalars give one value.
+def _gl3_plane(log_py, tau1, tau2, weight, line: float, v: np.ndarray, rg: np.ndarray) -> np.ndarray:
+    """Double Mellin integral of the closed rank-two transform, (2 pi i)^{-2}
+    times the contour integral over two copies of Re(s) = line, summed over
+    the spectral points (tau1, tau2) with their weights; one value per row
+    (log pi y1, log pi y2) of log_py.
 
     Each line field is three Gamma(s + i w) at shifts w among +-tau1,
-    +-tau2 and +-(tau1 + tau2), so one loggamma row per distinct shift
-    serves every point, gathered by index.  The transform's reciprocal
-    coupling depends only on s1 + s2, so on uniform grids the plane is the
-    bilinear form e1 H e2 with the Hankel matrix H[a, b] = rg[a + b]; rg
-    must hold the reciprocal coupling on the sum grid
-    2 v[0] + step * arange(2 len(v) - 1).
+    +-tau2 and +-(tau1 + tau2): one loggamma row per distinct shift, gathered
+    by index.  y enters only through the phases (pi y1)^{-2 s1} (pi y2)^{-2 s2},
+    so the points are first summed into one field F = sum_k weight_k e1_k e2_k^T,
+    one matmul per block of points.  The reciprocal coupling depends only on
+    s1 + s2, so F is multiplied entrywise by the Hankel matrix H[a, b] =
+    rg[a + b], with rg on the sum grid 2 v[0] + step * arange(2 len(v) - 1),
+    and each y reads the field as phase1 (F H) phase2.
     """
     h = v[1] - v[0]
     s = line + 1j * v
-    tau1, tau2 = np.broadcast_arrays(tau1, tau2)
     shifts = np.stack([tau1, tau2, -(tau1 + tau2), -tau1, -tau2, tau1 + tau2])
     w, row = np.unique(shifts, return_inverse=True)
     row = row.reshape(shifts.shape)
     lg = loggamma(s + 1j * w[:, None])
-    e1 = np.exp(lg[row[0]] + lg[row[1]] + lg[row[2]] - 2.0 * s * log_py1)
-    e2 = np.exp(lg[row[3]] + lg[row[4]] + lg[row[5]] - 2.0 * s * log_py2)
-    hankel = rg[np.add.outer(np.arange(v.size), np.arange(v.size))]
-    return (h / (2.0 * math.pi)) ** 2 * np.sum((e1 @ hankel) * e2, axis=-1)
+    field = np.zeros((v.size, v.size), dtype=np.complex128)
+    # blocks of points keep each (points, v) field under 8 MB at any T
+    block = max(1, 2**19 // v.size)
+    for k in range(0, weight.size, block):
+        r = row[:, k : k + block]
+        e1, e2 = (np.exp(lg[r[j]] + lg[r[j + 1]] + lg[r[j + 2]]) for j in (0, 3))
+        field += (weight[k : k + block, None] * e1).T @ e2
+    field *= rg[np.add.outer(np.arange(v.size), np.arange(v.size))]
+    phase1, phase2 = (np.exp(-2.0 * np.outer(c, s)) for c in np.asarray(log_py).T)
+    return (h / (2.0 * math.pi)) ** 2 * np.sum((phase1 @ field) * phase2, axis=1)
 
 
-def p_y_gl3(y, params, *, spectral_step: float = 0.5) -> float:
-    """Rank-three inverse-transform avatar at y = (y1, y2).
+def p_y_gl3(y, params, *, spectral_step: float = 0.5) -> np.ndarray:
+    """Rank-three inverse-transform avatar, one value per pair y = (y1, y2).
 
     Four nested contours: the tempered spectral plane weighted by
     p_sharp times the Plancherel density (:func:`_log_weight` at
     (t1, t2, -t1 - t2)), times the double Mellin integral of the closed
     rank-two transform against y1 y2 (pi y1)^{-2 s1} (pi y2)^{-2 s2},
-    with the overall 2^{-(n-1)}.  All spectral nodes are one batched
-    contraction (see _gl3_plane), cut into blocks of nodes only to bound
-    memory.  The quadrature is fixed-step with no adaptive refinement or
-    error estimate, and unlike the rank-one avatar there is no
-    shifted-contour decomposition here to check it against;
+    with the overall 2^{-(n-1)}.  The spectral sum does not depend on y: it
+    is one field per call, and every pair is read from it by its two phases
+    (see _gl3_plane).  The quadrature is fixed-step with no adaptive
+    refinement or error estimate, and unlike the rank-one avatar there is
+    no shifted-contour decomposition here to check it against;
     ``spectral_step`` is exposed so the spectral sum can be compared at
     two steps.
 
@@ -233,7 +239,9 @@ def p_y_gl3(y, params, *, spectral_step: float = 0.5) -> float:
     orders, and the step keeps the aliasing below that floor.  y far from
     1/pi adds phase 2 v log(pi y) and may need a smaller step still.
     """
-    y1, y2 = require_positive(y, "y")
+    y = require_positive(y, "y")
+    if y.ndim != 2 or y.shape[1] != 2:
+        raise ValueError(f"y must be a sequence of (y1, y2) pairs, got shape {y.shape}")
     line, step = 0.75, 0.125
     half_t = 3.2 * params.T + 4.0
     n_t = int(math.ceil(half_t / spectral_step))
@@ -249,20 +257,14 @@ def p_y_gl3(y, params, *, spectral_step: float = 0.5) -> float:
             "reciprocal coupling overflows on the sum grid; the fixed-grid "
             "rank-three avatar is limited to moderate T"
         )
-    log_py1, log_py2 = math.log(math.pi * y1), math.log(math.pi * y2)
     m = np.arange(-n_t, n_t + 1)
     m1, m2 = np.meshgrid(m, m, indexing="ij")
     dens = _log_weight((m1, m2, -m1 - m2), spectral_step, params, 1)
     keep = np.isfinite(dens)
     t1, t2, weight = spectral_step * m1[keep], spectral_step * m2[keep], np.exp(dens[keep])
-    # blocks of nodes keep each (nodes, v) field under 8 MB at any T
-    block = max(1, 2**19 // v.size)
-    total = sum(
-        np.dot(weight[k : k + block], _gl3_plane(log_py1, log_py2, t1[k : k + block], t2[k : k + block], line, v, rg))
-        for k in range(0, weight.size, block)
-    )
-    scale = y1 * y2 * spectral_step**2 / (4.0 * (2.0 * math.pi) ** 2)
-    return float((scale * total).real)
+    total = _gl3_plane(np.log(np.pi * y), t1, t2, weight, line, v, rg)
+    scale = y[:, 0] * y[:, 1] * spectral_step**2 / (4.0 * (2.0 * math.pi) ** 2)
+    return (scale * total).real
 
 
 def residue_term(y_values, params, delta: int = 0) -> np.ndarray:

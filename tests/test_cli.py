@@ -145,7 +145,7 @@ class TestRunDriver:
     def test_nonpositive_avatar_centre_fails_at_loose_tol(self, capsys, monkeypatch):
         # symmetric off-centre values, so only the sign condition can fail
         monkeypatch.setattr(
-            testfunctions, "p_y_gl3", lambda y, params: -1.0 if tuple(y) == (1.0, 1.0) else 0.5
+            testfunctions, "p_y_gl3", lambda y, params: [-1.0 if tuple(p) == (1.0, 1.0) else 0.5 for p in y]
         )
         monkeypatch.setitem(suite.CHECKS, "testfn", [registered("rank-three-avatar")])
         code, out, _ = run_cli(capsys, "run", "testfn", "--tol", "0.5")
@@ -616,6 +616,17 @@ class TestScalingCsv:
         )
         assert code == 2
         assert "scaling" in err
+
+    def test_out_with_two_scalings_is_error(self, capsys, tmp_path):
+        # the CSV holds one fit, so a second would be dropped without a word
+        out_csv = tmp_path / "f.csv"
+        code, out, err = run_cli(
+            capsys,
+            "testfn", "--itr-scaling", "1", "0.25", "8", "64", "--main-term-scaling", "2", "1", "--out", str(out_csv),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "one scaling operation" in err
+        assert not out_csv.exists()
 
     def test_bad_grid_is_error(self, capsys):
         code, _, err = run_cli(capsys, "testfn", "--itr-scaling", "1", "0.25", "64", "8")

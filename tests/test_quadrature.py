@@ -82,6 +82,26 @@ class TestAccuracyCap:
             vertical_plane_integral(f, f, ones, (0.0, 0.0), 1e-8)
 
 
+class TestNonFiniteWindow:
+    # every wider window holds the nodes of the narrower one, so a window
+    # whose sum or frame is not finite raises at once instead of doubling
+
+    def test_line_stops_at_first_window(self):
+        f = Recorder(lambda z: np.full(z.shape, np.inf))
+        with pytest.raises(AccuracyError, match=r"1-dimensional integrand not finite at half-length 30\.0$"):
+            vertical_line_integral(f, 0.0, 1e-8)
+        assert f.calls == 1
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_plane_stops_at_first_window(self):
+        # the diagonal overflows past |Im| = 1.5, inside the first window's
+        # sum grid, which reaches 2
+        diagonal = Recorder(lambda w: np.where(np.abs(w.imag) > 1.5, np.inf, 1.0))
+        with pytest.raises(AccuracyError, match=r"2-dimensional integrand not finite at half-length 1\.0$"):
+            vertical_plane_integral(gauss, gauss, diagonal, (0.0, 0.0), 1e-8, initial_half_length=1)
+        assert diagonal.calls == 1
+
+
 class TestErrorEstimate:
     # e^{z^2}/(z - 0.05) has its pole 0.05 right of Re z = 0: there the step
     # 1/16 of the every-other-node sum is off by 4.1e-2 on the line and 7.3e-2

@@ -212,7 +212,11 @@ class TestRankThreeAvatar:
 
     def test_positive_y_required(self):
         with pytest.raises(ValueError):
-            p_y_gl3((0.0, 1.0), self.PARAMS)
+            p_y_gl3([(0.0, 1.0)], self.PARAMS)
+
+    def test_single_pair_not_a_pair_list(self):
+        with pytest.raises(ValueError, match="pairs"):
+            p_y_gl3((1.0, 1.0), self.PARAMS)
 
     def test_plane_matches_adaptive_quadrature(self):
         # same closed transform, two independent quadratures: a fixed grid
@@ -239,14 +243,13 @@ class TestRankThreeAvatar:
         v = step * np.arange(-240, 241)
         u = 2.0 * v[0] + step * np.arange(2 * v.size - 1)
         rg = rgamma(1.5 + 1j * u)
-        mine = _gl3_plane(c1, c2, tau1, tau2, 0.75, v, rg)
+        (mine,) = _gl3_plane([(c1, c2)], np.array([tau1]), np.array([tau2]), np.ones(1), 0.75, v, rg)
         assert abs(mine - ref) / abs(ref) < 1e-8
 
     def test_argument_swap_symmetry(self):
         # the transform's duality makes p(y1, y2) = p(y2, y1); the grids
         # map onto each other exactly under the swap
-        a = p_y_gl3((0.8, 1.3), self.PARAMS)
-        b = p_y_gl3((1.3, 0.8), self.PARAMS)
+        a, b = p_y_gl3([(0.8, 1.3), (1.3, 0.8)], self.PARAMS)
         assert a == pytest.approx(b, rel=1e-12, abs=0.0)
 
     def test_density_pin(self):
@@ -254,12 +257,12 @@ class TestRankThreeAvatar:
         # density of p_sharp times the Plancherel density.  A density with
         # the pair polynomial at alpha in place of alpha/2 is off by O(1),
         # which the swap symmetry cannot see
-        value = p_y_gl3((1.0, 1.0), self.PARAMS)
+        (value,) = p_y_gl3([(1.0, 1.0)], self.PARAMS)
         assert value == pytest.approx(4.223367629629422e-07, rel=1e-9, abs=0.0)
 
     def test_spectral_step_stability(self):
-        a = p_y_gl3((1.0, 1.0), self.PARAMS, spectral_step=0.5)
-        b = p_y_gl3((1.0, 1.0), self.PARAMS, spectral_step=0.4)
+        (a,) = p_y_gl3([(1.0, 1.0)], self.PARAMS, spectral_step=0.5)
+        (b,) = p_y_gl3([(1.0, 1.0)], self.PARAMS, spectral_step=0.4)
         assert a > 0
         assert b == pytest.approx(a, rel=1e-10, abs=0.0)
 
@@ -268,8 +271,8 @@ class TestRankThreeAvatar:
         # the shifts off the Mellin grid and make tau1 + tau2 a float sum.
         # A wrong gather moves a node by O(1).  The plane at tau = 0 sums
         # terms 4.5e5 times its value, so the summation order alone
-        # (matrix-vector for one node, matrix-matrix for many) moves it by
-        # up to 6e-12 relative, within eps times that ratio, 1e-10
+        # (one field for the weighted block against one per node) moves it
+        # by up to 6e-12 relative, within eps times that ratio, 1e-10
         from scipy.special import rgamma
 
         from kuznetsov_lab.testfunctions import _gl3_plane
@@ -281,19 +284,40 @@ class TestRankThreeAvatar:
         for spectral_step in (0.5, 0.4):
             tau = spectral_step * np.arange(-5, 6)
             t1, t2 = (g.ravel() for g in np.meshgrid(tau, tau, indexing="ij"))
-            batched = _gl3_plane(c1, c2, t1, t2, 0.75, v, rg)
-            assert batched.shape == t1.shape
-            for k in range(t1.size):
-                scalar = _gl3_plane(c1, c2, t1[k], t2[k], 0.75, v, rg)
-                assert batched[k] == pytest.approx(scalar, rel=1e-10, abs=0.0)
+            # weights of one size, so every node's plane counts in the sum
+            weight = np.random.default_rng(0).uniform(0.5, 1.5, t1.size)
+            batched = _gl3_plane([(c1, c2)], t1, t2, weight, 0.75, v, rg)
+            assert batched.shape == (1,)
+            summed = sum(_gl3_plane([(c1, c2)], t1[k : k + 1], t2[k : k + 1], weight[k : k + 1], 0.75, v, rg)
+                         for k in range(t1.size))
+            assert batched[0] == pytest.approx(summed[0], rel=1e-10, abs=0.0)
+
+    def test_pair_list_matches_per_pair_calls(self):
+        # every pair reads the same field, so one call gives each pair's
+        # value as its own call does, up to the order of the phase reads
+        pairs = [(0.8, 1.3), (1.3, 0.8), (1.0, 1.0), (0.6, 1.7)]
+        values = p_y_gl3(pairs, self.PARAMS)
+        assert values.shape == (4,)
+        for y, value in zip(pairs, values):
+            (alone,) = p_y_gl3([y], self.PARAMS)
+            assert value == pytest.approx(alone, rel=1e-13, abs=0.0)
+        assert values[0] == pytest.approx(values[1], rel=1e-12, abs=0.0)
+
+    def test_spectral_sum_built_once_per_call(self, monkeypatch):
+        from kuznetsov_lab import testfunctions
+
+        calls = []
+        real = testfunctions._log_weight
+        monkeypatch.setattr(testfunctions, "_log_weight", lambda *a: calls.append(a) or real(*a))
+        p_y_gl3([(0.8, 1.3), (1.3, 0.8), (1.0, 1.0)], self.PARAMS)
+        assert len(calls) == 1
 
     def test_larger_T_pin_and_swap_symmetry(self):
         # a regression pin, not an oracle: the sum over every spectral node
         # with a finite density
         params = TestFunctionParams(T=3.0, R=1)
-        assert p_y_gl3((1.0, 1.0), params) == pytest.approx(3.611571741128004e-05, rel=1e-12, abs=0.0)
-        a = p_y_gl3((0.8, 1.3), params)
-        b = p_y_gl3((1.3, 0.8), params)
+        centre, a, b = p_y_gl3([(1.0, 1.0), (0.8, 1.3), (1.3, 0.8)], params)
+        assert centre == pytest.approx(3.611571741128004e-05, rel=1e-12, abs=0.0)
         assert a == pytest.approx(b, rel=1e-12, abs=0.0)
 
     def test_spectral_steps_agree_at_larger_T(self):
@@ -301,8 +325,8 @@ class TestRankThreeAvatar:
         # steps 0.5 and 0.4 meet within rounding when every node is summed:
         # nodes of small density carry plane values that are not small
         params = TestFunctionParams(T=3.0, R=1)
-        a = p_y_gl3((1.0, 1.0), params, spectral_step=0.5)
-        b = p_y_gl3((1.0, 1.0), params, spectral_step=0.4)
+        (a,) = p_y_gl3([(1.0, 1.0)], params, spectral_step=0.5)
+        (b,) = p_y_gl3([(1.0, 1.0)], params, spectral_step=0.4)
         assert b == pytest.approx(a, rel=1e-12, abs=0.0)
 
 
