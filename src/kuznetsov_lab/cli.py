@@ -321,7 +321,7 @@ def _cmd_trace(args, cfg) -> tuple[str, int]:
         out["tail"] = trace.tail_from_rho(rho, eps, cmax)
     if args.exponents is not None:
         n, rho = int(args.exponents[0]), Fraction(args.exponents[1])
-        out["exponents"] = trace.iwbounds_exponent(n, rho, comb.Composition((1,) * n))
+        out["exponents"] = trace.iwbounds_exponent(rho, comb.Composition((1,) * n))
     if args.cuspidal is not None:
         path = args.cuspidal[0]
         T, R = float(args.cuspidal[1]), int(args.cuspidal[2])

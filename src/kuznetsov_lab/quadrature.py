@@ -30,16 +30,15 @@ class AccuracyError(RuntimeError):
     """Raised when a quadrature cannot reach the requested tolerance."""
 
 
-def line_nodes(half_length: float) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoints t = (k + 1/2)/32 covering [-L, L], each of weight 1/32.
+def line_nodes(half_length: float) -> np.ndarray:
+    """Midpoints t = (k + 1/2)/32 covering [-L, L].
 
     L is half_length rounded up to a whole number, at least 1, so the edge
     lands at or beyond the requested half-length; the nodes are symmetric
     about 0.
     """
     n = _PER_UNIT * max(1, int(np.ceil(half_length)))
-    t = (np.arange(-n, n) + 0.5) / _PER_UNIT
-    return t, np.full(t.size, 1.0 / _PER_UNIT)
+    return (np.arange(-n, n) + 0.5) / _PER_UNIT
 
 
 def _doubling(window_sum, d: int, tol: float, half: float) -> complex:
@@ -47,15 +46,17 @@ def _doubling(window_sum, d: int, tol: float, half: float) -> complex:
     units at either end of any axis, contributes less than tol/10 in
     absolute value; then return the window's sum if the sum over every other
     node agrees with it within tol/10 max(1, |sum|), and raise AccuracyError
-    if not.  A window whose sum or frame is not finite raises at once: every
-    wider window holds its nodes.  window_sum(t, w, on_frame) returns the
-    window's sum, the every-other-node sum and the frame from one axis's
-    nodes, weights and frame mask."""
+    if not.  A window whose sum or frame is not finite raises at once, as
+    every wider window holds its nodes; that is how an overflow or a NaN
+    surfaces, so numpy's warnings for them are silenced.  window_sum(t,
+    on_frame) returns the window's sum, the every-other-node sum and the
+    frame from one axis's nodes and frame mask."""
     half = require_positive(half, "initial half-length")
     require_positive(tol, "tol")
     while True:
-        t, w = line_nodes(half)
-        total, coarse, frame = window_sum(t, w, np.abs(t) >= t[-2 * _PER_UNIT])
+        t = line_nodes(half)
+        with np.errstate(over="ignore", invalid="ignore"):
+            total, coarse, frame = window_sum(t, np.abs(t) >= t[-2 * _PER_UNIT])
         if not (np.isfinite(total) and np.isfinite(frame)):
             raise AccuracyError(f"{d}-dimensional integrand not finite at half-length {half:.1f}")
         if frame < tol / 10.0:
@@ -80,8 +81,8 @@ def vertical_line_integral(f: Integrand, x0: float, tol: float, initial_half_len
     400, or when the sum over every other node, the rule at twice the step,
     differs from the sum by more than tol/10 max(1, |sum|).
     """
-    def window_sum(t, w, on_frame):
-        terms = w * f(x0 + 1j * t)
+    def window_sum(t, on_frame):
+        terms = f(x0 + 1j * t) / _PER_UNIT
         return np.sum(terms), 2.0 * np.sum(terms[::2]), np.sum(np.abs(terms), where=on_frame)
 
     return _doubling(window_sum, 1, tol, initial_half_length)
@@ -100,9 +101,9 @@ def vertical_plane_integral(row: Integrand, column: Integrand, diagonal: Integra
     past half-length 200 it raises AccuracyError, as it does when the
     every-other-node sum on both axes misses the sum.
     """
-    def window_sum(t, w, on_frame):
-        a = w * row(x0[0] + 1j * t)
-        b = w * column(x0[1] + 1j * t)
+    def window_sum(t, on_frame):
+        a = row(x0[0] + 1j * t) / _PER_UNIT
+        b = column(x0[1] + 1j * t) / _PER_UNIT
         # node j + node k lies at 2 t[0] + (j + k)/32
         c = diagonal(x0[0] + x0[1] + 1j * (2.0 * t[0] + np.arange(2 * t.size - 1) / _PER_UNIT))
         a_abs, b_abs, c_abs = np.abs(a), np.abs(b), np.abs(c)

@@ -117,21 +117,21 @@ def f_R_poly(alpha: Sequence[complex], R: int) -> complex:
     return cmath.exp(log_total)
 
 
-def bound_B(a: float, eps: float = 1e-9) -> float:
+def bound_B(a: float) -> float:
     """Piecewise bound function: 0 for a < 0; floor(a) + 2 frac(a) on the
     lower half of each unit interval; ceil(a) on the upper half.
 
-    Positive a within eps of an integer is rejected (the two branches do not
+    Positive a within 1e-9 of an integer is rejected (the two branches do not
     agree there and every consumer assumes a is bounded away from Z).
     """
     if not math.isfinite(a):
         raise ValueError(f"a = {a} is not finite")
     if a < 0:
         return 0.0
-    if abs(a - round(a)) <= eps:
-        if a <= eps:  # a = 0 is the continuous seam of the first branch
+    if abs(a - round(a)) <= 1e-9:
+        if a <= 1e-9:  # a = 0 is the continuous seam of the first branch
             return 0.0
-        raise ValueError(f"a = {a} is within {eps} of an integer")
+        raise ValueError(f"a = {a} is within 1e-9 of an integer")
     return _bound_B_cont(a)
 
 

@@ -29,6 +29,7 @@ from . import geometry, mellin, special, testfunctions, trace
 from .reporting import RunConfig, VerificationReport, input_digest
 
 _RHO_SET = (Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2), Fraction(5, 2))
+_ORTHOGONALITY_FORMS = 50  # records in the sign fixture; its claim's bound is 3/sqrt of this
 
 
 def _rng(cfg: RunConfig, salt: int) -> np.random.Generator:
@@ -425,12 +426,12 @@ def _check_modulus_tail(cfg):
 
 def _check_exponent_ledger(cfg):
     bad = 0
-    rep = trace.iwbounds_exponent(4, Fraction(3, 2), comb.Composition((1, 1, 1, 1)))
+    rep = trace.iwbounds_exponent(Fraction(3, 2), comb.Composition((1, 1, 1, 1)))
     if rep.lm_exponent != Fraction(29, 4):
         bad += 1
     for n in range(2, 11):
         for c in comb.enumerate_compositions(n, min_length=2):
-            if trace.iwbounds_exponent(n, Fraction(3, 2), c).slack > 0:
+            if trace.iwbounds_exponent(Fraction(3, 2), c).slack > 0:
                 bad += 1
     for n in range(2, 7):
         for rep in trace.verify_aplusb_all(n, Fraction(3, 2)):
@@ -441,7 +442,7 @@ def _check_exponent_ledger(cfg):
 
 def _check_orthogonality(cfg):
     params = testfunctions.TestFunctionParams(T=10.0, R=1)
-    forms = trace.random_sign_fixture(params, count=50, seed=cfg.seed)
+    forms = trace.random_sign_fixture(params, count=_ORTHOGONALITY_FORMS, seed=cfg.seed)
     out = trace.cuspidal_sum(forms, params, 2, 3)
     diag = trace.cuspidal_sum(forms, params, 2, 2)
     worst = abs(out.ratio)
@@ -509,7 +510,7 @@ CHECKS: dict[str, list[Claim]] = {
         Claim("kloosterman-exact", "trace.kloosterman_gl2", _check_kloosterman, 1e-10, widens=True),
         Claim("modulus-tail", "trace.tail_from_rho", _check_modulus_tail, trace.TAIL_RATIO_BOUND, widens=False),
         Claim("exponent-ledger", "trace.iwbounds_exponent", _check_exponent_ledger, 0.0, widens=False),
-        Claim("orthogonality-fixture", "trace.cuspidal_sum", _check_orthogonality, 3.0 / math.sqrt(50.0), widens=False),
+        Claim("orthogonality-fixture", "trace.cuspidal_sum", _check_orthogonality, 3.0 / math.sqrt(_ORTHOGONALITY_FORMS), widens=False),
     ],
 }
 

@@ -283,10 +283,10 @@ class TailReport:
     trivial_tail_bound: float
 
 
-def kloosterman_tail(a, c_max: int) -> TailReport:
-    """Partial sums of sum_c |S(1,1;c)| c^(-(1+4a_1)) in dyadic blocks.
+def kloosterman_tail(a: float, c_max: int) -> TailReport:
+    """Partial sums of sum_c |S(1,1;c)| c^(-(1+4a)) in dyadic blocks.
 
-    ``a`` is the rank-one shift vector (scalar or length-1 sequence); the
+    ``a`` is the rank-one shift a_1, reported as the 1-tuple (a,); the
     exponent is the single-modulus case of :func:`modulus_exponents`.
     The last three block ratios all below TAIL_RATIO_BOUND certify geometric decay;
     a trailing run of ratios at or above 1 reports divergence (a shift too
@@ -295,12 +295,10 @@ def kloosterman_tail(a, c_max: int) -> TailReport:
     = zeta(exponent - 1) is attached, with its exact block ratio
     2^(2 - exponent) and integral tail bound.
     """
-    a_vec = (float(a),) if np.isscalar(a) else tuple(float(x) for x in a)
-    if len(a_vec) != 1:
-        raise ValueError("only the rank-one modulus sum is evaluated here")
-    if not math.isfinite(a_vec[0]):
-        raise ValueError(f"shift a = {a_vec[0]} is not finite")
-    exponent = modulus_exponents(a_vec)[0]
+    a = float(a)
+    if not math.isfinite(a):
+        raise ValueError(f"shift a = {a} is not finite")
+    exponent = modulus_exponents((a,))[0]
     c_max = require_integer(c_max, "c_max")
     if c_max < 4:
         raise ValueError("c_max too small for a dyadic report")
@@ -333,7 +331,7 @@ def kloosterman_tail(a, c_max: int) -> TailReport:
         triv_zeta = math.inf
         triv_tail = math.inf
     return TailReport(
-        a=a_vec,
+        a=(a,),
         exponent=exponent,
         c_max=c_max,
         partial_sum=partial,
@@ -369,8 +367,8 @@ class ExponentReport:
     rho_threshold: Fraction
 
 
-def iwbounds_exponent(n: int, rho, comp: Composition) -> ExponentReport:
-    """Error-term exponent relative to the main-term benchmark.
+def iwbounds_exponent(rho, comp: Composition) -> ExponentReport:
+    """Error-term exponent relative to the main-term benchmark; n = comp.n.
 
     slack = (n-1)(n+4)/2 - floor((n-1)/2) - rho n - Phi(C): nonpositive slack
     means the off-diagonal contribution of this composition loses a power of
@@ -379,8 +377,7 @@ def iwbounds_exponent(n: int, rho, comp: Composition) -> ExponentReport:
     3/2 - 3/(2n) for odd n, 3/2 - 1/n for even n.
     """
     rho_f = require_half_integer(rho)
-    if comp.n != n:
-        raise ValueError(f"composition {comp.parts} is not a composition of {n}")
+    n = comp.n
     phi_c = phi(comp)
     slack = (
         Fraction((n - 1) * (n + 4), 2)
@@ -427,8 +424,9 @@ class AplusBReport:
 _APLUSB_EPS_PRIME = 1e-4
 
 
-def verify_aplusb(n: int, rho, comp: Composition) -> AplusBReport:
-    """Check sum_j B(a_j) + B(b_j) >= floor((n-1)/2) + n rho + Phi(C) - 1e-3.
+def verify_aplusb(rho, comp: Composition) -> AplusBReport:
+    """Check sum_j B(a_j) + B(b_j) >= floor((n-1)/2) + n rho + Phi(C) - 1e-3
+    for the composition C = comp of n = comp.n.
 
     a is the canonical shift rho + (1 + delta) h over the half-weight
     exponents h_k = k(n-k)/2 (``exponent_vector_a(n, 0)``), with relative
@@ -442,8 +440,7 @@ def verify_aplusb(n: int, rho, comp: Composition) -> AplusBReport:
     y_k for b).
     """
     rho_f = require_half_integer(rho)
-    if comp.n != n:
-        raise ValueError(f"composition {comp.parts} is not a composition of {n}")
+    n = comp.n
     if comp.r < 2:
         raise ValueError("single-block compositions carry no modulus sum")
     tolerance = 1e-3
@@ -487,7 +484,7 @@ def verify_aplusb(n: int, rho, comp: Composition) -> AplusBReport:
 
 def verify_aplusb_all(n: int, rho) -> list[AplusBReport]:
     """One report per composition of n with at least two blocks."""
-    return [verify_aplusb(n, rho, comp) for comp in enumerate_compositions(n, min_length=2)]
+    return [verify_aplusb(rho, comp) for comp in enumerate_compositions(n, min_length=2)]
 
 
 # ---------------------------------------------------------------------------
@@ -600,11 +597,6 @@ def hecke_divisor_sum(m: int, s: Sequence[complex], forms: Sequence) -> complex:
             term *= lam * complex(c_i) ** complex(s_i)
         total += term
     return total
-
-
-def borel_divisor_sum(m: int, s: complex) -> complex:
-    """Minimal-parabolic rank-two case: sum_{c1 c2 = m} c1^s c2^(-s)."""
-    return hecke_divisor_sum(m, (s, -s), (None, None))
 
 
 # ---------------------------------------------------------------------------

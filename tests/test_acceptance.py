@@ -339,12 +339,12 @@ def test_criterion_13_kloosterman_exact_and_weil():
 
 
 def test_criterion_14_exponent_calculators():
-    rep = trace.iwbounds_exponent(4, Fraction(3, 2), comb.Composition((1, 1, 1, 1)))
+    rep = trace.iwbounds_exponent(Fraction(3, 2), comb.Composition((1, 1, 1, 1)))
     ok = rep.lm_exponent == Fraction(29, 4)
     worst_slack = Fraction(-10)
     for n in range(2, 13):
         for c in comb.enumerate_compositions(n, min_length=2):
-            slack = trace.iwbounds_exponent(n, Fraction(3, 2), c).slack
+            slack = trace.iwbounds_exponent(Fraction(3, 2), c).slack
             worst_slack = max(worst_slack, slack)
     ok = ok and worst_slack <= 0
     aplusb_failures = 0

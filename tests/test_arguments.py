@@ -57,7 +57,7 @@ def test_bad_argument_is_value_error(call):
 # 1.5: (entry, argument name)
 NON_INTEGRAL_CALLS = {
     "shift_residual": (lambda d: mellin.shift_residual((0.3j, -0.3j), (0.8,), 1, d), "delta"),
-    "residue_gl2": (lambda d: mellin.residue_gl2(0.3j, d), "delta"),
+    "residue_gl2": (lambda d: mellin.residue_gl2((0.3j, -0.3j), d), "delta"),
     "residue_check": (lambda d: mellin.residue_check(2, (0.3j, -0.3j), 1, d), "delta"),
     "degree_D": (combinatorics.degree_D, "n"),
     "exponent_vector_a": (lambda n: combinatorics.exponent_vector_a(n, 0.5), "n"),

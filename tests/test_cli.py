@@ -494,6 +494,8 @@ class TestModuleSubcommands:
         code, out, _ = run_cli(capsys, "trace", "--tail", "1.5", "0.01", "512")
         payload = json.loads(out)["tail"]
         assert code == 0
+        # the scalar shift rho + (1 + eps)/2 is reported as a one-entry list
+        assert payload["a"] == [2.005]
         assert payload["converged_geometric"] is True
         assert payload["divergent"] is False
         assert payload["partial_sum"] < payload["trivial_zeta"]
@@ -502,6 +504,7 @@ class TestModuleSubcommands:
         code, out, _ = run_cli(capsys, "trace", "--exponents", "4", "1/2")
         payload = json.loads(out)["exponents"]
         assert code == 0
+        assert payload["n"] == 4
         assert payload["lm_exponent"] == "21/4"
         assert payload["slack"] == "-1"
 

@@ -1,10 +1,11 @@
 """Mellin transform evaluators, shift identities, residues, inversion."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.special import loggamma
+from scipy.special import loggamma, rgamma
 
 from kuznetsov_lab.mellin import (
     _truncation_half_length,
@@ -49,10 +50,12 @@ class TestRankOne:
             mellin_closed((-0.45j, 0.45j), s), rel=1e-14
         )
 
-    def test_pair_and_scalar_parameter_agree(self):
-        # the rank-one entry points that also take the scalar a
-        assert residue_gl2((0.3j, -0.3j), 1) == residue_gl2(0.3j, 1)
-        assert whittaker_value((0.3j, -0.3j), 1.2) == whittaker_value(0.3j, 1.2)
+    def test_scalar_parameter_rejected(self):
+        # the rank-one entry points take alpha as the pair (a, -a), like every rank
+        with pytest.raises(ValueError, match="expected 2 spectral parameters"):
+            residue_gl2(0.3j, 1)
+        with pytest.raises(ValueError, match="expected 2 spectral parameters"):
+            whittaker_value(0.3j, 1.2)
 
     def test_pole_raises(self):
         with pytest.raises(PoleError):
@@ -214,13 +217,25 @@ class TestRecursionRankThree:
 
         evaluated = []
 
-        def counting(z):
-            evaluated.append(np.size(z))
-            return loggamma(z)
+        def counting(fn):
+            def wrapper(z):
+                evaluated.append(np.size(z))
+                return fn(z)
 
-        monkeypatch.setattr(mellin, "loggamma", counting)
+            return wrapper
+
+        monkeypatch.setattr(mellin, "loggamma", counting(loggamma))
+        monkeypatch.setattr(mellin, "rgamma", counting(rgamma))
         mellin_recursive(4, (0.1j, 0.2j, -0.3j, 0.0), (0.7 + 0.2j, 0.9, 0.6 - 0.1j))
         assert sum(evaluated) < 1e5
+
+    def test_overflow_raises_without_warnings(self):
+        # at |Im alpha| = 75 the window's 1/Gamma(z1 + z2) overflows; the
+        # call raises AccuracyError and prints no numpy RuntimeWarning first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AccuracyError, match="not finite"):
+                mellin_recursive(4, (0.1j, -0.1j, -75j, 75j), (0.6 + 0.1j, 0.7, 0.8 - 0.2j))
 
     def test_unsupported_rank(self):
         with pytest.raises(NotImplementedError):
@@ -347,28 +362,28 @@ class TestInverseTransform:
             assert whittaker_value((a, -a), y) == pytest.approx(ref, rel=1e-10)
 
     def test_contour_shift_invariance(self):
-        v1 = whittaker_value(0.7j, 1.0, b=0.5)
-        v2 = whittaker_value(0.7j, 1.0, b=1.0)
+        v1 = whittaker_value((0.7j, -0.7j), 1.0, b=0.5)
+        v2 = whittaker_value((0.7j, -0.7j), 1.0, b=1.0)
         assert abs(v1 - v2) / abs(v2) <= 1e-8
 
     def test_positive_and_conjugate_symmetric(self):
-        v = whittaker_value(0.9j, 0.7)
-        w = whittaker_value(-0.9j, 0.7)
+        v = whittaker_value((0.9j, -0.9j), 0.7)
+        w = whittaker_value((-0.9j, 0.9j), 0.7)
         assert v > 0
         assert v == pytest.approx(w, rel=1e-12)
 
     def test_exponential_decay(self):
-        assert whittaker_value(0.7j, 1.0) / whittaker_value(0.7j, 5.0) > 1e3
+        assert whittaker_value((0.7j, -0.7j), 1.0) / whittaker_value((0.7j, -0.7j), 5.0) > 1e3
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            whittaker_value(0.5j, -1.0)
+            whittaker_value((0.5j, -0.5j), -1.0)
         with pytest.raises(ValueError):
-            whittaker_value(0.5j, 1.0, b=0.0)
+            whittaker_value((0.5j, -0.5j), 1.0, b=0.0)
         # a non-finite y or line has no inverse transform to approximate
         for y, b in [(math.inf, 0.5), (math.nan, 0.5), (1.0, math.inf), (1.0, math.nan)]:
             with pytest.raises(ValueError):
-                whittaker_value(0.5j, y, b=b)
+                whittaker_value((0.5j, -0.5j), y, b=b)
 
 
 class TestEvaluatorBundle:
@@ -400,7 +415,5 @@ class TestContourOracleMachinery:
         n_panels = max(1, math.ceil(half_length))
         mid = (np.arange(2 * nodes) + 0.5) / (2 * nodes)
         t_pos = np.concatenate([k + mid for k in range(n_panels)])
-        w_pos = np.full(t_pos.size, 1.0 / (2 * nodes))
-        t, wt = line_nodes(half_length)
+        t = line_nodes(half_length)
         assert np.array_equal(t, np.concatenate([-t_pos[::-1], t_pos]))
-        assert np.array_equal(wt, np.concatenate([w_pos[::-1], w_pos]))

@@ -208,10 +208,11 @@ class TestPlaneRule:
     @pytest.mark.parametrize("half", [1, 2, 3])
     def test_equals_tensor_grid(self, half):
         x0 = (0.5, 0.25)
-        t, w = line_nodes(half)
+        t = line_nodes(half)
+        h = t[1] - t[0]  # the midpoint step, each node's weight
         z1 = x0[0] + 1j * t[:, None]
         z2 = x0[1] + 1j * t[None, :]
-        terms = np.outer(w, w) * self.row(z1) * self.column(z2) * rgamma(z1 + z2)
+        terms = h * h * self.row(z1) * self.column(z2) * rgamma(z1 + z2)
         grid = -np.sum(terms)  # (i dt)^2
         val = vertical_plane_integral(self.row, self.column, rgamma, x0, 1e300, initial_half_length=half)
         assert abs(val - grid) <= 1e-13 * abs(grid)
