@@ -58,15 +58,23 @@ def _read_json(path: str):
         return json.load(fh)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_complex(raw, imaginary: bool = True) -> list[complex]:
-    # entries are [re, im] pairs or bare numbers: the imaginary parts of a
-    # tempered parameter, or real values with imaginary=False
+    # a list whose entries are [re, im] pairs or bare numbers: the imaginary
+    # parts of a tempered parameter, or real values with imaginary=False
+    if not isinstance(raw, list):
+        raise ValueError(f"expected a list of numbers or [re, im] pairs, got {raw!r}")
     out = []
     for entry in raw:
-        if isinstance(entry, (int, float)):
+        if _is_real(entry):
             out.append(complex(0.0, float(entry)) if imaginary else complex(entry))
-        else:
+        elif isinstance(entry, list) and len(entry) == 2 and all(map(_is_real, entry)):
             out.append(complex(float(entry[0]), float(entry[1])))
+        else:
+            raise ValueError(f"entry {entry!r} is neither a number nor an [re, im] pair")
     if not all(map(cmath.isfinite, out)):
         raise ValueError(f"entries must be finite, got {raw}")
     return out
@@ -320,7 +328,7 @@ def _cmd_trace(args, cfg) -> tuple[str, int]:
         rho, eps, cmax = float(args.tail[0]), float(args.tail[1]), int(args.tail[2])
         out["tail"] = trace.tail_from_rho(rho, eps, cmax)
     if args.exponents is not None:
-        n, rho = int(args.exponents[0]), Fraction(args.exponents[1])
+        n, rho = int(args.exponents[0]), args.exponents[1]
         out["exponents"] = trace.iwbounds_exponent(rho, comb.Composition((1,) * n))
     if args.cuspidal is not None:
         path = args.cuspidal[0]

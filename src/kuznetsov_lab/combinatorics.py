@@ -188,9 +188,13 @@ def require_integer(value, name: str, positive: bool = False):
 
 
 def require_half_integer(rho) -> Fraction:
-    """rho as an exact Fraction of denominator 2: 1.5 passes, 1.4 raises."""
-    rho_f = Fraction(rho)
-    if rho_f.denominator != 2:
+    """rho as an exact Fraction of denominator 2: 1.5 passes; 1.4, "1/0"
+    and infinities raise ValueError."""
+    try:
+        rho_f = Fraction(rho)
+    except (ZeroDivisionError, OverflowError):
+        rho_f = None
+    if rho_f is None or rho_f.denominator != 2:
         raise ValueError(f"rho must be a half-integer, got {rho}")
     return rho_f
 

@@ -111,19 +111,15 @@ def power_function(p: IwasawaPoint, alpha: Sequence[complex]) -> complex:
     return out
 
 
-def psi_phase(x: np.ndarray, m: Sequence[int]) -> float:
-    """Superdiagonal phase sum m_1 x_{1,2} + ... + m_{n-1} x_{n-1,n}."""
+def psi_M(x: np.ndarray, m: Sequence[int]) -> tuple[complex, float]:
+    """The character e^(2 pi i phase) and its phase, the superdiagonal sum
+    m_1 x_{1,2} + ... + m_{n-1} x_{n-1,n}."""
     x = np.asarray(x, dtype=float)
     m = np.asarray(m, dtype=float)
     n = x.shape[0]
     if len(m) != n - 1:
         raise ValueError("index vector must have length n-1")
-    return float(sum(m[k] * x[k, k + 1] for k in range(n - 1)))
-
-
-def psi_M(x: np.ndarray, m: Sequence[int]) -> tuple[complex, float]:
-    """The character e^(2 pi i phase) and its phase."""
-    phase = psi_phase(x, m)
+    phase = float(sum(m[k] * x[k, k + 1] for k in range(n - 1)))
     return complex(np.exp(2j * np.pi * phase)), phase
 
 

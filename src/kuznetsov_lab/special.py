@@ -10,7 +10,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -68,18 +67,6 @@ def gamma_R(z: complex, R: int) -> complex:
     if _is_nonpositive_integer(num_arg):
         raise PoleError(complex(z))
     return cmath.exp(log_gamma(num_arg) - log_gamma(z))
-
-
-def gamma_R_pair_log(t: float, R: int) -> float:
-    """log |Gamma_R(2it) Gamma_R(-2it)| - pi*|t|, the exponential-free
-    log-modulus of the spectral weight pair.
-
-    Grows like (R + 1/2) log|2t| for large |t|; finite for all t != 0.
-    """
-    R = require_integer(R, "R", positive=True)
-    if t == 0:
-        return -math.inf  # Gamma_R(0) = 0
-    return _log_mod_gamma_R(2j * t, R) + _log_mod_gamma_R(-2j * t, R) - math.pi * abs(t)
 
 
 def subset_pairs(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -244,58 +231,33 @@ def require_positive(values, name: str):
     return float(v) if v.ndim == 0 else v
 
 
-@dataclass(frozen=True)
-class PartitionedParameter:
-    """A zero-sum parameter split along a composition: per-block recentered
-    parameters alpha^(l) (each zero-sum) and the block sums beta."""
-
-    base: tuple[complex, ...]
-    composition: Composition
-    blocks: tuple[tuple[complex, ...], ...]
-    beta: tuple[complex, ...]
-
-    def block(self, ell: int) -> np.ndarray:
-        return np.asarray(self.blocks[ell], dtype=complex)
-
-
 def partition_parameter(
     alpha: Sequence[complex], comp: Composition
-) -> PartitionedParameter:
-    """Split alpha along comp: alpha^(l)_j = alpha_{n-hat_{l-1}+j} - beta_l/n_l
-    with beta_l the l-th block sum.  Each block sums to zero and
+) -> tuple[list[np.ndarray], list[complex]]:
+    """Split alpha along comp into (blocks, beta): the recentered blocks
+    alpha^(l)_j = alpha_{n-hat_{l-1}+j} - beta_l/n_l, each a complex array
+    summing to zero, and the block sums beta_l.  Then
 
         sum_i alpha_i^2 = sum_l ( |alpha^(l)|^2 + beta_l^2 / n_l )
 
-    holds exactly (checked by the caller via alpha_square_residual).
+    holds exactly (checked via alpha_square_residual).
     """
     a = validate_langlands(alpha)
     if len(a) != comp.n:
         raise ValueError(f"parameter has length {len(a)}, composition sums to {comp.n}")
     nhat = (0,) + comp.partial_sums
-    blocks = []
-    beta = []
-    for ell in range(comp.r):
-        seg = a[nhat[ell] : nhat[ell + 1]]
-        b = seg.sum()
-        beta.append(complex(b))
-        blocks.append(tuple(complex(x) for x in (seg - b / comp.parts[ell])))
-    return PartitionedParameter(
-        base=tuple(complex(x) for x in a),
-        composition=comp,
-        blocks=tuple(blocks),
-        beta=tuple(beta),
-    )
+    segs = [a[nhat[ell] : nhat[ell + 1]] for ell in range(comp.r)]
+    sums = [seg.sum() for seg in segs]
+    blocks = [seg - b / p for seg, b, p in zip(segs, sums, comp.parts)]
+    return blocks, [complex(b) for b in sums]
 
 
-def alpha_square_residual(pp: PartitionedParameter) -> float:
-    """|sum alpha^2 - sum_l (|alpha^(l)|^2 + beta_l^2/n_l)| for the split."""
-    a = np.asarray(pp.base, dtype=complex)
-    total = np.sum(a**2)
-    split = sum(
-        np.sum(np.asarray(blk, dtype=complex) ** 2) + b**2 / p
-        for blk, b, p in zip(pp.blocks, pp.beta, pp.composition.parts)
-    )
-    return abs(total - split)
+def alpha_square_residual(alpha: Sequence[complex], comp: Composition) -> float:
+    """|sum alpha^2 - sum_l (|alpha^(l)|^2 + beta_l^2/n_l)| for the split of
+    alpha along comp."""
+    blocks, beta = partition_parameter(alpha, comp)
+    split = sum(np.sum(blk**2) + b**2 / p for blk, b, p in zip(blocks, beta, comp.parts))
+    return abs(np.sum(np.asarray(alpha, dtype=complex) ** 2) - split)
 
 
 def _log_mod_gamma_R(z: complex, R: int) -> float:
@@ -333,13 +295,12 @@ def gamma_product_decomposition_residual(
     """
     a = validate_langlands(alpha)
     lhs = _ring_sum(a, R)
-    pp = partition_parameter(a, comp)
-    rhs = sum(_ring_sum(pp.block(ell), R) for ell in range(comp.r))
+    blocks, beta = partition_parameter(a, comp)
+    rhs = sum(_ring_sum(blk, R) for blk in blocks)
     parts = comp.parts
-    for k in range(comp.r):
-        for m in range(k + 1, comp.r):
-            offset = pp.beta[k] / parts[k] - pp.beta[m] / parts[m]
-            rhs += _cross_sum(pp.block(k), pp.block(m), offset, R)
+    for k, m in itertools.combinations(range(comp.r), 2):
+        offset = beta[k] / parts[k] - beta[m] / parts[m]
+        rhs += _cross_sum(blocks[k], blocks[m], offset, R)
     return abs(lhs - rhs)
 
 
@@ -415,15 +376,13 @@ def verify_gamma_decompositions(
 ) -> dict:
     """Bundle: Gamma-product factorization residual, pair-polynomial multiset
     report, block-sum exact identity, and the quadratic split residual."""
-    pp = partition_parameter(alpha, comp)
-    beta_rational = [
-        Fraction(round(b.imag * 2**20), 2**20) for b in pp.beta
-    ]
+    _, beta = partition_parameter(alpha, comp)
+    beta_rational = [Fraction(round(b.imag * 2**20), 2**20) for b in beta]
     # Re-center to an exact zero sum for the rational identity.
     beta_rational[-1] = -sum(beta_rational[:-1])
     return {
         "gamma_residual": gamma_product_decomposition_residual(alpha, comp, R),
         "f_R": f_R_decomposition_report(comp),
         "extra_sum_exact": extra_gamma_sum_identity(beta_rational, comp.parts),
-        "quad_residual": alpha_square_residual(pp),
+        "quad_residual": alpha_square_residual(alpha, comp),
     }

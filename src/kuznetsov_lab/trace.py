@@ -187,22 +187,6 @@ def kloosterman_sweep(c_max: int, m: int = 1, l: int = 1) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TrivialBound:
-    """|S_w(psi_L, psi_M, c)| <= c_1 c_2 ... c_{n-1}: the modulus bound that
-    the convergence analysis substitutes for the sum itself."""
-
-    moduli: tuple[int, ...]
-
-    @property
-    def value(self) -> int:
-        return math.prod(self.moduli)
-
-    @property
-    def text(self) -> str:
-        return " * ".join(f"c_{i+1}" for i in range(len(self.moduli)))
-
-
-@dataclass(frozen=True)
 class KloostermanQuery:
     """A single sum S_w(psi_L, psi_M, c).
 
@@ -238,15 +222,17 @@ class KloostermanQuery:
             f"c = diag of {self.moduli}"
         )
 
-    def trivial_bound(self) -> TrivialBound:
-        return TrivialBound(self.moduli)
+    def trivial_bound(self) -> int:
+        """|S_w(psi_L, psi_M, c)| <= c_1 c_2 ... c_{n-1}: the modulus bound
+        that the convergence analysis substitutes for the sum itself."""
+        return math.prod(self.moduli)
 
     def value(self) -> complex:
         if self.n == 2:
             return kloosterman_gl2(self.m, self.l, self.moduli[0])
         raise NotImplementedError(
             f"GL({self.n}) Kloosterman sums are stored, not evaluated; "
-            f"use trivial_bound() = {self.trivial_bound().value}. "
+            f"use trivial_bound() = {self.trivial_bound()}. "
             f"Well defined only when {self.compatibility()}"
         )
 
@@ -676,10 +662,6 @@ def random_sign_fixture(
 # Spectral data ingest
 
 
-_HEADER_RE_FIRST = "r"
-_HEADER_RE_LAST = "adjoint_L"
-
-
 def ingest_maass_csv(path) -> list[MaassFormRecord]:
     """Read records from ``r,lambda_2,...,lambda_K,adjoint_L`` rows.
 
@@ -705,7 +687,7 @@ def ingest_maass_csv(path) -> list[MaassFormRecord]:
 
     header_line, header = rows[0]
     names = [t.strip() for t in header]
-    if len(names) < 2 or names[0] != _HEADER_RE_FIRST or names[-1] != _HEADER_RE_LAST:
+    if len(names) < 2 or names[0] != "r" or names[-1] != "adjoint_L":
         raise CsvFormatError(
             f"line {header_line}: header must run r,lambda_2,...,adjoint_L, got {names}"
         )

@@ -22,7 +22,6 @@ PARAMS = testfunctions.TestFunctionParams(T=3.0, R=1)
 # each entry, called with one bad argument
 BAD_CALLS = {
     "gamma_R-R": lambda: special.gamma_R(0.5, INF),
-    "gamma_R_pair_log-R": lambda: special.gamma_R_pair_log(1.0, INF),
     "ring-sum-R": lambda: special.gamma_product_split_residual([1j, -1j, 0.3j, -0.3j], 2, INF),
     "f_R_poly-R": lambda: special.f_R_poly([1j, -1j, 0.0], INF),
     "TestFunctionParams-R": lambda: testfunctions.TestFunctionParams(T=3.0, R=INF),
@@ -30,6 +29,7 @@ BAD_CALLS = {
     "MaassFormRecord-hecke": lambda: trace.MaassFormRecord(r=1.0, hecke={INF: 0.5}, adjoint_L=1.0),
     "MaassFormRecord-adjoint_L": lambda: trace.MaassFormRecord(r=1.0, hecke={}, adjoint_L=INF),
     "hecke_divisor_sum-m": lambda: trace.hecke_divisor_sum(INF, (0.1, -0.1), (None, None)),
+    "iwbounds_exponent-rho": lambda: trace.iwbounds_exponent(INF, Composition((1, 1))),
     "Composition-half": lambda: Composition((1.5, 1.5)),
     "Composition-inf": lambda: Composition((INF,)),
     "enumerate_compositions-n": lambda: enumerate_compositions(INF),

@@ -451,6 +451,26 @@ class TestModuleSubcommands:
         if "c" in files:
             assert "line 3" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        ["5", "[[0]]", '[{"a": 1}]', "[[0, 0.5, 9], [0, -0.5, 9]]", "[false, false]"],
+        ids=["scalar", "short-pair", "object", "long-pair", "bools"],
+    )
+    def test_malformed_alpha_file_exits_2(self, capsys, tmp_path, text):
+        # alpha.json is a list of numbers and [re, im] pairs, nothing else
+        path = tmp_path / "alpha.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "testfn", "--p-sharp", "--alpha", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_trace_exponents_zero_denominator_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "trace", "--exponents", "4", "1/0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: rho must be a half-integer, got 1/0\n"
+
     def test_testfn_point_values(self, capsys):
         code, out, _ = run_cli(capsys, "testfn", "--p-sharp", "--h", "--T", "4", "--R", "1")
         payload = json.loads(out)

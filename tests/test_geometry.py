@@ -16,7 +16,6 @@ from kuznetsov_lab.geometry import (
     power_function,
     psi_M,
     psi_M_twisted,
-    psi_phase,
     toric_matrix,
     weyl_conjugate_y,
     weyl_conjugate_y_oracle,
@@ -121,9 +120,9 @@ def test_power_function_rejects_bad_sum():
         power_function(p, [1j, 1j])
 
 
-def test_psi_phase_and_value():
+def test_psi_M_phase_and_value():
     x = np.zeros((3, 3))
-    assert psi_phase(x, [5, -2]) == 0.0
+    assert psi_M(x, [5, -2])[1] == 0.0
     x[0, 1], x[1, 2] = 0.25, 0.5
     val, phase = psi_M(x, [1, 1])
     assert phase == 0.75

@@ -20,7 +20,6 @@ from kuznetsov_lab.special import (
     gamma_product_decomposition_residual,
     gamma_product_split_residual,
     gamma_R,
-    gamma_R_pair_log,
     log_gamma,
     partition_parameter,
     stirling_log_modulus,
@@ -80,20 +79,6 @@ def test_gamma_R_pole_and_bad_R():
         gamma_R(-1.5, 1)
     with pytest.raises(ValueError):
         gamma_R(1.0, 0)
-
-
-def test_gamma_R_pair_log_slope():
-    # exponential-free pair modulus grows like (R + 1/2) log t
-    ts = [50.0, 100.0, 200.0, 400.0]
-    for R in (1, 2):
-        slope = _slope([math.log(t) for t in ts], [gamma_R_pair_log(t, R) for t in ts])
-        assert abs(slope - (R + 0.5)) < 0.02
-
-
-@pytest.mark.parametrize("R", [0, 1.5, -2])
-def test_gamma_R_pair_log_rejects_bad_R(R):
-    with pytest.raises(ValueError, match="R must be a positive integer"):
-        gamma_R_pair_log(1.0, R)
 
 
 def test_subset_pair_count_is_degree():
@@ -198,12 +183,12 @@ def test_validate_langlands():
 
 def test_partition_parameter_worked_example():
     alpha = [1j, 2j, -1j, -2j]
-    pp = partition_parameter(alpha, Composition((2, 2)))
-    assert pp.beta == (3j, -3j)
-    np.testing.assert_allclose(pp.block(0), [-0.5j, 0.5j], atol=1e-14)
-    np.testing.assert_allclose(pp.block(1), [0.5j, -0.5j], atol=1e-14)
+    blocks, beta = partition_parameter(alpha, Composition((2, 2)))
+    assert beta == [3j, -3j]
+    np.testing.assert_allclose(blocks[0], [-0.5j, 0.5j], atol=1e-14)
+    np.testing.assert_allclose(blocks[1], [0.5j, -0.5j], atol=1e-14)
     # sum alpha^2 = -10 splits as (-1/2 - 1/2) + (-9/2 - 9/2)
-    assert alpha_square_residual(pp) < 1e-13
+    assert alpha_square_residual(alpha, Composition((2, 2))) < 1e-13
 
 
 def test_partition_blocks_sum_to_zero_and_quadratic_identity():
@@ -211,10 +196,10 @@ def test_partition_blocks_sum_to_zero_and_quadratic_identity():
     for n, parts in [(5, (2, 3)), (6, (1, 3, 2)), (6, (2, 2, 2)), (7, (3, 1, 3))]:
         t = rng.uniform(-3, 3, size=n)
         alpha = 1j * (t - t.mean())
-        pp = partition_parameter(alpha, Composition(parts))
-        for ell in range(len(parts)):
-            assert abs(pp.block(ell).sum()) < 1e-13
-        assert alpha_square_residual(pp) < 1e-12
+        blocks, _ = partition_parameter(alpha, Composition(parts))
+        for blk in blocks:
+            assert abs(blk.sum()) < 1e-13
+        assert alpha_square_residual(alpha, Composition(parts)) < 1e-12
 
 
 def test_gamma_product_decomposition():

@@ -115,6 +115,17 @@ class TestLogWeight:
         rows = [_log_weight((a, b, -a - b), 3.0 / 37.0, p, 2) for a, b in zip(m1, m2)]
         assert np.array_equal(plane, np.array(rows))
 
+    def test_rank_one_ring_slope(self):
+        # at the columns (2t, -2t) the density is its Gamma ring
+        # log |Gamma_R(2it) Gamma_R(-2it)|: no subset pairs at n = 2, and at
+        # T = 1e12 the Gaussian term 4 t^2 / T^2 is below the ring's rounding.
+        # Less pi |t|, the ring grows like (R + 1/2) log t
+        ts = np.array([50, 100, 200, 400])
+        for R in (1, 2):
+            ring = _log_weight((2 * ts, -2 * ts), 1.0, TestFunctionParams(T=1e12, R=R), 1)
+            slope = np.polyfit(np.log(ts), ring - math.pi * ts, 1)[0]
+            assert abs(slope - (R + 0.5)) < 0.02
+
     def test_coincident_columns_are_zeros(self):
         # (1, 0, -1) is generic; t1 = t2 and t1 = t3 are zeros of the density
         p = TestFunctionParams(T=4.0, R=1)

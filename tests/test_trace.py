@@ -188,8 +188,7 @@ class TestKloostermanQuery:
     def test_higher_rank_stored_not_evaluated(self):
         q = KloostermanQuery(m=1, l=2, moduli=(2, 3), weyl=WeylElement(Composition((1, 2))))
         assert q.n == 3
-        assert q.trivial_bound().value == 6
-        assert "c_1 * c_2" == q.trivial_bound().text
+        assert q.trivial_bound() == 6
         with pytest.raises(NotImplementedError) as exc:
             q.value()
         assert "trivial_bound" in str(exc.value)
