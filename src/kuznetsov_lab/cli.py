@@ -68,13 +68,16 @@ def _parse_complex(raw, imaginary: bool = True) -> list[complex]:
     if not isinstance(raw, list):
         raise ValueError(f"expected a list of numbers or [re, im] pairs, got {raw!r}")
     out = []
-    for entry in raw:
-        if _is_real(entry):
-            out.append(complex(0.0, float(entry)) if imaginary else complex(entry))
-        elif isinstance(entry, list) and len(entry) == 2 and all(map(_is_real, entry)):
-            out.append(complex(float(entry[0]), float(entry[1])))
-        else:
-            raise ValueError(f"entry {entry!r} is neither a number nor an [re, im] pair")
+    try:
+        for entry in raw:
+            if _is_real(entry):
+                out.append(complex(0.0, float(entry)) if imaginary else complex(entry))
+            elif isinstance(entry, list) and len(entry) == 2 and all(map(_is_real, entry)):
+                out.append(complex(float(entry[0]), float(entry[1])))
+            else:
+                raise ValueError(f"entry {entry!r} is neither a number nor an [re, im] pair")
+    except OverflowError:  # a JSON integer past the float range
+        raise ValueError("entries must be finite, got an integer too large for a float") from None
     if not all(map(cmath.isfinite, out)):
         raise ValueError(f"entries must be finite, got {raw}")
     return out
@@ -99,6 +102,10 @@ def _doubling_grid(t_min: float, t_max: float) -> tuple[float, ...]:
         raise ValueError("need at least four doublings between Tmin and Tmax")
     return tuple(out)
 
+
+# the largest N of `trace --exponents`: its composition (1,) * N is built and
+# printed part by part
+_EXPONENTS_MAX_N = 1000
 
 # the flag that sets each config key
 _CONFIG_FLAGS = {
@@ -167,7 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kloosterman", nargs=3, type=int, metavar=("M", "L", "C"), help="one exact sum")
     p.add_argument("--kloosterman-sweep", type=int, metavar="CMAX", help="all moduli up to CMAX")
     p.add_argument("--tail", nargs=3, metavar=("RHO", "EPS", "CMAX"), help="modulus-sum tail report")
-    p.add_argument("--exponents", nargs=2, metavar=("N", "RHO"), help="exponent ledger at the long element")
+    p.add_argument("--exponents", nargs=2, metavar=("N", "RHO"), help=f"exponent ledger at the long element of GL(N), 2 <= N <= {_EXPONENTS_MAX_N}")
     p.add_argument("--cuspidal", nargs=5, metavar=("DATA_CSV", "T", "R", "L", "M"), help="orthogonality statistic over ingested spectral data")
     return parser
 
@@ -329,6 +336,8 @@ def _cmd_trace(args, cfg) -> tuple[str, int]:
         out["tail"] = trace.tail_from_rho(rho, eps, cmax)
     if args.exponents is not None:
         n, rho = int(args.exponents[0]), args.exponents[1]
+        if not 2 <= n <= _EXPONENTS_MAX_N:
+            raise ValueError(f"--exponents needs 2 <= N <= {_EXPONENTS_MAX_N}, got {n}")
         out["exponents"] = trace.iwbounds_exponent(rho, comb.Composition((1,) * n))
     if args.cuspidal is not None:
         path = args.cuspidal[0]

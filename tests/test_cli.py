@@ -465,6 +465,44 @@ class TestModuleSubcommands:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["testfn", "--p-sharp", "--alpha"], "[" + "9" * 400 + ", 0.5]"),
+            (["testfn", "--p-sharp", "--alpha"], "[[0.5, " + "9" * 400 + "], 0]"),
+            (["special", "--fr", "2", "1"], "[" + "9" * 400 + ", 0.5]"),
+        ],
+        ids=["p-sharp-number", "p-sharp-pair", "fr-number"],
+    )
+    def test_integer_past_float_range_exits_2(self, capsys, tmp_path, argv, text):
+        # json reads a 400-digit integer exactly; as a float it would overflow
+        path = tmp_path / "alpha.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: entries must be finite, got an integer too large for a float\n"
+
+    @pytest.mark.parametrize("n", ["1", "1001", "99999999999"])
+    def test_trace_exponents_size_bound_exits_2(self, capsys, monkeypatch, n):
+        # N is checked before the composition (1,) * N is built
+        def no_composition(parts):
+            raise AssertionError(f"built a composition of {len(parts)} parts")
+
+        monkeypatch.setattr(comb, "Composition", no_composition)
+        code, out, err = run_cli(capsys, "trace", "--exponents", n, "1/2")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --exponents needs 2 <= N <= {cli._EXPONENTS_MAX_N}, got {n}\n"
+
+    def test_trace_exponents_bound_is_in_the_help(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["trace", "--help"])
+        assert f"GL(N), 2 <= N <= {cli._EXPONENTS_MAX_N}" in " ".join(capsys.readouterr().out.split())
+        code, out, _ = run_cli(capsys, "trace", "--exponents", str(cli._EXPONENTS_MAX_N), "1/2")
+        assert code == 0
+        assert json.loads(out)["exponents"]["n"] == cli._EXPONENTS_MAX_N
+
     def test_trace_exponents_zero_denominator_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "trace", "--exponents", "4", "1/0")
         assert code == 2

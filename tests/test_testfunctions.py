@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,28 @@ class TestLogWeight:
         plane = _log_weight((m1, m2, -m1 - m2), 3.0 / 37.0, p, 2)
         rows = [_log_weight((a, b, -a - b), 3.0 / 37.0, p, 2) for a, b in zip(m1, m2)]
         assert np.array_equal(plane, np.array(rows))
+
+    @pytest.mark.parametrize("step", [0.5, 3.0 / 37.0], ids=["step-1/2", "step-3/37"])
+    @pytest.mark.parametrize("R", [1, 2, 3])
+    def test_plane_is_point_symmetric(self, R, step):
+        # every row the density gathers is even bit for bit: Re loggamma at
+        # conjugate points, log1p(x^2/4), x^2, and step * -k = -(step * k).
+        # main_term_log computes the rows m1 >= 0 and mirrors the rest on this
+        m = np.arange(-60, 61, dtype=np.int32)
+        m1, m2 = np.meshgrid(m, m, indexing="ij")
+        li = _log_weight((m1, m2, -m1 - m2), step, TestFunctionParams(T=4.0, R=R), 2)
+        assert np.array_equal(li, li[::-1, ::-1])
+
+    @pytest.mark.parametrize("step", [0.5, 3.0 / 37.0], ids=["step-1/2", "step-3/37"])
+    def test_broadcast_columns_give_the_meshgrid_plane(self, step):
+        # main_term_log's columns (r, m, -r - m), r a column of the rows
+        # m1 >= 0, against the meshgrid plane's rows m1 >= 0
+        p = TestFunctionParams(T=4.0, R=2)
+        m = np.arange(-60, 61, dtype=np.int32)
+        m1, m2 = np.meshgrid(m, m, indexing="ij")
+        plane = _log_weight((m1, m2, -m1 - m2), step, p, 2)
+        r = m[60:, None]
+        assert np.array_equal(_log_weight((r, m, -r - m), step, p, 2), plane[60:])
 
     def test_rank_one_ring_slope(self):
         # at the columns (2t, -2t) the density is its Gamma ring
@@ -481,6 +504,23 @@ class TestMainTermScaling:
     def test_pinned_to_float_column_sum(self, n, T):
         # on the dyadic grids the gather by integer index changes no bit
         assert main_term_log(n, 1, T) == _main_term_log_float_columns(n, 1, T)
+
+    @pytest.mark.parametrize("R", [2, 3])
+    def test_pinned_to_float_column_sum_at_higher_order(self, R):
+        assert main_term_log(3, R, 16.0) == _main_term_log_float_columns(3, R, 16.0)
+
+    def test_rank_three_peak_memory(self):
+        # at T = 64 the plane has 829^2 points; the traced peak stays under
+        # five plane-sized float64 arrays
+        main_term_log(3, 1, 8.0)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            main_term_log(3, 1, 64.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 829**2 * 8
 
 
 class TestFitMachinery:
