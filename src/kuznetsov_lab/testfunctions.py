@@ -12,8 +12,9 @@ avatars' and the main term's |p_sharp|^2, is a power of |p_sharp| times
 the Plancherel density, and all of them come from one function,
 :func:`_log_weight`; :func:`p_sharp` and :func:`h_value` are the scalar
 definitions it is tested against.  Every such density lives on an integer
-grid t = step * m, so each of its log-Gamma, log1p and square terms is
-one 1-D row over the range of its integer, gathered by index.
+grid t = step * m, given as its integer axes, so each of its log-Gamma,
+log1p and square terms is a strided view of one row, over the integers
+that term takes.
 
 Everything integral-valued here runs in log space.  The shifted integrands
 pair a Gamma ring that grows like exp(pi t) against an inner factor that
@@ -28,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import loggamma, rgamma
 
 from .combinatorics import degree_D, require_integer
@@ -44,7 +46,8 @@ class TestFunctionParams:
     evaluated by :func:`_log_weight` at the tempered columns of its own
     variables, (2t, -2t) for the rank-one avatar, whose outer variable t
     is half the spectral parameter, and (t1, t2, -t1 - t2) for the
-    rank-three one.
+    rank-three one; each is given by its free integer axes, 2t / step and
+    (t1 / step, t2 / step), the last column being minus their sum.
     """
 
     __test__ = False  # name collides with pytest's collection prefix
@@ -89,17 +92,29 @@ def h_value(alpha, params) -> float:
     return math.exp(log)
 
 
-def _on_range(f, m, step):
-    """f(step * m) elementwise over the integer array m: f is evaluated once
-    per whole number from m.min() to m.max() and gathered by index."""
-    lo, hi = int(m.min()), int(m.max())
-    return f(step * np.arange(lo, hi + 1))[m - lo]
+def _row_view(f, axes, coef, step: float) -> np.ndarray:
+    """f(step * v) at every point of the grid of the integer axes (ranges),
+    where v = sum_j coef[j] m_j, as a read-only strided view of one row.
+
+    The row is f at step * v for v = lo, lo + g, ..., hi, the least and
+    greatest v on the grid in steps of g, the gcd of v's strides, so f runs
+    once per value of v and no index array is built.
+    """
+    shape = tuple(map(len, axes))
+    strides = [c * a.step if len(a) > 1 else 0 for c, a in zip(coef, axes)]
+    g = math.gcd(*strides) or 1
+    first = sum(c * a[0] for c, a in zip(coef, axes))
+    lo = first + sum(min(0, s * (n - 1)) for s, n in zip(strides, shape))
+    hi = first + sum(max(0, s * (n - 1)) for s, n in zip(strides, shape))
+    row = f(step * np.arange(lo, hi + 1, g))
+    item = row.strides[0]
+    return as_strided(row[(first - lo) // g :], shape, [s // g * item for s in strides], writeable=False)
 
 
-def _log_weight(cols, step: float, params: TestFunctionParams, power: int) -> np.ndarray:
+def _log_weight(axes, step: float, params: TestFunctionParams, power: int) -> np.ndarray:
     """power log|p_sharp(alpha)| plus the log Plancherel density at the
-    tempered alpha = i t, elementwise over t_j = step * cols[j], where the
-    cols are integer arrays summing to 0.
+    tempered alpha = i t, over the grid of the integer axes (ranges) m_j,
+    one per axis: t_j = step * m_j for the n - 1 axes and t_n = -sum t_j.
 
     The Gaussian gives -power sum t^2 / (2 T^2); the pair polynomial at
     alpha/2, power (R/2) log(1 + Delta^2/4) per subset pair with
@@ -107,36 +122,48 @@ def _log_weight(cols, step: float, params: TestFunctionParams, power: int) -> np
     d = t_j - t_k, the two conjugate p_sharp factors
     2 power Re log Gamma((1 + 2R + i d)/4) over the Plancherel pair
     |Gamma(i d/2)|^2.  Where two columns coincide the density has its
-    zero, returned as -inf.
+    zero, returned as -inf.  A grid with no finite value raises ValueError:
+    off the zeros, that is a T so small that the Gaussian underflows.
 
-    Every d, Delta and t is a whole number of steps, so each term is one
-    1-D row over the range of its integer, gathered by index: on a plane
-    of N points loggamma runs on O(sqrt N) of them.
+    Every d, Delta and t is an integer combination of the axes times step,
+    so each term is a strided view of one row, over the integers that term
+    takes (:func:`_row_view`): on a plane of N points loggamma runs on
+    O(sqrt N) of them.
     """
+    n = len(axes) + 1
+    # the columns t_j / step as coefficient vectors over the axes
+    cols = np.vstack((np.eye(n - 1, dtype=int), np.full(n - 1, -1)))
+    pairs = [cols[j] - cols[k] for j, k in itertools.combinations(range(n), 2)]
+    shape = tuple(map(len, axes))
     # the ring is summed on its own and added last: on a dyadic step every
     # t, d and Delta is exact, and this fixed order gives bit for bit the
-    # sums taken pointwise.  Every array here has one value per grid point
-    # (1.3 million on the main term's T = 128 half-plane); each pair's range
-    # and index are taken once and both of its Gamma rows gathered through it
-    ring, coincide = 0.0, False
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for j, k in itertools.combinations(range(len(cols)), 2):
-            dm = cols[j] - cols[k]
-            lo = int(dm.min())
-            d = step * np.arange(lo, int(dm.max()) + 1)
-            coincide = coincide | (dm == 0)
-            dm -= lo
-            ring += (2.0 * power * loggamma((1.0 + 2.0 * params.R + 1j * d) / 4.0).real)[dm]
-            ring -= (2.0 * loggamma(0.5j * d).real)[dm]
-            del dm
-        poly = sum(
-            _on_range(lambda x: np.log1p(x**2 / 4.0), sum(cols[k] for k in K) - sum(cols[l] for l in L), step)
-            for K, L in subset_pairs(len(cols))
-        )
-        square = sum(_on_range(lambda x: x**2, c, step) for c in cols)
-        out = -power * square / (2.0 * params.T**2) + power * (params.R / 2.0) * poly
+    # sums taken pointwise.  The three accumulators are the only arrays
+    # with one value per grid point
+    ring, poly, out = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for c in pairs:
+            ring += _row_view(
+                lambda d: 2.0 * power * loggamma((1.0 + 2.0 * params.R + 1j * d) / 4.0).real, axes, c, step
+            )
+            ring -= _row_view(lambda d: 2.0 * loggamma(0.5j * d).real, axes, c, step)
+        for K, L in subset_pairs(n):
+            delta = cols[list(K)].sum(axis=0) - cols[list(L)].sum(axis=0)
+            poly += _row_view(lambda x: np.log1p(x**2 / 4.0), axes, delta, step)
+        for c in cols:
+            out += _row_view(lambda x: x**2, axes, c, step)
+        out *= -power
+        out /= 2.0 * params.T**2
+        poly *= power * (params.R / 2.0)
+        out += poly
         out += ring
-    return np.where(coincide, -np.inf, out)
+        for c in pairs:
+            np.copyto(out, -np.inf, where=_row_view(lambda d: d == 0, axes, c, step))
+    if not out.max() > -np.inf:
+        raise ValueError(
+            f"T = {params.T}: the density has no finite value on this grid; the Gaussian "
+            "exp(-t^2 / (2 T^2)) underflows at every point off the density's zeros"
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +179,7 @@ def _outer_grid(p: TestFunctionParams) -> tuple[np.ndarray, np.ndarray]:
     """Midpoints t of the rank-one outer window |t| < 3.2 T + 12, where the
     Gaussian is below e^-40, and the density there."""
     n = int((3.2 * p.T + 12.0) / _STEP)
-    k = np.arange(-n, n)
-    return (k + 0.5) * _STEP, _log_weight((2 * k + 1, -2 * k - 1), _STEP, p, 1)
+    return (np.arange(-n, n) + 0.5) * _STEP, _log_weight((range(-2 * n + 1, 2 * n, 2),), _STEP, p, 1)
 
 
 def p_y_batch(y_values, params, line: float = 0.75) -> np.ndarray:
@@ -163,23 +189,24 @@ def p_y_batch(y_values, params, line: float = 0.75) -> np.ndarray:
     put poles on the contour.  y enters only through a scalar prefactor and
     a phase linear in u, so one field, summed over t, serves every y.  With
     t = (k + 1/2) _STEP and u = (j + 1/2) _STEP, u + t and u - t are whole
-    multiples of _STEP, so each block of t gathers its Gamma factors from
-    one loggamma line (:func:`_on_range`); the integrand is even in t, so
-    t > 0 is summed twice.
+    multiples of _STEP, so the Gamma factors at every (t, u) are strided
+    views of two loggamma lines, over the integers j + k + 1 and j - k take
+    (:func:`_row_view`), summed over t in blocks; the integrand is even in
+    t, so t > 0 is summed twice.
     """
     if not math.isfinite(line) or (line <= 0 and abs(line - round(line)) < 1e-6):
         raise ValueError(f"contour line {line} must be finite and off the poles of the integrand")
     y_values = require_positive(y_values, "y")
     t, base = _outer_grid(params)
     base = base[t > 0]
-    k = np.arange(base.size)
-    j = np.arange(-k.size - 256, k.size + 256)
-    col = np.zeros(j.size, dtype=np.complex128)
-    for lo in range(0, k.size, 128):
-        kb = k[lo : lo + 128, None]
-        g = _on_range(lambda x: loggamma(line + 1j * x), np.stack((j + kb + 1, j - kb)), _STEP)
-        col += np.sum(np.exp(base[lo : lo + 128, None] + (g[0] + g[1])), axis=0)
-    u = (j + 0.5) * _STEP
+    j = range(-base.size - 256, base.size + 256)
+    plus = _row_view(lambda x: loggamma(line + 1j * x), (range(1, base.size + 1), j), (1, 1), _STEP)
+    minus = _row_view(lambda x: loggamma(line + 1j * x), (range(base.size), j), (-1, 1), _STEP)
+    col = np.zeros(len(j), dtype=np.complex128)
+    for lo in range(0, base.size, 128):
+        blk = slice(lo, lo + 128)
+        col += np.sum(np.exp(base[blk, None] + (plus[blk] + minus[blk])), axis=0)
+    u = (np.arange(j.start, j.stop) + 0.5) * _STEP
     out = np.empty(len(y_values))
     for i, y in enumerate(y_values):
         c = math.log(math.pi * y)
@@ -261,11 +288,11 @@ def p_y_gl3(y, params, *, spectral_step: float = 0.5) -> np.ndarray:
             "reciprocal coupling overflows on the sum grid; the fixed-grid "
             "rank-three avatar is limited to moderate T"
         )
-    m = np.arange(-n_t, n_t + 1)
-    m1, m2 = np.meshgrid(m, m, indexing="ij")
-    dens = _log_weight((m1, m2, -m1 - m2), spectral_step, params, 1)
+    m = range(-n_t, n_t + 1)
+    dens = _log_weight((m, m), spectral_step, params, 1)
     keep = np.isfinite(dens)
-    t1, t2, weight = spectral_step * m1[keep], spectral_step * m2[keep], np.exp(dens[keep])
+    i1, i2 = np.nonzero(keep)
+    t1, t2, weight = spectral_step * (i1 - n_t), spectral_step * (i2 - n_t), np.exp(dens[keep])
     total = _gl3_plane(np.log(np.pi * y), t1, t2, weight, line, v, rg)
     scale = y[:, 0] * y[:, 1] * spectral_step**2 / (4.0 * (2.0 * math.pi) ** 2)
     return (scale * total).real
@@ -367,7 +394,8 @@ def itr_log(a: float, params, grid_step: float = 1.0 / 16, t_factor: float = 2.7
     if not math.isfinite(a) or (abs(a - round(a)) < 1e-9 and a >= 0):
         raise ValueError(f"shift a = {a} must be finite and off the pole set of the integrand")
     dv = grid_step
-    k = np.arange(1, math.ceil((t_factor * params.T + 12.0) / dv))
+    n_t = math.ceil((t_factor * params.T + 12.0) / dv)
+    k = np.arange(1, n_t)
     t = k * dv
     n_pad = int(round(pad / dv))
     v = dv * np.arange(2 * k[-1] + n_pad + 1)
@@ -382,7 +410,7 @@ def itr_log(a: float, params, grid_step: float = 1.0 / 16, t_factor: float = 2.7
     # convolution plus twice the correlation, read at the even index 2k
     both = np.fft.irfft(spec * (spec + 2.0 * np.conj(np.fft.rfft(head, size))), size)
     inner = both[2 * k] - h[0] * h[2 * k]
-    lw = _log_weight((2 * k, -2 * k), dv, params, 1) - np.pi * t
+    lw = _log_weight((range(2, 2 * n_t, 2),), dv, params, 1) - np.pi * t
     mx = lw.max()
     w = np.exp(lw - mx)
     total = float(np.dot(w, inner))
@@ -412,22 +440,20 @@ def main_term_log(n: int, R: int, T: float) -> float:
     onto the same symmetric grid of halves.  The coincidence hyperplanes
     carry double zeros and are excised exactly.
 
-    At n = 3 the density is computed on the rows m1 >= 0 only, with the
-    broadcast columns (m1, m2, -m1 - m2), and the rows m1 < 0 are their
+    At n = 3 the density is computed on the rows m1 >= 0 only, the axes
+    m1 in {0, ..., N} and m2 in {-N, ..., N}, and the rows m1 < 0 are their
     point reflection.  That reflection is exact: every row the density
-    gathers is even bit for bit (Re log Gamma at conjugate points,
+    views is even bit for bit (Re log Gamma at conjugate points,
     log1p(x^2/4) and x^2, and step * -k = -(step * k)), so the plane, its
     maximum and its sum are those of the full computation, float for float.
     """
     params = TestFunctionParams(T=T, R=R)
     if n == 2:
-        m = np.arange(1, math.ceil(16.0 * (3.2 * T + 20.0)), 2)
-        li, cell = _log_weight((m, -m), 1.0 / 16, params, 2), 2.0 / 8.0
+        m = range(1, math.ceil(16.0 * (3.2 * T + 20.0)), 2)
+        li, cell = _log_weight((m,), 1.0 / 16, params, 2), 2.0 / 8.0
     elif n == 3:
         half = math.floor(2.0 * (3.0 * T + 15.0))
-        m = np.arange(-half, half + 1, dtype=np.int32)
-        r = m[half:, None]
-        upper = _log_weight((r, m, -r - m), 0.5, params, 2)
+        upper = _log_weight((range(half + 1), range(-half, half + 1)), 0.5, params, 2)
         li, cell = np.concatenate((upper[:0:-1, ::-1], upper)), 0.5 * 0.5
     else:
         raise NotImplementedError("main-term integral implemented for n = 2, 3")

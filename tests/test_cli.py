@@ -509,6 +509,12 @@ class TestModuleSubcommands:
         assert out == ""
         assert err == "error: rho must be a half-integer, got 1/0\n"
 
+    def test_testfn_scaling_at_underflowing_T_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "testfn", "--itr-scaling", "1", "1.25", "1e-300", "1e-299")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: T = 1e-300") and err.count("\n") == 1
+
     def test_testfn_point_values(self, capsys):
         code, out, _ = run_cli(capsys, "testfn", "--p-sharp", "--h", "--T", "4", "--R", "1")
         payload = json.loads(out)

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 from scipy.special import loggamma
 
+from kuznetsov_lab import testfunctions
 from kuznetsov_lab.quadrature import AccuracyError
 from kuznetsov_lab.testfunctions import (
     ScalingFit,
     TestFunctionParams,
     _log_weight,
     _outer_grid,
+    _row_view,
     fit_scaling,
     h_value,
     itr_log,
@@ -78,6 +80,46 @@ class TestHValue:
         assert h_value((-0.2j, -0.5j, 0.7j), p) == pytest.approx(v, rel=1e-10)
 
 
+class TestRowView:
+    FUNCTIONS = {
+        "loggamma": lambda x: loggamma(0.5 + 1j * x),
+        "log1p": lambda x: np.log1p(x**2 / 4.0),
+        "square": lambda x: x**2,
+    }
+
+    @pytest.mark.parametrize("name", sorted(FUNCTIONS))
+    def test_equals_f_on_the_grid(self, name):
+        # seeded affine forms v = sum c_j m_j: negative, zero and even
+        # coefficients, odd starts, negative steps and single-point axes;
+        # the view holds f(step * v) bit for bit at every grid point
+        f, step = self.FUNCTIONS[name], 3.0 / 37.0
+        rng = np.random.default_rng(27)
+        for case in range(60):
+            n_axes = 1 + case % 3
+            axes = []
+            for _ in range(n_axes):
+                start, length = int(rng.integers(-9, 10)), int(rng.choice([1, 2, 5, 9]))
+                stride = int(rng.choice([-3, -2, -1, 1, 2, 3]))
+                axes.append(range(start, start + stride * length, stride))
+            coef = rng.integers(-3, 4, size=n_axes) * (2 if case % 4 == 0 else 1)
+            grid = np.meshgrid(*(np.array(a) for a in axes), indexing="ij")
+            v = sum(c * m for c, m in zip(coef, grid))
+            got = _row_view(f, tuple(axes), coef, step)
+            assert got.shape == v.shape
+            assert np.array_equal(got, f(step * v)), (axes, coef)
+
+    def test_one_row_point_per_value_on_one_axis(self):
+        sizes = []
+        got = _row_view(lambda x: sizes.append(x.size) or x, (range(7, -20, -3),), (-2,), 1.0)
+        assert sizes == [9]
+        assert got.tolist() == [-2.0 * m for m in range(7, -20, -3)]
+
+    def test_view_is_read_only(self):
+        got = _row_view(lambda x: x**2, (range(3), range(-1, 2)), (1, -1), 0.5)
+        with pytest.raises(ValueError):
+            got[0, 0] = 1.0
+
+
 class TestLogWeight:
     @pytest.mark.parametrize("power", [1, 2])
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -94,10 +136,11 @@ class TestLogWeight:
             m = np.column_stack([m, -m.sum(axis=1)])
             m = m[np.abs(m[:, -1]) <= 37][:8]
             assert len(m) == 8
-            t = step * m
-            got = _log_weight(tuple(m.T), step, p, power)
-            for row, value in zip(t, got):
-                alpha = 1j * row
+            for row, t in zip(m, step * m):
+                # the row as single-point axes; the last column is minus their sum
+                axes = tuple(range(x, x + 1) for x in row[:-1])
+                (value,) = _log_weight(axes, step, p, power).ravel()
+                alpha = 1j * t
                 ref = power * math.log(abs(p_sharp(alpha, p)))
                 for j in range(n):
                     for k in range(n):
@@ -106,37 +149,33 @@ class TestLogWeight:
                 assert abs(value - ref) <= 1e-12, (n, power, R, row)
 
     def test_plane_equals_its_rows(self):
-        # a plane and each of its rows gather every term from rows over
+        # a plane and each of its rows view every term from rows over
         # different integer ranges; step * m is the same float in both, so
         # they agree bit for bit, also on the non-dyadic step 3/37
         p = TestFunctionParams(T=4.0, R=2)
-        m = np.arange(-37, 38)
-        m1, m2 = np.meshgrid(m, m, indexing="ij")
-        plane = _log_weight((m1, m2, -m1 - m2), 3.0 / 37.0, p, 2)
-        rows = [_log_weight((a, b, -a - b), 3.0 / 37.0, p, 2) for a, b in zip(m1, m2)]
+        m = range(-37, 38)
+        plane = _log_weight((m, m), 3.0 / 37.0, p, 2)
+        rows = [_log_weight((range(a, a + 1), m), 3.0 / 37.0, p, 2)[0] for a in m]
         assert np.array_equal(plane, np.array(rows))
 
     @pytest.mark.parametrize("step", [0.5, 3.0 / 37.0], ids=["step-1/2", "step-3/37"])
     @pytest.mark.parametrize("R", [1, 2, 3])
     def test_plane_is_point_symmetric(self, R, step):
-        # every row the density gathers is even bit for bit: Re loggamma at
+        # every row the density views is even bit for bit: Re loggamma at
         # conjugate points, log1p(x^2/4), x^2, and step * -k = -(step * k).
         # main_term_log computes the rows m1 >= 0 and mirrors the rest on this
-        m = np.arange(-60, 61, dtype=np.int32)
-        m1, m2 = np.meshgrid(m, m, indexing="ij")
-        li = _log_weight((m1, m2, -m1 - m2), step, TestFunctionParams(T=4.0, R=R), 2)
+        m = range(-60, 61)
+        li = _log_weight((m, m), step, TestFunctionParams(T=4.0, R=R), 2)
         assert np.array_equal(li, li[::-1, ::-1])
 
     @pytest.mark.parametrize("step", [0.5, 3.0 / 37.0], ids=["step-1/2", "step-3/37"])
-    def test_broadcast_columns_give_the_meshgrid_plane(self, step):
-        # main_term_log's columns (r, m, -r - m), r a column of the rows
-        # m1 >= 0, against the meshgrid plane's rows m1 >= 0
+    def test_half_plane_axes_give_the_full_plane_rows(self, step):
+        # main_term_log's axes, the rows m1 >= 0 only, against the full
+        # plane's rows m1 >= 0
         p = TestFunctionParams(T=4.0, R=2)
-        m = np.arange(-60, 61, dtype=np.int32)
-        m1, m2 = np.meshgrid(m, m, indexing="ij")
-        plane = _log_weight((m1, m2, -m1 - m2), step, p, 2)
-        r = m[60:, None]
-        assert np.array_equal(_log_weight((r, m, -r - m), step, p, 2), plane[60:])
+        m = range(-60, 61)
+        plane = _log_weight((m, m), step, p, 2)
+        assert np.array_equal(_log_weight((range(61), m), step, p, 2), plane[60:])
 
     def test_rank_one_ring_slope(self):
         # at the columns (2t, -2t) the density is its Gamma ring
@@ -145,16 +184,17 @@ class TestLogWeight:
         # Less pi |t|, the ring grows like (R + 1/2) log t
         ts = np.array([50, 100, 200, 400])
         for R in (1, 2):
-            ring = _log_weight((2 * ts, -2 * ts), 1.0, TestFunctionParams(T=1e12, R=R), 1)
+            p = TestFunctionParams(T=1e12, R=R)
+            ring = np.array([_log_weight((range(2 * t, 2 * t + 1),), 1.0, p, 1)[0] for t in ts])
             slope = np.polyfit(np.log(ts), ring - math.pi * ts, 1)[0]
             assert abs(slope - (R + 0.5)) < 0.02
 
     def test_coincident_columns_are_zeros(self):
         # (1, 0, -1) is generic; t1 = t2 and t1 = t3 are zeros of the density
+        # each read from the grid m1 in {1, 2}, m2 in {-2, ..., 1} that holds all three
         p = TestFunctionParams(T=4.0, R=1)
-        m1 = np.array([2, 1, 1])
-        m2 = np.array([0, 1, -2])
-        got = _log_weight((m1, m2, -m1 - m2), 0.5, p, 1)
+        plane = _log_weight((range(1, 3), range(-2, 2)), 0.5, p, 1)
+        got = [plane[a - 1, b + 2] for a, b in ((2, 0), (1, 1), (1, -2))]
         assert np.isfinite(got[0])
         assert got[1] == -np.inf and got[2] == -np.inf
 
@@ -345,6 +385,9 @@ class TestRankThreeAvatar:
         monkeypatch.setattr(testfunctions, "_log_weight", lambda *a: calls.append(a) or real(*a))
         p_y_gl3([(0.8, 1.3), (1.3, 0.8), (1.0, 1.0)], self.PARAMS)
         assert len(calls) == 1
+        # the plane is given as its two integer axes
+        axes = calls[0][0]
+        assert len(axes) == 2 and all(isinstance(a, range) for a in axes)
 
     def test_larger_T_pin_and_swap_symmetry(self):
         # a regression pin, not an oracle: the sum over every spectral node
@@ -377,8 +420,7 @@ def _itr_log_direct(a, params, dv=1.0 / 16):
         s = lg[m + k] + lg[m - k]
         top = s.max()
         log_inner[k - 1] = top + math.log(np.sum(np.exp(s - top)) * dv)
-    k = np.arange(1, k_max + 1)
-    li = _log_weight((2 * k, -2 * k), dv, params, 1) + log_inner
+    li = _log_weight((range(2, 2 * k_max + 1, 2),), dv, params, 1) + log_inner
     top = li.max()
     return top + math.log(2.0 * dv * np.sum(np.exp(li - top)))
 
@@ -408,6 +450,22 @@ class TestShiftedNormIntegral:
     def test_matches_direct_double_sum(self, T):
         p = TestFunctionParams(T=T, R=1)
         assert itr_log(0.25, p) == pytest.approx(_itr_log_direct(0.25, p), abs=1e-9)
+
+    def test_gamma_rows_hold_one_point_per_grid_value(self, monkeypatch):
+        # the density's two Gamma rows at d = 4k read loggamma once per k;
+        # the third call is the inner line h(v)
+        sizes = []
+        real = testfunctions.loggamma
+        monkeypatch.setattr(testfunctions, "loggamma", lambda z: sizes.append(np.size(z)) or real(z))
+        itr_log(1.25, TestFunctionParams(T=8.0, R=1))
+        n_k = math.ceil((2.7 * 8.0 + 12.0) * 16) - 1
+        assert len(sizes) == 3 and sizes.count(n_k) == 2
+
+    @pytest.mark.parametrize("T", [1e-300, 1e-170])
+    def test_tiny_T_raises(self, T):
+        # the Gaussian underflows at every grid point: no finite density
+        with pytest.raises(ValueError, match=f"T = {T}"):
+            itr_log(1.25, TestFunctionParams(T=T, R=1))
 
     def test_rounding_floor_raises(self):
         # h(2t) spans too many orders for FFT rounding at a = 3.5, T = 1024
@@ -491,6 +549,13 @@ class TestMainTermScaling:
         fit = main_term_scaling(3, 1)
         assert fit.predicted == 14
         assert fit.within <= 0.3
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("T", [1e-300, 1e-170])
+    def test_tiny_T_raises(self, n, T):
+        # 2 T^2 underflows, so the Gaussian is 0 at every grid point
+        with pytest.raises(ValueError, match=f"T = {T}"):
+            main_term_log(n, 1, T)
 
     def test_unsupported_rank(self):
         with pytest.raises(NotImplementedError):
