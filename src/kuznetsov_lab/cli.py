@@ -22,6 +22,8 @@ from . import geometry, mellin, special, testfunctions, trace
 from .quadrature import AccuracyError
 from .reporting import (
     CONFIG_ENV_VAR,
+    CONFIG_PARSERS,
+    FORMATS,
     emit_scaling_csv,
     load_config,
     render_reports,
@@ -106,14 +108,19 @@ def _doubling_grid(t_min: float, t_max: float) -> tuple[float, ...]:
 # the largest N of `trace --exponents`: its composition (1,) * N is built and
 # printed part by part
 _EXPONENTS_MAX_N = 1000
+# the largest N of `combinatorics --dn` and of `--verify-lemmas`: D(N) sums N
+# binomials of N-digit size, and the lemmas build all 2^(n-1) compositions of
+# each n <= N; at these bounds the calls take about 0.05 s and 1 s
+_DN_MAX_N = 1000
+_LEMMAS_MAX_N = 16
 
-# the flag that sets each config key
+# the flag that sets each config key, and its help; the key's parser types it
 _CONFIG_FLAGS = {
-    "format": ("--format", {"choices": ("json", "csv"), "help": "output format"}),
-    "seed": ("--seed", {"type": int, "help": "seed for randomized verifier inputs"}),
-    "identity_tol": ("--tol", {"type": float, "help": "identity residual tolerance"}),
-    "quad_tol": ("--quad-tol", {"type": float, "help": "quadrature tolerance"}),
-    "jobs": ("--jobs", {"type": int, "help": "parallel verifier execution"}),
+    "format": ("--format", "output format"),
+    "seed": ("--seed", "seed for randomized verifier inputs"),
+    "identity_tol": ("--tol", "identity residual tolerance"),
+    "quad_tol": ("--quad-tol", "quadrature tolerance"),
+    "jobs": ("--jobs", "parallel verifier execution"),
 }
 
 
@@ -125,57 +132,60 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, handler, summary, *keys) -> argparse.ArgumentParser:
-        # --config and one flag per config key the handler reads; a handler
-        # that reads no key takes no config flag and is called without a config
+        # --config and one flag per config key the handler reads, none if it reads none
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(handler=handler, config_keys=keys, usage_error=p.error)
+        p.set_defaults(handler=handler, config_keys=keys, usage_error=p.error, operations=[])
         if keys:
             p.add_argument("--config", help=f"key=value config file (default ${CONFIG_ENV_VAR})")
         for key in keys:
-            flag, kwargs = _CONFIG_FLAGS[key]
-            p.add_argument(flag, dest=key, **kwargs)
+            flag, help_text = _CONFIG_FLAGS[key]
+            p.add_argument(flag, dest=key, type=CONFIG_PARSERS[key], choices=FORMATS if key == "format" else None, help=help_text)
         return p
+
+    def operation(p, *args, **kwargs):
+        # an operation flag: a call of p must give at least one
+        p.get_default("operations").append(p.add_argument(*args, **kwargs))
 
     p = command("run", _cmd_run, "run a verification suite", *_CONFIG_FLAGS)
     p.add_argument("selector", choices=SELECTORS)
     p.add_argument("--timings", action="store_true", help="include wall times in output")
 
     p = command("combinatorics", _cmd_combinatorics, "degree counts and composition functionals")
-    p.add_argument("--dn", type=int, metavar="N", help="degree count D(N)")
-    p.add_argument("--phi", metavar="n1,n2,...", help="exponent functional of a composition")
-    p.add_argument("--verify-lemmas", type=int, metavar="N_MAX", help="exhaustive composition identities")
+    operation(p, "--dn", type=int, metavar="N", help=f"degree count D(N), 2 <= N <= {_DN_MAX_N}")
+    operation(p, "--phi", metavar="n1,n2,...", help="exponent functional of a composition")
+    operation(p, "--verify-lemmas", type=int, metavar="N_MAX", help=f"exhaustive composition identities, 2 <= N_MAX <= {_LEMMAS_MAX_N}")
 
     p = command("geometry", _cmd_geometry, "Iwasawa data attached to Weyl elements")
-    p.add_argument("--xi", nargs=2, metavar=("W_SPEC", "U_JSON"), help="xi values of w u")
-    p.add_argument("--conj-y", nargs=2, metavar=("W_SPEC", "Y_CSV"), help="conjugated torus coordinates")
+    operation(p, "--xi", nargs=2, metavar=("W_SPEC", "U_JSON"), help="xi values of w u")
+    operation(p, "--conj-y", nargs=2, metavar=("W_SPEC", "Y_CSV"), help="conjugated torus coordinates")
 
     p = command("special", _cmd_special, "pair polynomial and contour-gain bound")
-    p.add_argument("--fr", nargs=3, metavar=("N", "R", "ALPHA_JSON"), help="pair polynomial value")
-    p.add_argument("--bound-B", type=float, metavar="A", help="contour gain at shift A")
+    operation(p, "--fr", nargs=3, metavar=("N", "R", "ALPHA_JSON"), help="pair polynomial value")
+    operation(p, "--bound-B", type=float, metavar="A", help="contour gain at shift A")
 
     p = command("whittaker", _cmd_whittaker, "Mellin transforms, shifts, residues", "seed", "identity_tol", "quad_tol")
-    p.add_argument("--mellin", nargs=3, metavar=("N", "ALPHA_JSON", "S_JSON"), help="transform value")
-    p.add_argument("--residue", nargs=3, type=int, metavar=("N", "M", "DELTA"), help="residue vs contour oracle")
-    p.add_argument("--check-shift", nargs=3, type=int, metavar=("N", "M", "DELTA"), help="shift identity and degree ledger")
+    operation(p, "--mellin", nargs=3, metavar=("N", "ALPHA_JSON", "S_JSON"), help="transform value")
+    operation(p, "--residue", nargs=3, type=int, metavar=("N", "M", "DELTA"), help="residue vs contour oracle")
+    operation(p, "--check-shift", nargs=3, type=int, metavar=("N", "M", "DELTA"), help="shift identity and degree ledger")
     p.add_argument("--alpha", help="alpha JSON file for --residue")
 
     p = command("testfn", _cmd_testfn, "spectral test functions and scaling laws")
-    p.add_argument("--p-sharp", action="store_true", help="transform-side value at alpha")
-    p.add_argument("--h", action="store_true", help="normalized square at alpha")
-    p.add_argument("--p-y", type=float, metavar="Y", help="rank-one avatar at y")
-    p.add_argument("--itr-scaling", nargs=4, metavar=("R", "A", "TMIN", "TMAX"), help="shifted-line slope fit")
-    p.add_argument("--main-term-scaling", nargs=2, type=int, metavar=("N", "R"), help="norm-integral slope fit")
+    operation(p, "--p-sharp", action="store_true", help="transform-side value at alpha")
+    operation(p, "--h", action="store_true", help="normalized square at alpha")
+    operation(p, "--p-y", type=float, metavar="Y", help="rank-one avatar at y")
+    operation(p, "--itr-scaling", nargs=4, metavar=("R", "A", "TMIN", "TMAX"), help="shifted-line slope fit")
+    operation(p, "--main-term-scaling", nargs=2, type=int, metavar=("N", "R"), help="norm-integral slope fit")
     p.add_argument("--alpha", help="alpha JSON file (default 0)")
     p.add_argument("--T", type=float, default=10.0, help="spectral scale")
     p.add_argument("--R", type=int, default=1, help="smoothing order")
     p.add_argument("--out", help="write the one scaling fit's data CSV (plus JSON sidecar) here")
 
     p = command("trace", _cmd_trace, "Kloosterman sums, tails, exponents, orthogonality", "format")
-    p.add_argument("--kloosterman", nargs=3, type=int, metavar=("M", "L", "C"), help="one exact sum")
-    p.add_argument("--kloosterman-sweep", type=int, metavar="CMAX", help="all moduli up to CMAX")
-    p.add_argument("--tail", nargs=3, metavar=("RHO", "EPS", "CMAX"), help="modulus-sum tail report")
-    p.add_argument("--exponents", nargs=2, metavar=("N", "RHO"), help=f"exponent ledger at the long element of GL(N), 2 <= N <= {_EXPONENTS_MAX_N}")
-    p.add_argument("--cuspidal", nargs=5, metavar=("DATA_CSV", "T", "R", "L", "M"), help="orthogonality statistic over ingested spectral data")
+    operation(p, "--kloosterman", nargs=3, type=int, metavar=("M", "L", "C"), help="one exact sum")
+    operation(p, "--kloosterman-sweep", type=int, metavar="CMAX", help="all moduli up to CMAX")
+    operation(p, "--tail", nargs=3, metavar=("RHO", "EPS", "CMAX"), help="modulus-sum tail report")
+    operation(p, "--exponents", nargs=2, metavar=("N", "RHO"), help=f"exponent ledger at the long element of GL(N), 2 <= N <= {_EXPONENTS_MAX_N}")
+    operation(p, "--cuspidal", nargs=5, metavar=("DATA_CSV", "T", "R", "L", "M"), help="orthogonality statistic over ingested spectral data")
     return parser
 
 
@@ -188,6 +198,8 @@ def _cmd_combinatorics(args) -> tuple[str, int]:
     out = {}
     code = 0
     if args.dn is not None:
+        if not 2 <= args.dn <= _DN_MAX_N:
+            raise ValueError(f"--dn needs 2 <= N <= {_DN_MAX_N}, got {args.dn}")
         value = comb.degree_D(args.dn)
         oracle = math.comb(2 * args.dn, args.dn) // 2 - args.dn * (args.dn - 1) // 2 - 2 ** (args.dn - 1)
         out["dn"] = {"input": args.dn, "value": value, "oracle_value": oracle, "pass": value == oracle}
@@ -202,6 +214,8 @@ def _cmd_combinatorics(args) -> tuple[str, int]:
             "pass": value == flipped,
         }
     if args.verify_lemmas is not None:
+        if not 2 <= args.verify_lemmas <= _LEMMAS_MAX_N:
+            raise ValueError(f"--verify-lemmas needs 2 <= N_MAX <= {_LEMMAS_MAX_N}, got {args.verify_lemmas}")
         rep = comb.verify_partition_identities(args.verify_lemmas)
         out["verify_lemmas"] = {
             "input": args.verify_lemmas,
@@ -209,8 +223,6 @@ def _cmd_combinatorics(args) -> tuple[str, int]:
             "oracle_value": rep["first_counterexample"],
             "pass": rep["passed"],
         }
-    if not out:
-        raise ValueError("choose at least one of --dn, --phi, --verify-lemmas")
     if any(not v["pass"] for v in out.values()):
         code = 1
     return _emit(out), code
@@ -226,8 +238,6 @@ def _cmd_geometry(args) -> tuple[str, int]:
         w = geometry.WeylElement(_comp_from_spec(args.conj_y[0]))
         y = [float(v) for v in args.conj_y[1].split(",")]
         out["conj_y"] = {"w": w.composition, "values": geometry.weyl_conjugate_y(w, y)}
-    if not out:
-        raise ValueError("choose at least one of --xi, --conj-y")
     return _emit(out), 0
 
 
@@ -241,8 +251,6 @@ def _cmd_special(args) -> tuple[str, int]:
         out["fr"] = {"n": n, "R": R, "value": special.f_R_poly(alpha, R)}
     if args.bound_B is not None:
         out["bound_B"] = {"a": args.bound_B, "value": special.bound_B(args.bound_B)}
-    if not out:
-        raise ValueError("choose at least one of --fr, --bound-B")
     return _emit(out), 0
 
 
@@ -271,8 +279,6 @@ def _cmd_whittaker(args, cfg) -> tuple[str, int]:
         )
         out["check_shift"] = rep
         code = max(code, 0 if rep["passed"] else 1)
-    if not out:
-        raise ValueError("choose at least one of --mellin, --residue, --check-shift")
     return _emit(out), code
 
 
@@ -300,10 +306,6 @@ def _cmd_testfn(args) -> tuple[str, int]:
         n, R = args.main_term_scaling
         fit = testfunctions.main_term_scaling(n, R)
         out["main_term_scaling"] = _fit_summary(fit)
-    if not out:
-        raise ValueError(
-            "choose at least one of --p-sharp, --h, --p-y, --itr-scaling, --main-term-scaling"
-        )
     if args.out:
         emit_scaling_csv(fit, args.out)
     return _emit(out), 0
@@ -315,9 +317,7 @@ def _fit_summary(fit) -> dict:
 
 def _cmd_trace(args, cfg) -> tuple[str, int]:
     # the sweep is the one tabular result; CSV would drop any other
-    others = (args.kloosterman, args.tail, args.exponents, args.cuspidal)
-    sweep_alone = args.kloosterman_sweep is not None and all(op is None for op in others)
-    if cfg.out_format == "csv" and not sweep_alone:
+    if cfg.format == "csv" and _chosen(args) != ["kloosterman_sweep"]:
         raise ValueError("format csv needs --kloosterman-sweep as the only operation")
     out = {}
     if args.kloosterman is not None:
@@ -325,7 +325,7 @@ def _cmd_trace(args, cfg) -> tuple[str, int]:
         out["kloosterman"] = {"m": m, "l": l, "c": c, "value": trace.kloosterman_gl2(m, l, c)}
     if args.kloosterman_sweep is not None:
         values = trace.kloosterman_sweep(args.kloosterman_sweep)
-        if cfg.out_format == "csv":
+        if cfg.format == "csv":
             lines = ["c,value"] + [
                 f"{c},{float(v.real)!r}" for c, v in enumerate(values, start=1)
             ]
@@ -347,12 +347,12 @@ def _cmd_trace(args, cfg) -> tuple[str, int]:
         params = testfunctions.TestFunctionParams(T=T, R=R)
         rep = trace.cuspidal_sum(forms, params, l, m)
         out["cuspidal"] = {"forms": len(forms), "l": l, "m": m, **_jsonable(rep)}
-    if not out:
-        raise ValueError(
-            "choose at least one of --kloosterman, --kloosterman-sweep, --tail, "
-            "--exponents, --cuspidal"
-        )
     return _emit(out), 0
+
+
+def _chosen(args) -> list[str]:
+    """The dests of the operation flags given on the command line."""
+    return [a.dest for a in args.operations if getattr(args, a.dest) != a.default]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -360,11 +360,12 @@ def main(argv: list[str] | None = None) -> int:
     if extra:  # the subcommand's usage line names the flags it does take
         args.usage_error(f"unrecognized arguments: {' '.join(extra)}")
     try:
+        config_arg = ()  # a handler that reads no config key is called without one
         if args.config_keys:
-            cfg = load_config(args.config, {key: getattr(args, key) for key in args.config_keys})
-            text, code = args.handler(args, cfg)
-        else:
-            text, code = args.handler(args)
+            config_arg = (load_config(args.config, {key: getattr(args, key) for key in args.config_keys}),)
+        if args.operations and not _chosen(args):
+            raise ValueError(f"choose at least one of {', '.join(a.option_strings[0] for a in args.operations)}")
+        text, code = args.handler(args, *config_arg)
     except (ValueError, OSError, NotImplementedError, AccuracyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

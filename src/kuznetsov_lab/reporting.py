@@ -22,12 +22,13 @@ from .testfunctions import ScalingFit, fit_scaling
 
 CONFIG_ENV_VAR = "KUZNETSOV_LAB_CONFIG"
 
-_FORMATS = ("json", "csv")
+FORMATS = ("json", "csv")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs shared by every verifier in the suite.
+    """Knobs shared by every verifier in the suite; the field names are the
+    config keys.
 
     quad_tol feeds the adaptive quadratures, identity_tol raises the
     floating-point floors of the suite's residual bounds (it stays below 1,
@@ -38,7 +39,7 @@ class RunConfig:
     quad_tol: float = 1e-8
     identity_tol: float = 1e-9
     jobs: int = 1
-    out_format: str = "json"
+    format: str = "json"
     seed: int = 0
 
     def __post_init__(self):
@@ -47,29 +48,17 @@ class RunConfig:
             raise ValueError("identity_tol must be below 1")
         require_integer(self.jobs, "jobs", positive=True)
         require_integer(self.seed, "seed")
-        if self.out_format not in _FORMATS:
-            raise ValueError(f"format must be one of {_FORMATS}")
+        if self.format not in FORMATS:
+            raise ValueError(f"format must be one of {FORMATS}")
 
 
-# config files and flags use "format"; the field avoids shadowing the builtin
-_KEY_TO_FIELD = {f.name: f.name for f in fields(RunConfig)} | {"format": "out_format"}
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-
-
-def _coerce(field_name: str, raw):
-    if isinstance(raw, str):
-        raw = raw.strip()
-    t = _FIELD_TYPES[field_name]
-    if t == "int":
-        return int(raw)
-    if t == "float":
-        return float(raw)
-    return str(raw)
+# each config key's text parser, from its field's type; config files and flags both use it
+CONFIG_PARSERS = {f.name: {"int": int, "float": float, "str": str}[f.type] for f in fields(RunConfig)}
 
 
 def parse_config_file(path: str) -> dict:
     """key=value lines; blank lines and #-comments ignored; unknown keys
-    rejected so typos fail loudly."""
+    and values their key's parser rejects raise ValueError naming the line."""
     out = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -80,33 +69,26 @@ def parse_config_file(path: str) -> dict:
                 raise ValueError(f"{path} line {lineno}: expected key=value")
             key, _, value = text.partition("=")
             key = key.strip()
-            if key not in _KEY_TO_FIELD:
+            if key not in CONFIG_PARSERS:
                 raise ValueError(f"{path} line {lineno}: unknown key {key!r}")
-            field_name = _KEY_TO_FIELD[key]
-            out[field_name] = _coerce(field_name, value)
+            try:
+                out[key] = CONFIG_PARSERS[key](value.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path} line {lineno}: bad value for {key!r}: {exc}") from None
     return out
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
     """Defaults, then the config file (explicit path, else the environment
-    variable), then CLI overrides; later layers win.  None-valued overrides
-    are treated as absent so unset flags do not mask the file.
+    variable), then CLI overrides, already parsed; later layers win.
+    None-valued overrides are treated as absent so unset flags do not mask the file.
     """
     cfg = RunConfig()
     if path is None:
         path = os.environ.get(CONFIG_ENV_VAR) or None
     if path is not None:
         cfg = replace(cfg, **parse_config_file(path))
-    if overrides:
-        cleaned = {}
-        for key, value in overrides.items():
-            if value is None:
-                continue
-            if key not in _KEY_TO_FIELD:
-                raise ValueError(f"unknown config key {key!r}")
-            cleaned[_KEY_TO_FIELD[key]] = _coerce(_KEY_TO_FIELD[key], value)
-        cfg = replace(cfg, **cleaned)
-    return cfg
+    return replace(cfg, **{key: value for key, value in (overrides or {}).items() if value is not None})
 
 
 @dataclass(frozen=True)
@@ -173,7 +155,7 @@ def reports_to_csv(reports, include_runtime: bool = False) -> str:
 
 
 def render_reports(reports, cfg: RunConfig, include_runtime: bool = False) -> str:
-    if cfg.out_format == "csv":
+    if cfg.format == "csv":
         return reports_to_csv(reports, include_runtime)
     return reports_to_json(reports, include_runtime)
 

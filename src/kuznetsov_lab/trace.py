@@ -635,9 +635,7 @@ def cuspidal_sum(
     return CuspidalSum(diagonal=diag, off_diagonal=s_lm, ratio=s_lm / diag)
 
 
-def random_sign_fixture(
-    params: TestFunctionParams, count: int = 50, seed: int = 0
-) -> list[MaassFormRecord]:
+def random_sign_fixture(params: TestFunctionParams, count: int, seed: int = 0) -> list[MaassFormRecord]:
     """Synthetic records with lambda(2), lambda(3) drawn from {-1, +1}.
 
     A cancellation model, not spectral data: the signs are independent coin

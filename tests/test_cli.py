@@ -6,7 +6,9 @@ a runtime error.
 """
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 from types import SimpleNamespace
 
@@ -18,6 +20,7 @@ from kuznetsov_lab import combinatorics as comb
 from kuznetsov_lab.quadrature import AccuracyError
 from kuznetsov_lab.reporting import (
     CONFIG_ENV_VAR,
+    CONFIG_PARSERS,
     RunConfig,
     load_config,
     parse_config_file,
@@ -36,13 +39,18 @@ def registered(name):
     return claim
 
 
-def subcommand_flags():
-    """Each subcommand's option strings, -h/--help left out."""
+def subparsers():
+    """Each subcommand's parser, by name."""
     parser = cli._build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def subcommand_flags():
+    """Each subcommand's option strings, -h/--help left out."""
     return {
         name: {s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")}
-        for name, p in sub.choices.items()
+        for name, p in subparsers().items()
     }
 
 
@@ -70,6 +78,20 @@ REMOVED_CONFIG_FLAGS = [
     for command in BASE_CALLS
     for flag in CONFIG_FLAG_VALUES
     if flag not in KEPT_CONFIG_FLAGS.get(command, set())
+]
+# each module subcommand's operations, in the order its usage lists them
+OPERATIONS = {
+    "combinatorics": "--dn, --phi, --verify-lemmas",
+    "geometry": "--xi, --conj-y",
+    "special": "--fr, --bound-B",
+    "whittaker": "--mellin, --residue, --check-shift",
+    "testfn": "--p-sharp, --h, --p-y, --itr-scaling, --main-term-scaling",
+    "trace": "--kloosterman, --kloosterman-sweep, --tail, --exponents, --cuspidal",
+}
+# the size-bounded combinatorics flags: flag, metavar, bound, library function
+COMBINATORICS_BOUNDS = [
+    ("--dn", "N", cli._DN_MAX_N, "degree_D"),
+    ("--verify-lemmas", "N_MAX", cli._LEMMAS_MAX_N, "verify_partition_identities"),
 ]
 
 
@@ -112,6 +134,14 @@ class TestRunDriver:
     def test_timings_opt_in(self, capsys):
         _, out, _ = run_cli(capsys, "run", "combinatorics", "--timings")
         assert all("runtime" in r for r in json.loads(out))
+
+    def test_csv_timings_add_a_runtime_column(self, capsys):
+        code, out, _ = run_cli(capsys, "run", "combinatorics", "--format", "csv", "--timings")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert code == 0
+        assert out.splitlines()[0] == "name,anchor,digest,passed,max_error,runtime"
+        assert len(rows) == 8
+        assert all(0.0 <= float(r["runtime"]) < 60.0 for r in rows)
 
     def test_raising_check_exits_2_with_its_error(self, capsys, monkeypatch):
         def boom(cfg):
@@ -200,6 +230,39 @@ class TestSubcommandFlags:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_run_config_flags_are_the_run_config_fields(self, tmp_path):
+        # each flag's dest is a field, and the flag parses its value with the
+        # parser the config file uses for that key
+        flags = {
+            a.dest: a
+            for a in subparsers()["run"]._actions
+            if set(a.option_strings) & set(CONFIG_FLAG_VALUES) - {"--config"}
+        }
+        assert set(flags) == {f.name for f in dataclasses.fields(RunConfig)}
+        for key, action in flags.items():
+            raw = CONFIG_FLAG_VALUES[action.option_strings[0]]
+            assert action.type is CONFIG_PARSERS[key]
+            cfgfile = tmp_path / "lab.cfg"
+            cfgfile.write_text(f"{key} = {raw}\n")
+            assert parse_config_file(str(cfgfile)) == {key: action.type(raw)}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["combinatorics"], ["geometry"], ["special"], ["whittaker"], ["testfn"], ["trace"],
+            ["whittaker", "--alpha", "a.json", "--seed", "3"],
+            ["testfn", "--T", "4", "--out", "x.csv"],
+            ["trace", "--format", "csv"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_no_operation_names_every_operation(self, capsys, argv):
+        # the flags that only modify an operation do not count as one
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: choose at least one of {OPERATIONS[argv[0]]}\n"
+
     def test_unread_flag_usage_names_the_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["testfn", "--p-sharp", "--format", "csv"])
@@ -212,9 +275,9 @@ class TestConfigLayering:
         cfgfile = tmp_path / "lab.cfg"
         cfgfile.write_text("seed = 11\nformat = csv\n# comment\n\njobs=2\n")
         parsed = parse_config_file(str(cfgfile))
-        assert parsed == {"seed": 11, "out_format": "csv", "jobs": 2}
+        assert parsed == {"seed": 11, "format": "csv", "jobs": 2}
         cfg = load_config(str(cfgfile), {"seed": 4, "format": None})
-        assert cfg.seed == 4 and cfg.out_format == "csv" and cfg.jobs == 2
+        assert cfg.seed == 4 and cfg.format == "csv" and cfg.jobs == 2
 
     def test_env_var_supplies_default_path(self, capsys, tmp_path, monkeypatch):
         cfgfile = tmp_path / "lab.cfg"
@@ -247,6 +310,26 @@ class TestConfigLayering:
         assert code == 2
         assert "bogus" in err
 
+    @pytest.mark.parametrize("line, key", [("seed = abc", "seed"), ("jobs = 2.5", "jobs")])
+    def test_bad_value_names_file_line_and_key(self, capsys, tmp_path, line, key):
+        cfgfile = tmp_path / "lab.cfg"
+        cfgfile.write_text(f"# settings\nquad_tol = 1e-6\n{line}\n")
+        code, out, err = run_cli(capsys, "run", "combinatorics", "--config", str(cfgfile))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {cfgfile} line 3: ") and repr(key) in err
+        assert err.count("\n") == 1
+
+    def test_explicit_config_wins_over_env_var(self, capsys, tmp_path, monkeypatch):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("seed = abc\n")
+        good = tmp_path / "good.cfg"
+        good.write_text("format = csv\n")
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(bad))
+        code, out, _ = run_cli(capsys, "run", "combinatorics", "--config", str(good))
+        assert code == 0
+        assert out.splitlines()[0] == "name,anchor,digest,passed,max_error"
+
     @pytest.mark.parametrize("key", ["nodes_per_panel", "truncation_height"])
     def test_removed_keys_are_unknown(self, capsys, tmp_path, key):
         cfgfile = tmp_path / "lab.cfg"
@@ -259,7 +342,7 @@ class TestConfigLayering:
         cfg = RunConfig()
         assert cfg.quad_tol == 1e-8
         assert cfg.identity_tol == 1e-9
-        assert cfg.out_format == "json"
+        assert cfg.format == "json"
 
 
 class TestModuleSubcommands:
@@ -281,6 +364,41 @@ class TestModuleSubcommands:
         code, _, err = run_cli(capsys, "combinatorics")
         assert code == 2
         assert "choose at least one" in err
+
+    @pytest.mark.parametrize(
+        "flag, name, bound, library, n",
+        [(*b, n) for b in COMBINATORICS_BOUNDS for n in ("1", str(b[2] + 1), "99999999999")],
+    )
+    def test_combinatorics_size_bound_exits_2(self, capsys, monkeypatch, flag, name, bound, library, n):
+        # the size is checked before the library is called
+        def not_called(n):
+            raise AssertionError(f"{library}({n}) was called")
+
+        monkeypatch.setattr(comb, library, not_called)
+        code, out, err = run_cli(capsys, "combinatorics", flag, n)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} needs 2 <= {name} <= {bound}, got {n}\n"
+
+    @pytest.mark.parametrize("flag, name, bound, library", COMBINATORICS_BOUNDS)
+    def test_combinatorics_bound_is_in_the_help(self, capsys, monkeypatch, flag, name, bound, library):
+        with pytest.raises(SystemExit):
+            cli.main(["combinatorics", "--help"])
+        assert f"2 <= {name} <= {bound}" in " ".join(capsys.readouterr().out.split())
+        # the bound itself reaches the library
+        def reached(n):
+            raise ValueError(f"reached {library}({n})")
+
+        monkeypatch.setattr(comb, library, reached)
+        code, _, err = run_cli(capsys, "combinatorics", flag, str(bound))
+        assert code == 2
+        assert err == f"error: reached {library}({bound})\n"
+
+    def test_bad_composition_spec_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "combinatorics", "--phi", "1,x")
+        assert code == 2
+        assert out == ""
+        assert err == "error: bad composition spec '1,x'\n"
 
     def test_geometry_xi_long_element(self, capsys, tmp_path):
         u = np.eye(4)
@@ -540,6 +658,13 @@ class TestModuleSubcommands:
         assert len(lines) == 7
         assert float(lines[1].split(",")[1]) == pytest.approx(1.0)
 
+    def test_trace_sweep_json(self, capsys):
+        code, out, _ = run_cli(capsys, "trace", "--kloosterman-sweep", "12")
+        payload = json.loads(out)["kloosterman_sweep"]
+        assert code == 0
+        assert payload["c_max"] == 12
+        assert payload["values"] == [float(v.real) for v in trace.kloosterman_sweep(12)]
+
     @pytest.mark.parametrize(
         "ops",
         [
@@ -699,3 +824,10 @@ class TestScalingCsv:
         code, _, err = run_cli(capsys, "testfn", "--itr-scaling", "1", "0.25", "64", "8")
         assert code == 2
         assert "Tmin" in err
+
+    def test_fewer_than_four_doublings_is_error(self, capsys):
+        # 8, 16, 32 is three points, too few for the local slopes
+        code, out, err = run_cli(capsys, "testfn", "--itr-scaling", "1", "0.25", "8", "32")
+        assert code == 2
+        assert out == ""
+        assert err == "error: need at least four doublings between Tmin and Tmax\n"

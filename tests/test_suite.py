@@ -255,7 +255,7 @@ class TestRunConfigValidation:
         with pytest.raises(ValueError):
             RunConfig(jobs=0)
         with pytest.raises(ValueError):
-            RunConfig(out_format="xml")
+            RunConfig(format="xml")
 
     def test_identity_tol_stays_below_one(self):
         # a failed side condition reads as error 1.0, which must never pass

@@ -292,6 +292,11 @@ class TestRankThreeAvatar:
         with pytest.raises(ValueError, match="pairs"):
             p_y_gl3((1.0, 1.0), self.PARAMS)
 
+    def test_large_T_raises_before_summing(self):
+        # at T = 40 the sum grid reaches |Im| about 530, where 1/Gamma overflows
+        with pytest.raises(AccuracyError, match="reciprocal coupling overflows"):
+            p_y_gl3([(1.0, 1.0)], TestFunctionParams(T=40.0, R=1))
+
     def test_plane_matches_adaptive_quadrature(self):
         # same closed transform, two independent quadratures: a fixed grid
         # of step 1/8 against the adaptive rule at step 1/32 with its own

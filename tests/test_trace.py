@@ -401,6 +401,10 @@ class TestDivisorSums:
         with pytest.raises(ValueError):
             hecke_divisor_sum(2, (0.5, -0.4), (None, None))
 
+    def test_slot_count_must_match_exponents(self):
+        with pytest.raises(ValueError, match="one spectral slot per exponent"):
+            hecke_divisor_sum(2, (0.5, -0.5), (None,))
+
     def test_non_integer_m_rejected(self):
         # 6.5 has no divisor pair, so the sum used to come back as 0j
         with pytest.raises(ValueError, match="positive integer"):
@@ -464,6 +468,14 @@ class TestCuspidalSum:
     def test_empty_forms(self):
         with pytest.raises(ValueError):
             cuspidal_sum([], self.PARAMS, 2, 3)
+
+    def test_vanishing_diagonal_is_an_error(self):
+        # lambda(2) = 0 on every record: S(2, 2) = 0, so no ratio exists
+        rec = MaassFormRecord(r=5.0, hecke={2: 0.0, 3: 0.5}, adjoint_L=1.0)
+        with pytest.raises(ValueError, match=r"diagonal sum vanishes: no record has lambda\(2\)"):
+            cuspidal_sum([rec], self.PARAMS, 2, 2)
+        with pytest.raises(ValueError, match="diagonal normalizer vanishes"):
+            cuspidal_sum([rec], self.PARAMS, 2, 3)
 
 
 class TestMaassRecords:
@@ -552,6 +564,12 @@ class TestIngest:
         assert ingest_maass_csv(p)[0].hecke == {1: 1.0, 2: 0.5}
         p.write_text("r,lambda_1,lambda_2,adjoint_L\n1.0,0.9,0.5,1.0\n")
         with pytest.raises(CsvFormatError, match="lambda_1"):
+            ingest_maass_csv(p)
+
+    def test_unexpected_column_names_it(self, tmp_path):
+        p = tmp_path / "mu.csv"
+        p.write_text("r,mu_2,adjoint_L\n1.0,0.5,1.0\n")
+        with pytest.raises(CsvFormatError, match="line 1: unexpected column 'mu_2'"):
             ingest_maass_csv(p)
 
     def test_nonpositive_adjoint(self, tmp_path):
