@@ -134,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def command(name, handler, summary, *keys) -> argparse.ArgumentParser:
         # --config and one flag per config key the handler reads, none if it reads none
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(handler=handler, config_keys=keys, usage_error=p.error, operations=[])
+        p.set_defaults(handler=handler, config_keys=keys, usage_error=p.error, operations=[], modifiers=[])
         if keys:
             p.add_argument("--config", help=f"key=value config file (default ${CONFIG_ENV_VAR})")
         for key in keys:
@@ -145,6 +145,11 @@ def _build_parser() -> argparse.ArgumentParser:
     def operation(p, *args, **kwargs):
         # an operation flag: a call of p must give at least one
         p.get_default("operations").append(p.add_argument(*args, **kwargs))
+
+    def modifier(p, *args, read_by, default=None, **kwargs):
+        # a flag that only the operations read_by (their dests) read: given
+        # without any of them it is an error, and absent it takes default
+        p.get_default("modifiers").append((p.add_argument(*args, **kwargs), read_by, default))
 
     p = command("run", _cmd_run, "run a verification suite", *_CONFIG_FLAGS)
     p.add_argument("selector", choices=SELECTORS)
@@ -167,7 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
     operation(p, "--mellin", nargs=3, metavar=("N", "ALPHA_JSON", "S_JSON"), help="transform value")
     operation(p, "--residue", nargs=3, type=int, metavar=("N", "M", "DELTA"), help="residue vs contour oracle")
     operation(p, "--check-shift", nargs=3, type=int, metavar=("N", "M", "DELTA"), help="shift identity and degree ledger")
-    p.add_argument("--alpha", help="alpha JSON file for --residue")
+    modifier(p, "--alpha", read_by=("residue",), help="alpha JSON file for --residue")
 
     p = command("testfn", _cmd_testfn, "spectral test functions and scaling laws")
     operation(p, "--p-sharp", action="store_true", help="transform-side value at alpha")
@@ -175,10 +180,10 @@ def _build_parser() -> argparse.ArgumentParser:
     operation(p, "--p-y", type=float, metavar="Y", help="rank-one avatar at y")
     operation(p, "--itr-scaling", nargs=4, metavar=("R", "A", "TMIN", "TMAX"), help="shifted-line slope fit")
     operation(p, "--main-term-scaling", nargs=2, type=int, metavar=("N", "R"), help="norm-integral slope fit")
-    p.add_argument("--alpha", help="alpha JSON file (default 0)")
-    p.add_argument("--T", type=float, default=10.0, help="spectral scale")
-    p.add_argument("--R", type=int, default=1, help="smoothing order")
-    p.add_argument("--out", help="write the one scaling fit's data CSV (plus JSON sidecar) here")
+    modifier(p, "--alpha", read_by=("p_sharp", "h"), help="alpha JSON file (default 0)")
+    modifier(p, "--T", read_by=("p_sharp", "h", "p_y"), default=10.0, type=float, help="spectral scale (default 10)")
+    modifier(p, "--R", read_by=("p_sharp", "h", "p_y"), default=1, type=int, help="smoothing order (default 1)")
+    modifier(p, "--out", read_by=("itr_scaling", "main_term_scaling"), help="write the one scaling fit's data CSV (plus JSON sidecar) here")
 
     p = command("trace", _cmd_trace, "Kloosterman sums, tails, exponents, orthogonality", "format")
     operation(p, "--kloosterman", nargs=3, type=int, metavar=("M", "L", "C"), help="one exact sum")
@@ -363,8 +368,15 @@ def main(argv: list[str] | None = None) -> int:
         config_arg = ()  # a handler that reads no config key is called without one
         if args.config_keys:
             config_arg = (load_config(args.config, {key: getattr(args, key) for key in args.config_keys}),)
-        if args.operations and not _chosen(args):
+        chosen = _chosen(args)
+        if args.operations and not chosen:
             raise ValueError(f"choose at least one of {', '.join(a.option_strings[0] for a in args.operations)}")
+        flags = {a.dest: a.option_strings[0] for a in args.operations}
+        for action, read_by, default in args.modifiers:
+            if getattr(args, action.dest) is None:
+                setattr(args, action.dest, default)
+            elif not set(read_by) & set(chosen):
+                raise ValueError(f"{action.option_strings[0]} has no effect without {' or '.join(map(flags.get, read_by))}")
         text, code = args.handler(args, *config_arg)
     except (ValueError, OSError, NotImplementedError, AccuracyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,12 +8,12 @@ residues k = (m x + l x~) mod c, and only the final pass takes floats.  The
 residue histogram is symmetric (x -> -x sends k to -k), so that pass is a
 real cosine sum over the half k < c/2 of the residues.
 :func:`kloosterman_gl2` takes each inverse x~ by extended Euclid
-(``pow(x, -1, c)``) and stays the exact oracle.  The sweep
-bins residues once per prime power q and assembles every other modulus from
-those histograms by the Chinese remainder theorem, which yields the same
-integer counts, hence the same floating-point sums; the tests compare the
-two paths bit for bit.  Sums over spectral records are deterministic
-sequential folds.
+(``pow(x, -1, c)``) and stays the exact oracle.  The sweep bins residues
+exactly once per prime power q, into the oracle's integer counts, so its
+prime-power values equal the oracle's bit for bit; every other modulus is a
+product of prime-power sums by twisted multiplicativity, each factor read
+off that prime power's histogram, and agrees with the oracle to rounding.
+Sums over spectral records are deterministic sequential folds.
 """
 
 from __future__ import annotations
@@ -83,52 +83,21 @@ def _root_sum(counts: np.ndarray, c: int) -> float:
     return total - counts[c // 2] if c % 2 == 0 else total
 
 
-def _smallest_prime_factors(n: int) -> list[int]:
-    # spf[c] for c = 2..n by an Eratosthenes sieve (spf[0] = 0, spf[1] = 1)
-    spf = np.zeros(n + 1, dtype=np.int64)
+def _primes(n: int) -> list[int]:
+    # the primes up to n by an Eratosthenes sieve
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
     for p in range(2, math.isqrt(n) + 1):
-        if spf[p] == 0:
-            multiples = spf[p * p :: p]
-            multiples[multiples == 0] = p
-    unset = np.flatnonzero(spf == 0)
-    spf[unset] = unset
-    return spf.tolist()
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve).tolist()
 
 
-def _prime_powers(c: int, spf: list[int]):
-    """(p, p^e) for each prime power p^e exactly dividing c."""
-    while c > 1:
-        p = q = spf[c]
-        c //= p
-        while c % p == 0:
-            q *= p
-            c //= p
-        yield p, q
-
-
-def _prime_units(p: int, spf: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    # units x mod p and their inverses x~: the units are the powers g^k
-    # (k = 0..p-2) of a primitive root g, the inverse of g^k is g^(p-1-k),
-    # and the powers come from an s x s table g^(s j + i) = (g^s)^j g^i with
-    # s^2 >= p - 1
-    order_primes = [r for r, _ in _prime_powers(p - 1, spf)]
-    g = next(g for g in range(1, p) if all(pow(g, (p - 1) // r, p) != 1 for r in order_primes))
-    s = math.isqrt(p - 2) + 1
-    low = [1]
-    for _ in range(s - 1):
-        low.append(low[-1] * g % p)
-    step = low[-1] * g % p
-    high = [1]
-    for _ in range(s - 1):
-        high.append(high[-1] * step % p)
-    x = (np.outer(high, low) % p).ravel()[: p - 1]
-    return x, np.concatenate((x[:1], x[:0:-1]))
-
-
-def _prime_power_units(q: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    # units x mod q = p^e and their inverses x~ = x^(phi(q)-1) mod q by a
+def _unit_histogram(m: int, l: int, q: int, p: int) -> np.ndarray:
+    # H_q[k] = #{units x mod q : m x + l x~ = k mod q} for q = p^e by
+    # enumerating the units; the inverses x~ = x^(phi(q)-1) mod q come from a
     # square-and-multiply ladder on int64 arrays, phi(q) being the number of
-    # units; products stay below 2^63 for q up to ~3e9
+    # units, and the products stay below 2^63 for q up to ~3e9
     x = np.arange(1, q, dtype=np.int64)
     units = x[x % p != 0]
     e = units.size - 1
@@ -139,51 +108,67 @@ def _prime_power_units(q: int, p: int) -> tuple[np.ndarray, np.ndarray]:
             inv = (inv * base) % q
         base = (base * base) % q
         e >>= 1
-    return units, inv
+    return np.bincount(((m % q) * units + (l % q) * inv) % q, minlength=q)
+
+
+def _prime_power_histogram(m: int, l: int, q: int, p: int) -> np.ndarray:
+    """H_q[k] = #{units x mod q : m x + l x~ = k mod q} for q = p^e, exact.
+
+    For an odd prime q = p not dividing m l the units x with m x + l x~ = k
+    are the roots of m x^2 - k x + l, as many as the y with y^2 = k^2 - 4 m l,
+    so the histogram is read off the count of squares with no unit
+    enumeration.  p = 2, higher powers and primes dividing m l enumerate the
+    units (:func:`_unit_histogram`).  m and l are reduced mod q as Python
+    integers before numpy sees them."""
+    if q == p > 2 and m * l % p:
+        squares = np.arange(p, dtype=np.int64) ** 2 % p
+        return np.bincount(squares, minlength=p)[(squares - 4 * m * l % p) % p]
+    return _unit_histogram(m, l, q, p)
 
 
 def kloosterman_sweep(c_max: int, m: int = 1, l: int = 1) -> np.ndarray:
     """S(m, l; c) for c = 1..c_max as an array (index c-1).
 
-    Each prime power q <= c_max gets its residue histogram H_q[k] = #{units
-    x mod q : m x + l x~ = k mod q} once, with m and l reduced mod q as
-    Python integers: a prime's inverses from a primitive-root power table,
-    a higher prime power's from a square-and-multiply ladder.  For c = q_1
-    ... q_r (pairwise coprime prime powers) a unit x mod c is the tuple of
-    its residues mod q_i, and k mod q_i depends only on x mod q_i, so the
-    residue counts mod c are the product of the H_(q_i) tiled to length c.
-    Those are the exact integer counts that :func:`kloosterman_gl2`, the
-    oracle, bins by extended Euclid, and both take the one cosine pass
-    :func:`_root_sum` over them, so both return the same floating-point
-    values (imaginary parts exactly 0).
+    Each prime power q <= c_max gets its exact residue histogram H_q
+    (:func:`_prime_power_histogram`) once and the one cosine pass
+    :func:`_root_sum` over it.  Those are the integers that
+    :func:`kloosterman_gl2`, the oracle, bins by extended Euclid, so at
+    every prime power the two return the same floating-point value.
+
+    Every other modulus is a product by twisted multiplicativity: for c =
+    q_1 ... q_r (pairwise coprime prime powers, r >= 2), r_i = c / q_i and
+    r~_i the inverse of r_i mod q_i,
+
+        S(m, l; c) = prod_i S(m r~_i, l r~_i; q_i),
+
+    and S(m r~, l r~; q) = sum_k H_q[k] e(r~ k / q) = sum_k H_q[r k] e(k / q)
+    is the real DFT of H_q at r~, which needs no inverse: the histogram read
+    at r k, through the same half-range cosine sum as :func:`_root_sum`.
+    Each q <= c_max/2 is taken once, for all its cofactors r <= c_max/q at
+    once, and multiplied into every c = q r; no composite histogram is
+    built.  The composite values agree with the oracle to rounding, not bit
+    for bit.  Imaginary parts are exactly 0.
 
     Modulo 1 the only residue class, x = 0, is a unit, so S = 1 there."""
     c_max, m, l = require_integer(c_max, "c_max"), require_integer(m, "m"), require_integer(l, "l")
     if c_max < 1:
         raise ValueError("c_max must be positive")
-    spf = _smallest_prime_factors(c_max)
-    # a composite modulus only reads factors q <= c_max/2; every count mod
-    # any d <= c_max is at most phi(d) < c_max, so the products stay in the
-    # stored type
-    stored = np.min_scalar_type(c_max)
-    hist: dict[int, np.ndarray] = {}
-    out = np.empty(c_max, dtype=complex)
-    out[0] = 1.0
-    for c in range(2, c_max + 1):
-        factors = list(_prime_powers(c, spf))
-        if len(factors) == 1:
-            p, q = factors[0]
-            x, xbar = _prime_units(p, spf) if p == q else _prime_power_units(q, p)
-            counts = np.bincount(((m % q) * x + (l % q) * xbar) % q, minlength=q)
+    # a prime power's entry is its sum, a composite's the product of its
+    # factors' twisted sums, multiplied in by increasing prime
+    values = np.ones(c_max + 1)
+    for p in _primes(c_max):
+        q = p
+        while q <= c_max:
+            counts = _prime_power_histogram(m, l, q, p)
+            values[q] = _root_sum(counts, q)
             if 2 * q <= c_max:
-                hist[q] = counts.astype(stored)
-        else:
-            (_, q), *rest = factors
-            counts = np.tile(hist[q], c // q)
-            for _, q in rest:
-                counts.reshape(-1, q)[:] *= hist[q]
-        out[c - 1] = _root_sum(counts, c)
-    return out
+                r = np.arange(2, c_max // q + 1)
+                r = r[r % p != 0]
+                k = np.arange(q // 2 + 1)
+                weights = np.where((k == 0) | (2 * k == q), 1.0, 2.0) * np.cos(2 * np.pi * k / q)
+                values[q * r] *= counts[np.outer(r, k) % q] @ weights
+            q *= p
+    return values[1:].astype(complex)
 
 
 @dataclass(frozen=True)

@@ -269,6 +269,31 @@ class TestSubcommandFlags:
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("usage: kuznetsov-lab testfn")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["whittaker", "--check-shift", "2", "1", "1", "--alpha", "/nonexistent.json"],
+                "--alpha has no effect without --residue",
+            ),
+            (
+                ["testfn", "--main-term-scaling", "2", "1", "--R", "3", "--T", "99"],
+                "--T has no effect without --p-sharp or --h or --p-y",
+            ),
+        ],
+        ids=["whittaker --alpha", "testfn --R --T"],
+    )
+    def test_modifier_without_its_operation_exits_2(self, capsys, argv, message):
+        # a modifier that no chosen operation reads would be dropped unread
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_modifier_defaults_reach_their_operations(self, capsys):
+        # --T and --R left out still read as 10 and 1
+        code, out, _ = run_cli(capsys, "testfn", "--p-y", "0.5")
+        assert code == 0
+        assert {k: json.loads(out)["p_y"][k] for k in ("T", "R")} == {"T": 10.0, "R": 1}
+
 
 class TestConfigLayering:
     def test_file_then_flags(self, capsys, tmp_path):

@@ -2,6 +2,7 @@
 identities, modulus-sum convergence reports, the exponent ledger, divisor
 sums against a brute-force oracle, the cuspidal quotient, and CSV ingest."""
 
+import functools
 import math
 import warnings
 from collections import Counter
@@ -48,6 +49,29 @@ def euler_phi_table(n_max: int) -> np.ndarray:
         if phi[p] == p:  # p prime
             phi[p::p] -= phi[p::p] // p
     return phi
+
+
+def prime_power_factors(c: int) -> list[tuple[int, int]]:
+    # (p, p^e) for each prime power p^e exactly dividing c, by trial division
+    out, p = [], 2
+    while c > 1:
+        if c % p == 0:
+            q = 1
+            while c % p == 0:
+                q, c = q * p, c // p
+            out.append((p, q))
+        p += 1
+    return out
+
+
+def prime_power_mask(c_max: int) -> np.ndarray:
+    # index c-1 is True when c is 1 or a prime power
+    return np.array([len(prime_power_factors(c)) <= 1 for c in range(1, c_max + 1)])
+
+
+# the (m, l) pairs the sweep is checked at against the oracle, modulus by
+# modulus
+SWEEP_PAIRS = [(1, 1), (2, 3), (0, 5), (0, 0), (12, 18), (-5, 9)]
 
 
 def unit_residue_counts(m: int, l: int, c: int) -> Counter:
@@ -110,24 +134,78 @@ class TestKloosterman:
         assert half_hit == [7012, 7748, 7940]
 
     def test_sweep_matches_scalar_path(self):
-        # the CRT product of prime-power histograms and extended Euclid must
-        # agree exactly: both bin identical integer residues.  c <= 1100
-        # reaches 2^10, 3^6, 5^4, 7^3 and 31^2, and products of three or four
-        # prime powers (1020 = 4*3*5*17, 1092 = 4*3*7*13); the whole sweeps to
-        # c_max = 1, 2 and 4 pin the edges where at most H_2 is kept
+        # at a prime power the sweep bins the oracle's own integer residues,
+        # so the two agree bit for bit; a composite modulus is a product of
+        # prime-power sums and agrees to rounding, within the bound the exact
+        # cosine sum is held to.  c <= 1100 reaches 2^10, 3^6, 5^4, 7^3 and
+        # 31^2, and products of three or four prime powers (1020 = 4*3*5*17,
+        # 1092 = 4*3*7*13); the whole sweeps to c_max = 1, 2 and 4 pin the
+        # edges where no composite is assembled
         c_max = 1100
-        for m, l in [(1, 1), (2, 3), (0, 5), (0, 0), (12, 18), (-5, 9)]:
+        powers = prime_power_mask(c_max)
+        for m, l in SWEEP_PAIRS:
             scalar = np.array([kloosterman_gl2(m, l, c) for c in range(1, c_max + 1)])
-            assert np.array_equal(kloosterman_sweep(c_max, m, l), scalar)
+            sweep = kloosterman_sweep(c_max, m, l)
+            assert np.array_equal(sweep[powers], scalar[powers])
+            assert np.max(np.abs(sweep - scalar)) <= 1e-12
             for short in (1, 2, 4):
                 assert np.array_equal(kloosterman_sweep(short, m, l), scalar[:short])
 
     def test_sweep_reduces_huge_characters_exactly(self):
         # m x overflows int64 unless m is reduced mod q before numpy sees it
+        powers = prime_power_mask(300)
         for m in (10**17, -(10**17), 2**70):
             sweep = kloosterman_sweep(300, m, 1)
             scalar = np.array([kloosterman_gl2(m, 1, c) for c in range(1, 301)])
-            assert np.array_equal(sweep, scalar)
+            assert np.array_equal(sweep[powers], scalar[powers])
+            assert np.max(np.abs(sweep - scalar)) <= 1e-12
+
+    def test_discriminant_histogram_matches_unit_enumeration(self):
+        # at an odd prime p not dividing m l the histogram is read off the
+        # count of squares, k -> #{y : y^2 = k^2 - 4 m l}; it must be the
+        # integer histogram the units give, and the pairs with p | m l, which
+        # take the unit route, must come out the same through the dispatch
+        primes = [p for p in range(3, 2000) if prime_power_factors(p) == [(p, p)]]
+        for p in primes:
+            for m, l in [(1, 1), (2, 3), (p, 1), (1, p), (10**17, 1), (-5, 9)]:
+                assert np.array_equal(
+                    trace._prime_power_histogram(m, l, p, p), trace._unit_histogram(m, l, p, p)
+                ), (p, m, l)
+
+    def test_sweep_sums_each_prime_power_once(self, monkeypatch):
+        # the cosine pass runs once per prime power and never at a composite
+        # modulus, which is assembled from the prime-power sums
+        seen = []
+        root_sum = trace._root_sum
+
+        def spy(counts, c):
+            seen.append(c)
+            return root_sum(counts, c)
+
+        monkeypatch.setattr(trace, "_root_sum", spy)
+        kloosterman_sweep(1100)
+        assert sorted(seen) == [c for c in range(2, 1101) if len(prime_power_factors(c)) == 1]
+
+    def test_composites_are_twisted_products(self):
+        # S(m, l; c) = prod_i S(m r~_i, l r~_i; q_i) over c's prime powers q_i,
+        # r~_i the inverse of c / q_i mod q_i, each factor from the oracle
+        c_max = 1100
+
+        @functools.cache
+        def factor(m, l, q):
+            return kloosterman_gl2(m, l, q)
+
+        for m, l in SWEEP_PAIRS:
+            sweep = kloosterman_sweep(c_max, m, l)
+            for c in range(2, c_max + 1):
+                factors = prime_power_factors(c)
+                if len(factors) < 2:
+                    continue
+                product = 1.0
+                for _, q in factors:
+                    rbar = pow(c // q, -1, q)
+                    product *= factor(m * rbar % q, l * rbar % q, q)
+                assert abs(sweep[c - 1] - product) <= 1e-12, (m, l, c)
 
     def test_weil_bound(self):
         c_max = 5000
