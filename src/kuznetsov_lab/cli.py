@@ -108,9 +108,16 @@ def _doubling_grid(t_min: float, t_max: float) -> tuple[float, ...]:
 # the largest N of `trace --exponents`: its composition (1,) * N is built and
 # printed part by part
 _EXPONENTS_MAX_N = 1000
+# the largest modulus of `trace --kloosterman`, which enumerates its units,
+# and of `--kloosterman-sweep` and `--tail`, which sweep every modulus up to
+# it; at these bounds the calls take about 0.7 s each (the sweep to 10^5
+# takes 17 s)
+_KLOOSTERMAN_MAX_C = 10**6
+_SWEEP_MAX_C = 20000
 # the largest N of `combinatorics --dn` and of `--verify-lemmas`: D(N) sums N
-# binomials of N-digit size, and the lemmas build all 2^(n-1) compositions of
-# each n <= N; at these bounds the calls take about 0.05 s and 1 s
+# binomials of N-digit size, and the lemmas check the parts of all 2^(n-1)
+# compositions of each n <= N; at these bounds the calls take about 0.05 s
+# and 0.4 s
 _DN_MAX_N = 1000
 _LEMMAS_MAX_N = 16
 
@@ -186,9 +193,9 @@ def _build_parser() -> argparse.ArgumentParser:
     modifier(p, "--out", read_by=("itr_scaling", "main_term_scaling"), help="write the one scaling fit's data CSV (plus JSON sidecar) here")
 
     p = command("trace", _cmd_trace, "Kloosterman sums, tails, exponents, orthogonality", "format")
-    operation(p, "--kloosterman", nargs=3, type=int, metavar=("M", "L", "C"), help="one exact sum")
-    operation(p, "--kloosterman-sweep", type=int, metavar="CMAX", help="all moduli up to CMAX")
-    operation(p, "--tail", nargs=3, metavar=("RHO", "EPS", "CMAX"), help="modulus-sum tail report")
+    operation(p, "--kloosterman", nargs=3, type=int, metavar=("M", "L", "C"), help=f"one exact sum, 1 <= C <= {_KLOOSTERMAN_MAX_C}")
+    operation(p, "--kloosterman-sweep", type=int, metavar="CMAX", help=f"all moduli up to CMAX, 1 <= CMAX <= {_SWEEP_MAX_C}")
+    operation(p, "--tail", nargs=3, metavar=("RHO", "EPS", "CMAX"), help=f"modulus-sum tail report, 4 <= CMAX <= {_SWEEP_MAX_C}")
     operation(p, "--exponents", nargs=2, metavar=("N", "RHO"), help=f"exponent ledger at the long element of GL(N), 2 <= N <= {_EXPONENTS_MAX_N}")
     operation(p, "--cuspidal", nargs=5, metavar=("DATA_CSV", "T", "R", "L", "M"), help="orthogonality statistic over ingested spectral data")
     return parser
@@ -203,9 +210,7 @@ def _cmd_combinatorics(args) -> tuple[str, int]:
     out = {}
     code = 0
     if args.dn is not None:
-        if not 2 <= args.dn <= _DN_MAX_N:
-            raise ValueError(f"--dn needs 2 <= N <= {_DN_MAX_N}, got {args.dn}")
-        value = comb.degree_D(args.dn)
+        value = comb.degree_D(_in_range("--dn", "N", args.dn, 2, _DN_MAX_N))
         oracle = math.comb(2 * args.dn, args.dn) // 2 - args.dn * (args.dn - 1) // 2 - 2 ** (args.dn - 1)
         out["dn"] = {"input": args.dn, "value": value, "oracle_value": oracle, "pass": value == oracle}
     if args.phi is not None:
@@ -219,9 +224,7 @@ def _cmd_combinatorics(args) -> tuple[str, int]:
             "pass": value == flipped,
         }
     if args.verify_lemmas is not None:
-        if not 2 <= args.verify_lemmas <= _LEMMAS_MAX_N:
-            raise ValueError(f"--verify-lemmas needs 2 <= N_MAX <= {_LEMMAS_MAX_N}, got {args.verify_lemmas}")
-        rep = comb.verify_partition_identities(args.verify_lemmas)
+        rep = comb.verify_partition_identities(_in_range("--verify-lemmas", "N_MAX", args.verify_lemmas, 2, _LEMMAS_MAX_N))
         out["verify_lemmas"] = {
             "input": args.verify_lemmas,
             "value": rep["checked"],
@@ -327,9 +330,10 @@ def _cmd_trace(args, cfg) -> tuple[str, int]:
     out = {}
     if args.kloosterman is not None:
         m, l, c = args.kloosterman
+        c = _in_range("--kloosterman", "C", c, 1, _KLOOSTERMAN_MAX_C)
         out["kloosterman"] = {"m": m, "l": l, "c": c, "value": trace.kloosterman_gl2(m, l, c)}
     if args.kloosterman_sweep is not None:
-        values = trace.kloosterman_sweep(args.kloosterman_sweep)
+        values = trace.kloosterman_sweep(_in_range("--kloosterman-sweep", "CMAX", args.kloosterman_sweep, 1, _SWEEP_MAX_C))
         if cfg.format == "csv":
             lines = ["c,value"] + [
                 f"{c},{float(v.real)!r}" for c, v in enumerate(values, start=1)
@@ -338,11 +342,9 @@ def _cmd_trace(args, cfg) -> tuple[str, int]:
         out["kloosterman_sweep"] = {"c_max": args.kloosterman_sweep, "values": [v.real for v in values]}
     if args.tail is not None:
         rho, eps, cmax = float(args.tail[0]), float(args.tail[1]), int(args.tail[2])
-        out["tail"] = trace.tail_from_rho(rho, eps, cmax)
+        out["tail"] = trace.tail_from_rho(rho, eps, _in_range("--tail", "CMAX", cmax, 4, _SWEEP_MAX_C))
     if args.exponents is not None:
-        n, rho = int(args.exponents[0]), args.exponents[1]
-        if not 2 <= n <= _EXPONENTS_MAX_N:
-            raise ValueError(f"--exponents needs 2 <= N <= {_EXPONENTS_MAX_N}, got {n}")
+        n, rho = _in_range("--exponents", "N", int(args.exponents[0]), 2, _EXPONENTS_MAX_N), args.exponents[1]
         out["exponents"] = trace.iwbounds_exponent(rho, comb.Composition((1,) * n))
     if args.cuspidal is not None:
         path = args.cuspidal[0]
@@ -353,6 +355,13 @@ def _cmd_trace(args, cfg) -> tuple[str, int]:
         rep = trace.cuspidal_sum(forms, params, l, m)
         out["cuspidal"] = {"forms": len(forms), "l": l, "m": m, **_jsonable(rep)}
     return _emit(out), 0
+
+
+def _in_range(flag: str, name: str, value: int, lo: int, hi: int) -> int:
+    """value, checked against the range its flag's help states."""
+    if not lo <= value <= hi:
+        raise ValueError(f"{flag} needs {lo} <= {name} <= {hi}, got {value}")
+    return value
 
 
 def _chosen(args) -> list[str]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -38,18 +39,18 @@ def enumerate_compositions(n: int, min_length: int = 1) -> list[Composition]:
     """All ordered compositions of n with at least min_length parts, in
     lexicographic order of the parts tuple."""
     n = require_integer(n, "n", positive=True)
-    out: list[Composition] = []
+    return [Composition(parts) for parts in _part_tuples(n) if len(parts) >= min_length]
 
-    def rec(remaining: int, prefix: tuple[int, ...]) -> None:
-        if remaining == 0:
-            if len(prefix) >= min_length:
-                out.append(Composition(prefix))
-            return
-        for p in range(1, remaining + 1):
-            rec(remaining - p, prefix + (p,))
 
-    rec(n, ())  # parts ascend at every depth, so the output is lexicographic
-    return out
+def _part_tuples(n: int):
+    """The part tuples of the compositions of n, in lexicographic order:
+    from (1, ..., 1), each next one raises the second-to-last part by one
+    and spreads the last part, less one, into ones, up to (n,)."""
+    parts = (1,) * n
+    yield parts
+    while len(parts) > 1:
+        parts = parts[:-2] + (parts[-2] + 1,) + (1,) * (parts[-1] - 1)
+        yield parts
 
 
 def admissible_compositions(a: Sequence[float]) -> list[Composition]:
@@ -148,16 +149,11 @@ def verify_partition_identities(n_max: int) -> dict:
     checked = 0
     for n in range(2, n_max + 1):
         target = n * (n - 1) // 2
-        for comp in enumerate_compositions(n, min_length=1):
-            parts, nhat = comp.parts, comp.partial_sums
-            cross = sum(
-                parts[k] * parts[kp]
-                for k in range(comp.r)
-                for kp in range(k + 1, comp.r)
-            )
+        for parts in _part_tuples(n):
+            cross = sum(itertools.starmap(operator.mul, itertools.combinations(parts, 2)))
             within = sum(p * (p - 1) // 2 for p in parts)
             lhs2 = n * n + sum(
-                p * (p - 1) // 2 - p * h for p, h in zip(parts, nhat)
+                p * (p - 1) // 2 - p * h for p, h in zip(parts, itertools.accumulate(parts))
             )
             checked += 1
             if cross + within != target or lhs2 != target:

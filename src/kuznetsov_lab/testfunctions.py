@@ -9,12 +9,14 @@ shifted-line integral like T to R + 3/2 minus the contour-dependent gain.
 
 Every tempered density integrated here, the rank-one and rank-three
 avatars' and the main term's |p_sharp|^2, is a power of |p_sharp| times
-the Plancherel density, and all of them come from one function,
-:func:`_log_weight`; :func:`p_sharp` and :func:`h_value` are the scalar
-definitions it is tested against.  Every such density lives on an integer
-grid t = step * m, given as its integer axes, so each of its log-Gamma,
-log1p and square terms is a strided view of one row, over the integers
-that term takes.
+the Plancherel density, and all of them are built from one set of term
+definitions (:func:`_terms`, :func:`_combine`): on an integer grid
+t = step * m, given as its integer axes, by :func:`_log_weight`, where each
+log-Gamma, log1p and square term is a strided view of one row over the
+integers that term takes; and for the rank-three main term as the sum of
+three pair shares, one row of :func:`_pair_log_weight`, which that term
+sums as a one-dimensional correlation.  :func:`p_sharp` and
+:func:`h_value` are the scalar definitions they are tested against.
 
 Everything integral-valued here runs in log space.  The shifted integrands
 pair a Gamma ring that grows like exp(pi t) against an inner factor that
@@ -135,6 +137,7 @@ def _log_weight(axes, step: float, params: TestFunctionParams, power: int) -> np
     cols = np.vstack((np.eye(n - 1, dtype=int), np.full(n - 1, -1)))
     pairs = [cols[j] - cols[k] for j, k in itertools.combinations(range(n), 2)]
     shape = tuple(map(len, axes))
+    gamma, plancherel, pair_poly = _terms(params, power)
     # the ring is summed on its own and added last: on a dyadic step every
     # t, d and Delta is exact, and this fixed order gives bit for bit the
     # sums taken pointwise.  The three accumulators are the only arrays
@@ -142,28 +145,69 @@ def _log_weight(axes, step: float, params: TestFunctionParams, power: int) -> np
     ring, poly, out = np.zeros(shape), np.zeros(shape), np.zeros(shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for c in pairs:
-            ring += _row_view(
-                lambda d: 2.0 * power * loggamma((1.0 + 2.0 * params.R + 1j * d) / 4.0).real, axes, c, step
-            )
-            ring -= _row_view(lambda d: 2.0 * loggamma(0.5j * d).real, axes, c, step)
+            ring += _row_view(gamma, axes, c, step)
+            ring -= _row_view(plancherel, axes, c, step)
         for K, L in subset_pairs(n):
             delta = cols[list(K)].sum(axis=0) - cols[list(L)].sum(axis=0)
-            poly += _row_view(lambda x: np.log1p(x**2 / 4.0), axes, delta, step)
+            poly += _row_view(pair_poly, axes, delta, step)
         for c in cols:
             out += _row_view(lambda x: x**2, axes, c, step)
-        out *= -power
-        out /= 2.0 * params.T**2
-        poly *= power * (params.R / 2.0)
-        out += poly
-        out += ring
+        _combine(out, poly, ring, params, power)
         for c in pairs:
             np.copyto(out, -np.inf, where=_row_view(lambda d: d == 0, axes, c, step))
+    return _require_finite(out, params)
+
+
+def _terms(params: TestFunctionParams, power: int) -> tuple:
+    """The row functions of :func:`_log_weight`'s terms: a pair's two
+    conjugate p_sharp factors 2 power Re log Gamma((1 + 2R + i d)/4) and its
+    Plancherel pair log |Gamma(i d/2)|^2, both at its difference d, and a
+    subset pair's log1p(Delta^2 / 4)."""
+    return (
+        lambda d: 2.0 * power * loggamma((1.0 + 2.0 * params.R + 1j * d) / 4.0).real,
+        lambda d: 2.0 * loggamma(0.5j * d).real,
+        lambda x: np.log1p(x**2 / 4.0),
+    )
+
+
+def _combine(squares, poly, ring, params: TestFunctionParams, power: int) -> np.ndarray:
+    """The log density from its three sums, in place on ``squares``: the
+    Gaussian -power sum t^2 / (2 T^2), the pair polynomial power (R/2) times
+    the sum of log1p(Delta^2 / 4), and the Gamma ring."""
+    squares *= -power
+    squares /= 2.0 * params.T**2
+    poly *= power * (params.R / 2.0)
+    squares += poly
+    squares += ring
+    return squares
+
+
+def _require_finite(out: np.ndarray, params: TestFunctionParams) -> np.ndarray:
     if not out.max() > -np.inf:
         raise ValueError(
             f"T = {params.T}: the density has no finite value on this grid; the Gaussian "
             "exp(-t^2 / (2 T^2)) underflows at every point off the density's zeros"
         )
     return out
+
+
+def _pair_log_weight(k: int, step: float, params: TestFunctionParams, power: int) -> np.ndarray:
+    """At n = 3, one pair's share l(d) of :func:`_log_weight`'s density, at
+    d = step * j for j = -k, ..., k: the density at the columns t is
+    l(t1 - t2) + l(t2 - t3) + l(t1 - t3).
+
+    Every term of the density is a sum over the three pairs: the Gamma
+    ring; the pair polynomial, whose subset pairs at n = 3 are the pairs of
+    singletons, so Delta = d; and the Gaussian, since sum t^2 =
+    (1/3) sum_{j<k} (t_j - t_k)^2 when sum t = 0.  l is even, and -inf at
+    d = 0, the zero of the density.
+    """
+    gamma, plancherel, pair_poly = _terms(params, power)
+    d = step * np.arange(-k, k + 1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = _combine(d**2 / 3.0, pair_poly(d), gamma(d) - plancherel(d), params, power)
+    out[k] = -np.inf
+    return _require_finite(out, params)
 
 
 # ---------------------------------------------------------------------------
@@ -432,34 +476,68 @@ def main_term_log(n: int, R: int, T: float) -> float:
     """log of the spectral norm integral whose T-growth is the main term.
 
     The integrand is |p_sharp|^2 times the Plancherel density on the
-    tempered line, summed on a uniform grid: for n = 2 the midpoints of
-    the half-line t > 0 at step 1/8, counted twice since the integrand is
-    even; for n = 3 the square t1, t2 in 0.5 * {-N, ..., N} with
-    N = floor(2 (3T + 15)), that is |t| <= 3T + 15 at step 1/2.  For
-    integer T these are the points -3T - 15 + k/2; a non-integer T moves
-    onto the same symmetric grid of halves.  The coincidence hyperplanes
+    tempered line, summed on a uniform grid whose every pair difference
+    d = t_j - t_k lies in |d| <= 4 (3T + 15).  Doubling that window moves no
+    value by more than rounding for R <= 3 and T <= 512, though a pair
+    weight alone is not small at its edge (at n = 3, T = 128 it is within
+    e^60 of its peak); only their product is.  The coincidence lines d = 0
     carry double zeros and are excised exactly.
 
-    At n = 3 the density is computed on the rows m1 >= 0 only, the axes
-    m1 in {0, ..., N} and m2 in {-N, ..., N}, and the rows m1 < 0 are their
-    point reflection.  That reflection is exact: every row the density
-    views is even bit for bit (Re log Gamma at conjugate points,
-    log1p(x^2/4) and x^2, and step * -k = -(step * k)), so the plane, its
-    maximum and its sum are those of the full computation, float for float.
+    For n = 2 the grid is the midpoints of t > 0 at step 1/8, where d = 2t,
+    counted twice since the integrand is even.  For n = 3 it is the plane
+    t = step * (m1, m2, -m1 - m2) at step 1/2, where the density is
+    W(x) W(y) W(x + y) with W = exp(l), l the pair share of
+    :func:`_pair_log_weight`, at the pair differences x = m1 - m2,
+    y = m1 + 2 m2 and x + y (in steps).  The map (m1, m2) -> (x, y) is a
+    bijection onto the pairs with x = y (mod 3), so the sum is
+    sum_x W(x) sum_{y = x (mod 3)} W(y) W(x + y): for each residue class c,
+    the correlation of W_c (W on the class, 0 elsewhere) with W, read on
+    the class, by real FFTs over one row.
+
+    FFT rounding errs by at most machine epsilon times log2 of the size
+    times ||W|| ||W_c|| sum W_c, summed over the classes, and the result
+    raises :class:`AccuracyError` when that exceeds 1e-10 of the sum: where
+    the density's peak lies far below the pair weights' peaks, at T below
+    about 0.2, or from R = 8 at T >= 8.  The peak also moves outward with
+    R, and at n = 3 the window cuts 1.4e-11 at R = 4, T = 512 and 8.5e-7 at
+    R = 6.
     """
-    params = TestFunctionParams(T=T, R=R)
+    return _main_term_log(n, TestFunctionParams(T=T, R=R), 4.0 * (3.0 * T + 15.0))
+
+
+def _main_term_log(n: int, params: TestFunctionParams, window: float) -> float:
+    """:func:`main_term_log` with every pair difference |d| <= window."""
     if n == 2:
-        m = range(1, math.ceil(16.0 * (3.2 * T + 20.0)), 2)
-        li, cell = _log_weight((m,), 1.0 / 16, params, 2), 2.0 / 8.0
-    elif n == 3:
-        half = math.floor(2.0 * (3.0 * T + 15.0))
-        upper = _log_weight((range(half + 1), range(-half, half + 1)), 0.5, params, 2)
-        li, cell = np.concatenate((upper[:0:-1, ::-1], upper)), 0.5 * 0.5
-    else:
+        li = _log_weight((range(1, math.floor(8.0 * window) + 1, 2),), 1.0 / 16, params, 2)
+        mx = li.max()
+        li -= mx
+        return float(mx + math.log(np.sum(np.exp(li, out=li)) * 2.0 / 8.0))
+    if n != 3:
         raise NotImplementedError("main-term integral implemented for n = 2, 3")
+    k = math.floor(2.0 * window)
+    li = _pair_log_weight(k, 0.5, params, 2)
     mx = li.max()
-    li -= mx
-    return float(mx + math.log(np.sum(np.exp(li, out=li)) * cell))
+    w = np.exp(li - mx)
+    # the correlation's lags run over [-2k, 2k]; a size above 3k keeps the
+    # lags |x| <= k, read below from index x mod size, from wrapping onto
+    # any other
+    size = 1 << (3 * k).bit_length()
+    spec = np.fft.rfft(w, size)
+    total = rounding = 0.0
+    for c in range(3):
+        # entry j of w is W at j - k, so the class of x = c starts at (c + k) % 3
+        wc = np.zeros_like(w)
+        wc[(c + k) % 3 :: 3] = w[(c + k) % 3 :: 3]
+        corr = np.fft.irfft(np.conj(np.fft.rfft(wc, size)) * spec, size)
+        total += float(np.dot(wc, np.roll(corr, k)[: w.size]))
+        rounding += np.linalg.norm(wc) * wc.sum()
+    rounding *= np.finfo(float).eps * math.log2(size) * np.linalg.norm(w)
+    if not rounding <= 1e-10 * total:
+        raise AccuracyError(
+            f"FFT rounding may move main_term_log by more than 1e-10 at R = {params.R}, "
+            f"T = {params.T}: the density's peak lies too far below the pair weights' peaks"
+        )
+    return float(3.0 * mx + math.log(total * 0.5 * 0.5))
 
 
 # ---------------------------------------------------------------------------

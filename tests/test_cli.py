@@ -93,6 +93,13 @@ COMBINATORICS_BOUNDS = [
     ("--dn", "N", cli._DN_MAX_N, "degree_D"),
     ("--verify-lemmas", "N_MAX", cli._LEMMAS_MAX_N, "verify_partition_identities"),
 ]
+# the modulus-bounded trace flags: the arguments before the modulus, flag,
+# metavar, least and largest modulus, the library function it reaches
+TRACE_BOUNDS = [
+    (["--kloosterman", "1", "2"], "C", 1, cli._KLOOSTERMAN_MAX_C, "kloosterman_gl2"),
+    (["--kloosterman-sweep"], "CMAX", 1, cli._SWEEP_MAX_C, "kloosterman_sweep"),
+    (["--tail", "1.5", "0.01"], "CMAX", 4, cli._SWEEP_MAX_C, "tail_from_rho"),
+]
 
 
 class TestRunDriver:
@@ -645,6 +652,36 @@ class TestModuleSubcommands:
         code, out, _ = run_cli(capsys, "trace", "--exponents", str(cli._EXPONENTS_MAX_N), "1/2")
         assert code == 0
         assert json.loads(out)["exponents"]["n"] == cli._EXPONENTS_MAX_N
+
+    @pytest.mark.parametrize(
+        "head, name, lo, hi, library, c",
+        [(*b, c) for b in TRACE_BOUNDS for c in (str(b[2] - 1), str(b[3] + 1), "99999999999")],
+    )
+    def test_trace_modulus_bound_exits_2(self, capsys, monkeypatch, head, name, lo, hi, library, c):
+        # the modulus is checked before the library is called
+        def not_called(*args):
+            raise AssertionError(f"{library}{args} was called")
+
+        monkeypatch.setattr(trace, library, not_called)
+        code, out, err = run_cli(capsys, "trace", *head, c)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {head[0]} needs {lo} <= {name} <= {hi}, got {c}\n"
+
+    @pytest.mark.parametrize("head, name, lo, hi, library", TRACE_BOUNDS)
+    def test_trace_modulus_bound_is_in_the_help(self, capsys, monkeypatch, head, name, lo, hi, library):
+        with pytest.raises(SystemExit):
+            cli.main(["trace", "--help"])
+        assert f"{lo} <= {name} <= {hi}" in " ".join(capsys.readouterr().out.split())
+        # both ends of the range reach the library
+        def reached(*args):
+            raise ValueError(f"reached {library}")
+
+        monkeypatch.setattr(trace, library, reached)
+        for c in (lo, hi):
+            code, _, err = run_cli(capsys, "trace", *head, str(c))
+            assert code == 2
+            assert err == f"error: reached {library}\n"
 
     def test_trace_exponents_zero_denominator_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "trace", "--exponents", "4", "1/0")

@@ -1,8 +1,10 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
+from kuznetsov_lab import combinatorics
 from kuznetsov_lab.combinatorics import (
     Composition,
     admissible_compositions,
@@ -145,6 +147,22 @@ def test_partition_identities():
     assert report["first_counterexample"] is None
     # r=1 case by hand: composition (4) gives n^2 + (6 - 16) = 6 = n(n-1)/2
     assert 4 * 4 + (4 * 3 // 2 - 4 * 4) == 4 * 3 // 2
+
+
+def test_part_tuples_are_every_composition_in_lexicographic_order():
+    for n in range(1, 11):
+        tuples = list(combinatorics._part_tuples(n))
+        assert len(set(tuples)) == len(tuples) == 2 ** (n - 1)
+        assert tuples == sorted(tuples)
+        assert all(sum(t) == n and min(t) >= 1 for t in tuples)
+
+
+def test_partition_identities_report_the_first_counterexample(monkeypatch):
+    # (n, 1) sums to n + 1, so identity (i) fails on it
+    real = combinatorics._part_tuples
+    monkeypatch.setattr(combinatorics, "_part_tuples", lambda n: itertools.chain(real(n), [(n, 1)]))
+    report = verify_partition_identities(8)
+    assert report == {"passed": False, "checked": 3, "first_counterexample": (2, 1)}
 
 
 def test_exponent_vector():
