@@ -120,6 +120,15 @@ _SWEEP_MAX_C = 20000
 # and 0.4 s
 _DN_MAX_N = 1000
 _LEMMAS_MAX_N = 16
+# the largest TMAX of `testfn --itr-scaling`, T of `--p-y`, R of
+# `--main-term-scaling` and DELTA of `whittaker --residue`: at these bounds
+# itr_log takes about 1 s and 270 MB (its memory grows like T) and p_y_batch
+# about 1 s (its time grows like T^2); the main-term grid grows like
+# sqrt(R), and the residue's factorial and pole loop like DELTA
+_ITR_MAX_T = 16384
+_P_Y_MAX_T = 64
+_MAIN_TERM_MAX_R = 64
+_RESIDUE_MAX_DELTA = 64
 
 # the flag that sets each config key, and its help; the key's parser types it
 _CONFIG_FLAGS = {
@@ -177,16 +186,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("whittaker", _cmd_whittaker, "Mellin transforms, shifts, residues", "seed", "identity_tol", "quad_tol")
     operation(p, "--mellin", nargs=3, metavar=("N", "ALPHA_JSON", "S_JSON"), help="transform value")
-    operation(p, "--residue", nargs=3, type=int, metavar=("N", "M", "DELTA"), help="residue vs contour oracle")
+    operation(p, "--residue", nargs=3, type=int, metavar=("N", "M", "DELTA"), help=f"residue vs contour oracle, 0 <= DELTA <= {_RESIDUE_MAX_DELTA}")
     operation(p, "--check-shift", nargs=3, type=int, metavar=("N", "M", "DELTA"), help="shift identity and degree ledger")
     modifier(p, "--alpha", read_by=("residue",), help="alpha JSON file for --residue")
 
     p = command("testfn", _cmd_testfn, "spectral test functions and scaling laws")
     operation(p, "--p-sharp", action="store_true", help="transform-side value at alpha")
     operation(p, "--h", action="store_true", help="normalized square at alpha")
-    operation(p, "--p-y", type=float, metavar="Y", help="rank-one avatar at y")
-    operation(p, "--itr-scaling", nargs=4, metavar=("R", "A", "TMIN", "TMAX"), help="shifted-line slope fit")
-    operation(p, "--main-term-scaling", nargs=2, type=int, metavar=("N", "R"), help="norm-integral slope fit")
+    operation(p, "--p-y", type=float, metavar="Y", help=f"rank-one avatar at y, 0 < T <= {_P_Y_MAX_T}")
+    operation(p, "--itr-scaling", nargs=4, metavar=("R", "A", "TMIN", "TMAX"), help=f"shifted-line slope fit, 0 < TMAX <= {_ITR_MAX_T}")
+    operation(p, "--main-term-scaling", nargs=2, type=int, metavar=("N", "R"), help=f"norm-integral slope fit, 1 <= R <= {_MAIN_TERM_MAX_R}")
     modifier(p, "--alpha", read_by=("p_sharp", "h"), help="alpha JSON file (default 0)")
     modifier(p, "--T", read_by=("p_sharp", "h", "p_y"), default=10.0, type=float, help="spectral scale (default 10)")
     modifier(p, "--R", read_by=("p_sharp", "h", "p_y"), default=1, type=int, help="smoothing order (default 1)")
@@ -272,6 +281,7 @@ def _cmd_whittaker(args, cfg) -> tuple[str, int]:
         out["mellin"] = {"n": n, "value": mellin.mellin_value(n, alpha, s, tol=cfg.quad_tol)}
     if args.residue is not None:
         n, m, delta = args.residue
+        delta = _in_range("--residue", "DELTA", delta, 0, _RESIDUE_MAX_DELTA)
         alpha = (
             _parse_complex(_read_json(args.alpha))
             if args.alpha
@@ -295,6 +305,8 @@ def _cmd_testfn(args) -> tuple[str, int]:
     scalings = (args.itr_scaling, args.main_term_scaling)
     if args.out and sum(op is not None for op in scalings) != 1:
         raise ValueError("--out needs exactly one scaling operation: --itr-scaling or --main-term-scaling")
+    if args.p_y is not None:
+        _in_range("--p-y", "T", args.T, 0, _P_Y_MAX_T, lo_open=True)
     out = {}
     params = testfunctions.TestFunctionParams(T=args.T, R=args.R)
     alpha = _parse_complex(_read_json(args.alpha)) if args.alpha else [0j, 0j]
@@ -307,11 +319,13 @@ def _cmd_testfn(args) -> tuple[str, int]:
     fit = None
     if args.itr_scaling is not None:
         R, a = int(args.itr_scaling[0]), float(args.itr_scaling[1])
-        grid = _doubling_grid(float(args.itr_scaling[2]), float(args.itr_scaling[3]))
+        t_max = _in_range("--itr-scaling", "TMAX", float(args.itr_scaling[3]), 0, _ITR_MAX_T, lo_open=True)
+        grid = _doubling_grid(float(args.itr_scaling[2]), t_max)
         fit = testfunctions.itr_scaling(a, R, grid)
         out["itr_scaling"] = _fit_summary(fit)
     if args.main_term_scaling is not None:
         n, R = args.main_term_scaling
+        R = _in_range("--main-term-scaling", "R", R, 1, _MAIN_TERM_MAX_R)
         fit = testfunctions.main_term_scaling(n, R)
         out["main_term_scaling"] = _fit_summary(fit)
     if args.out:
@@ -357,10 +371,11 @@ def _cmd_trace(args, cfg) -> tuple[str, int]:
     return _emit(out), 0
 
 
-def _in_range(flag: str, name: str, value: int, lo: int, hi: int) -> int:
-    """value, checked against the range its flag's help states."""
-    if not lo <= value <= hi:
-        raise ValueError(f"{flag} needs {lo} <= {name} <= {hi}, got {value}")
+def _in_range(flag: str, name: str, value, lo, hi, *, lo_open: bool = False):
+    """value, checked against the range its flag's help states; lo_open
+    leaves lo itself out."""
+    if not (lo < value if lo_open else lo <= value) or not value <= hi:
+        raise ValueError(f"{flag} needs {lo} {'<' if lo_open else '<='} {name} <= {hi}, got {value}")
     return value
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import loggamma, rgamma
 
 from .combinatorics import require_integer
-from .quadrature import vertical_line_integral, vertical_plane_integral, circle_integral_mean
+from .quadrature import AccuracyError, circle_integral_mean, vertical_line_integral, vertical_plane_integral
 from .special import DegenerateParameterError, log_gamma, require_positive, validate_langlands
 
 # pass bounds, read by the suite's claims too: the shift identities'
@@ -164,6 +164,10 @@ def shift_residual(alpha, s, m: int, delta: int) -> float:
     M(s) prod_{k<delta} P_m(s_m + k) = M(s + delta e_m) prod_{k<delta} Q_k,
     with M the closed transform, P_m the subset-sum polynomial, and Q_k = 1
     at rank one, s1 + s2 + k at rank two; the identity holds exactly.
+
+    Raises :class:`AccuracyError` where a side, or its modulus, is not a
+    finite float: the shifted transform Gamma(s + delta + a) overflows near
+    delta = 98, and it is checked before the delta polynomial steps.
     """
     if not 1 <= m <= len(s):
         raise ValueError(f"m must be in 1..{len(s)}, got {m}")
@@ -173,13 +177,22 @@ def shift_residual(alpha, s, m: int, delta: int) -> float:
     sv = [complex(v) for v in s]
     shifted = list(sv)
     shifted[m - 1] += delta
-    lhs = mellin_closed(alpha, sv)
-    rhs = mellin_closed(alpha, shifted)
-    for k in range(delta):
-        lhs *= subset_sum_polynomial(alpha, m, sv[m - 1] + k)
-        if len(sv) == 2:
-            rhs *= sv[0] + sv[1] + k
-    return abs(lhs - rhs) / abs(rhs)
+
+    def modulus(z: complex) -> float:
+        r = float(np.abs(z))
+        if not math.isfinite(r):
+            raise AccuracyError(f"shift identity at delta = {delta}: a side overflows the float range")
+        return r
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = mellin_closed(alpha, shifted)
+        modulus(rhs)
+        lhs = mellin_closed(alpha, sv)
+        for k in range(delta):
+            lhs *= subset_sum_polynomial(alpha, m, sv[m - 1] + k)
+            if len(sv) == 2:
+                rhs *= sv[0] + sv[1] + k
+        return modulus(lhs - rhs) / modulus(rhs)
 
 
 def shift_identity_check(

@@ -9,14 +9,14 @@ shifted-line integral like T to R + 3/2 minus the contour-dependent gain.
 
 Every tempered density integrated here, the rank-one and rank-three
 avatars' and the main term's |p_sharp|^2, is a power of |p_sharp| times
-the Plancherel density, and all of them are built from one set of term
-definitions (:func:`_terms`, :func:`_combine`): on an integer grid
-t = step * m, given as its integer axes, by :func:`_log_weight`, where each
-log-Gamma, log1p and square term is a strided view of one row over the
-integers that term takes; and for the rank-three main term as the sum of
-three pair shares, one row of :func:`_pair_log_weight`, which that term
-sums as a one-dimensional correlation.  :func:`p_sharp` and
-:func:`h_value` are the scalar definitions they are tested against.
+the Plancherel density.  At n = 2 and 3 each of its terms splits over the
+pairs j < k, so the density is the sum of one function of the pair
+difference d = t_j - t_k, the pair share :func:`_pair_share`, and that is
+its one definition: on an integer grid t = step * m, given as its integer
+axes, :func:`_log_weight` adds up strided views of one pair-share row, one
+view per pair; the rank-three main term sums the same row as a
+one-dimensional correlation.  :func:`p_sharp` and :func:`h_value` are the
+scalar definitions they are tested against.
 
 Everything integral-valued here runs in log space.  The shifted integrands
 pair a Gamma ring that grows like exp(pi t) against an inner factor that
@@ -26,7 +26,6 @@ exponentiation, so no intermediate overflows even at T in the hundreds.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,7 +35,7 @@ from scipy.special import loggamma, rgamma
 
 from .combinatorics import degree_D, require_integer
 from .quadrature import AccuracyError
-from .special import bound_B, f_R_poly, require_positive, subset_pairs, validate_langlands
+from .special import bound_B, f_R_poly, require_positive, validate_langlands
 
 
 @dataclass(frozen=True)
@@ -44,12 +43,11 @@ class TestFunctionParams:
     """Spectral localization scale T and smoothing order R.
 
     They fix :func:`p_sharp`, and through it every density here: each is
-    |p_sharp| (the main term: its square) times the Plancherel density,
-    evaluated by :func:`_log_weight` at the tempered columns of its own
-    variables, (2t, -2t) for the rank-one avatar, whose outer variable t
-    is half the spectral parameter, and (t1, t2, -t1 - t2) for the
-    rank-three one; each is given by its free integer axes, 2t / step and
-    (t1 / step, t2 / step), the last column being minus their sum.
+    |p_sharp| (the main term: its square) times the Plancherel density, the
+    sum of :func:`_pair_share` over the pair differences of the tempered
+    columns of its own variables: (2t, -2t) for the rank-one avatar, whose
+    outer variable t is half the spectral parameter, with the one difference
+    4t, and (t1, t2, -t1 - t2) for the rank-three one.
     """
 
     __test__ = False  # name collides with pytest's collection prefix
@@ -113,73 +111,57 @@ def _row_view(f, axes, coef, step: float) -> np.ndarray:
     return as_strided(row[(first - lo) // g :], shape, [s // g * item for s in strides], writeable=False)
 
 
+def _pair_share(n: int, params: TestFunctionParams, power: int):
+    """One pair's share l_n of the log density, as a function of the pair
+    difference d = t_j - t_k, at n = 2 and 3: the density at the tempered
+    alpha = i t is the sum of l_n over the pairs j < k.
+
+    l_n(d) = 2 power Re log Gamma((1 + 2R + i d)/4) - 2 Re log Gamma(i d/2)
+    + [n = 3] power (R/2) log1p(d^2/4) - power d^2 / (2 n T^2): the pair's
+    two conjugate p_sharp factors over its Plancherel pair |Gamma(i d/2)|^2;
+    at n = 3 its subset pair of singletons, whose Delta is d (n = 2 has
+    none); and its part of the Gaussian, since sum t^2 = (1/n) sum_{j<k} d^2
+    when sum t = 0.  l_n is even, and -inf at d = 0, the zero of the density.
+    """
+    if n not in (2, 3):
+        raise NotImplementedError(f"the density is a sum of pair shares at n = 2, 3, not n = {n}")
+
+    def share(d: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = d**2 / n
+            out *= -power
+            out /= 2.0 * params.T**2
+            if n == 3:
+                out += power * (params.R / 2.0) * np.log1p(d**2 / 4.0)
+            gamma = 2.0 * power * loggamma((1.0 + 2.0 * params.R + 1j * d) / 4.0).real
+            out += gamma - 2.0 * loggamma(0.5j * d).real
+        out[d == 0] = -np.inf
+        return out
+
+    return share
+
+
+# the pair differences t_j - t_k, j < k, of the columns (t, -t) and
+# (t1, t2, -t1 - t2) as coefficient vectors over the free axes
+_PAIRS = {2: ((2,),), 3: ((1, -1), (2, 1), (1, 2))}
+
+
 def _log_weight(axes, step: float, params: TestFunctionParams, power: int) -> np.ndarray:
     """power log|p_sharp(alpha)| plus the log Plancherel density at the
     tempered alpha = i t, over the grid of the integer axes (ranges) m_j,
-    one per axis: t_j = step * m_j for the n - 1 axes and t_n = -sum t_j.
+    one per axis: t_j = step * m_j for the n - 1 axes and t_n = -sum t_j,
+    at n = 2 and 3.
 
-    The Gaussian gives -power sum t^2 / (2 T^2); the pair polynomial at
-    alpha/2, power (R/2) log(1 + Delta^2/4) per subset pair with
-    Delta = sum_K t - sum_L t; and each unordered pair j < k, with
-    d = t_j - t_k, the two conjugate p_sharp factors
-    2 power Re log Gamma((1 + 2R + i d)/4) over the Plancherel pair
-    |Gamma(i d/2)|^2.  Where two columns coincide the density has its
-    zero, returned as -inf.  A grid with no finite value raises ValueError:
-    off the zeros, that is a T so small that the Gaussian underflows.
-
-    Every d, Delta and t is an integer combination of the axes times step,
-    so each term is a strided view of one row, over the integers that term
-    takes (:func:`_row_view`): on a plane of N points loggamma runs on
-    O(sqrt N) of them.
+    The density is the sum over the pairs of :func:`_pair_share` at their
+    differences, 2 m (in steps) at n = 2 and m1 - m2, 2 m1 + m2, m1 + 2 m2
+    at n = 3, each a strided view of one row (:func:`_row_view`): on a plane
+    of N points loggamma runs on O(sqrt N) of them.  A grid with no finite
+    value raises ValueError: off the zeros, that is a T so small that the
+    Gaussian underflows.
     """
     n = len(axes) + 1
-    # the columns t_j / step as coefficient vectors over the axes
-    cols = np.vstack((np.eye(n - 1, dtype=int), np.full(n - 1, -1)))
-    pairs = [cols[j] - cols[k] for j, k in itertools.combinations(range(n), 2)]
-    shape = tuple(map(len, axes))
-    gamma, plancherel, pair_poly = _terms(params, power)
-    # the ring is summed on its own and added last: on a dyadic step every
-    # t, d and Delta is exact, and this fixed order gives bit for bit the
-    # sums taken pointwise.  The three accumulators are the only arrays
-    # with one value per grid point
-    ring, poly, out = np.zeros(shape), np.zeros(shape), np.zeros(shape)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for c in pairs:
-            ring += _row_view(gamma, axes, c, step)
-            ring -= _row_view(plancherel, axes, c, step)
-        for K, L in subset_pairs(n):
-            delta = cols[list(K)].sum(axis=0) - cols[list(L)].sum(axis=0)
-            poly += _row_view(pair_poly, axes, delta, step)
-        for c in cols:
-            out += _row_view(lambda x: x**2, axes, c, step)
-        _combine(out, poly, ring, params, power)
-        for c in pairs:
-            np.copyto(out, -np.inf, where=_row_view(lambda d: d == 0, axes, c, step))
-    return _require_finite(out, params)
-
-
-def _terms(params: TestFunctionParams, power: int) -> tuple:
-    """The row functions of :func:`_log_weight`'s terms: a pair's two
-    conjugate p_sharp factors 2 power Re log Gamma((1 + 2R + i d)/4) and its
-    Plancherel pair log |Gamma(i d/2)|^2, both at its difference d, and a
-    subset pair's log1p(Delta^2 / 4)."""
-    return (
-        lambda d: 2.0 * power * loggamma((1.0 + 2.0 * params.R + 1j * d) / 4.0).real,
-        lambda d: 2.0 * loggamma(0.5j * d).real,
-        lambda x: np.log1p(x**2 / 4.0),
-    )
-
-
-def _combine(squares, poly, ring, params: TestFunctionParams, power: int) -> np.ndarray:
-    """The log density from its three sums, in place on ``squares``: the
-    Gaussian -power sum t^2 / (2 T^2), the pair polynomial power (R/2) times
-    the sum of log1p(Delta^2 / 4), and the Gamma ring."""
-    squares *= -power
-    squares /= 2.0 * params.T**2
-    poly *= power * (params.R / 2.0)
-    squares += poly
-    squares += ring
-    return squares
+    share = _pair_share(n, params, power)
+    return _require_finite(sum(_row_view(share, axes, c, step) for c in _PAIRS[n]), params)
 
 
 def _require_finite(out: np.ndarray, params: TestFunctionParams) -> np.ndarray:
@@ -189,25 +171,6 @@ def _require_finite(out: np.ndarray, params: TestFunctionParams) -> np.ndarray:
             "exp(-t^2 / (2 T^2)) underflows at every point off the density's zeros"
         )
     return out
-
-
-def _pair_log_weight(k: int, step: float, params: TestFunctionParams, power: int) -> np.ndarray:
-    """At n = 3, one pair's share l(d) of :func:`_log_weight`'s density, at
-    d = step * j for j = -k, ..., k: the density at the columns t is
-    l(t1 - t2) + l(t2 - t3) + l(t1 - t3).
-
-    Every term of the density is a sum over the three pairs: the Gamma
-    ring; the pair polynomial, whose subset pairs at n = 3 are the pairs of
-    singletons, so Delta = d; and the Gaussian, since sum t^2 =
-    (1/3) sum_{j<k} (t_j - t_k)^2 when sum t = 0.  l is even, and -inf at
-    d = 0, the zero of the density.
-    """
-    gamma, plancherel, pair_poly = _terms(params, power)
-    d = step * np.arange(-k, k + 1)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = _combine(d**2 / 3.0, pair_poly(d), gamma(d) - plancherel(d), params, power)
-    out[k] = -np.inf
-    return _require_finite(out, params)
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +261,11 @@ def p_y_gl3(y, params, *, spectral_step: float = 0.5) -> np.ndarray:
 
     Four nested contours: the tempered spectral plane weighted by
     p_sharp times the Plancherel density (:func:`_log_weight` at
-    (t1, t2, -t1 - t2)), times the double Mellin integral of the closed
-    rank-two transform against y1 y2 (pi y1)^{-2 s1} (pi y2)^{-2 s2},
-    with the overall 2^{-(n-1)}.  The spectral sum does not depend on y: it
-    is one field per call, and every pair is read from it by its two phases
-    (see _gl3_plane).  The quadrature is fixed-step with no adaptive
+    (t1, t2, -t1 - t2), three views of one pair-share row), times the
+    double Mellin integral of the closed rank-two transform against
+    y1 y2 (pi y1)^{-2 s1} (pi y2)^{-2 s2}, with the overall 2^{-(n-1)}.
+    The spectral sum does not depend on y: it is one field per call, and
+    every pair is read from it by its two phases (see _gl3_plane).  The quadrature is fixed-step with no adaptive
     refinement or error estimate, and unlike the rank-one avatar there is
     no shifted-contour decomposition here to check it against;
     ``spectral_step`` is exposed so the spectral sum can be compared at
@@ -313,6 +276,11 @@ def p_y_gl3(y, params, *, spectral_step: float = 0.5) -> np.ndarray:
     exp(-2 pi line / step), about 4e-17; the plane sums cancel by many
     orders, and the step keeps the aliasing below that floor.  y far from
     1/pi adds phase 2 v log(pi y) and may need a smaller step still.
+
+    The default spectral step 0.5 aliases for y far from 1/pi: at T = 1.5,
+    R = 1 it gives 1.479e-6 at (2.479e-3, 1/pi), where steps 0.25 and 0.125
+    both give -6.5426e-11, and 1.66e-9 at (2.479e-3, 2.479e-3) against
+    2.645e-12.  Steps 0.5 and 0.4 agree to rounding only near y = 1/pi.
     """
     y = require_positive(y, "y")
     if y.ndim != 2 or y.shape[1] != 2:
@@ -477,17 +445,19 @@ def main_term_log(n: int, R: int, T: float) -> float:
 
     The integrand is |p_sharp|^2 times the Plancherel density on the
     tempered line, summed on a uniform grid whose every pair difference
-    d = t_j - t_k lies in |d| <= 4 (3T + 15).  Doubling that window moves no
-    value by more than rounding for R <= 3 and T <= 512, though a pair
-    weight alone is not small at its edge (at n = 3, T = 128 it is within
-    e^60 of its peak); only their product is.  The coincidence lines d = 0
-    carry double zeros and are excised exactly.
+    d = t_j - t_k lies in |d| <= 4 (3T + 15) sqrt(max(R, 3) / 3): the
+    density's peak moves outward with R, and the window with it.  Doubling
+    that window moves no value by more than rounding (at n = 3, 3e-13 for
+    R <= 7 at T <= 64 and for R <= 6 at T = 512), though a pair weight
+    alone is not small at its edge (at n = 3, T = 128 it is within e^60 of
+    its peak); only their product is.  The coincidence lines d = 0 carry
+    double zeros and are excised exactly.
 
     For n = 2 the grid is the midpoints of t > 0 at step 1/8, where d = 2t,
     counted twice since the integrand is even.  For n = 3 it is the plane
     t = step * (m1, m2, -m1 - m2) at step 1/2, where the density is
-    W(x) W(y) W(x + y) with W = exp(l), l the pair share of
-    :func:`_pair_log_weight`, at the pair differences x = m1 - m2,
+    W(x) W(y) W(x + y) with W = exp(l), l the pair share
+    :func:`_pair_share`, at the pair differences x = m1 - m2,
     y = m1 + 2 m2 and x + y (in steps).  The map (m1, m2) -> (x, y) is a
     bijection onto the pairs with x = y (mod 3), so the sum is
     sum_x W(x) sum_{y = x (mod 3)} W(y) W(x + y): for each residue class c,
@@ -498,11 +468,9 @@ def main_term_log(n: int, R: int, T: float) -> float:
     times ||W|| ||W_c|| sum W_c, summed over the classes, and the result
     raises :class:`AccuracyError` when that exceeds 1e-10 of the sum: where
     the density's peak lies far below the pair weights' peaks, at T below
-    about 0.2, or from R = 8 at T >= 8.  The peak also moves outward with
-    R, and at n = 3 the window cuts 1.4e-11 at R = 4, T = 512 and 8.5e-7 at
-    R = 6.
+    about 0.2, at R = 7 with T = 512, and from R = 8 at T >= 8.
     """
-    return _main_term_log(n, TestFunctionParams(T=T, R=R), 4.0 * (3.0 * T + 15.0))
+    return _main_term_log(n, TestFunctionParams(T=T, R=R), 4.0 * (3.0 * T + 15.0) * math.sqrt(max(R, 3) / 3))
 
 
 def _main_term_log(n: int, params: TestFunctionParams, window: float) -> float:
@@ -515,7 +483,7 @@ def _main_term_log(n: int, params: TestFunctionParams, window: float) -> float:
     if n != 3:
         raise NotImplementedError("main-term integral implemented for n = 2, 3")
     k = math.floor(2.0 * window)
-    li = _pair_log_weight(k, 0.5, params, 2)
+    li = _require_finite(_pair_share(3, params, 2)(0.5 * np.arange(-k, k + 1)), params)
     mx = li.max()
     w = np.exp(li - mx)
     # the correlation's lags run over [-2k, 2k]; a size above 3k keeps the

@@ -101,6 +101,17 @@ TRACE_BOUNDS = [
     (["--tail", "1.5", "0.01"], "CMAX", 4, cli._SWEEP_MAX_C, "tail_from_rho"),
 ]
 
+# the cost-bounded testfn and whittaker inputs: the call up to the value,
+# metavar, the range's lower end, its largest value, the type the value is
+# read as, the module and function it reaches, a value below the range and
+# one inside it near its lower end
+COST_BOUNDS = [
+    (["testfn", "--itr-scaling", "1", "0.25", "1"], "TMAX", "0 <", cli._ITR_MAX_T, float, testfunctions, "itr_scaling", "0", "8"),
+    (["testfn", "--p-y", "1", "--T"], "T", "0 <", cli._P_Y_MAX_T, float, testfunctions, "p_y_batch", "0", "0.5"),
+    (["testfn", "--main-term-scaling", "2"], "R", "1 <=", cli._MAIN_TERM_MAX_R, int, testfunctions, "main_term_scaling", "0", "1"),
+    (["whittaker", "--residue", "2", "1"], "DELTA", "0 <=", cli._RESIDUE_MAX_DELTA, int, mellin, "residue_check", "-1", "0"),
+]
+
 
 class TestRunDriver:
     def test_combinatorics_suite_all_pass(self, capsys):
@@ -682,6 +693,44 @@ class TestModuleSubcommands:
             code, _, err = run_cli(capsys, "trace", *head, str(c))
             assert code == 2
             assert err == f"error: reached {library}\n"
+
+    @pytest.mark.parametrize(
+        "head, name, lo, hi, kind, module, library, value",
+        [(*b[:7], v) for b in COST_BOUNDS for v in (b[7], str(b[3] + 1), "99999999999")],
+    )
+    def test_cost_bound_exits_2(self, capsys, monkeypatch, head, name, lo, hi, kind, module, library, value):
+        # the value is checked before the library is called
+        def not_called(*args, **kwargs):
+            raise AssertionError(f"{library}{args} was called")
+
+        monkeypatch.setattr(module, library, not_called)
+        code, out, err = run_cli(capsys, *head, value)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {head[1]} needs {lo} {name} <= {hi}, got {kind(value)}\n"
+
+    @pytest.mark.parametrize("head, name, lo, hi, kind, module, library, below, low", COST_BOUNDS)
+    def test_cost_bound_is_in_the_help(self, capsys, monkeypatch, head, name, lo, hi, kind, module, library, below, low):
+        with pytest.raises(SystemExit):
+            cli.main([head[0], "--help"])
+        assert f"{lo} {name} <= {hi}" in " ".join(capsys.readouterr().out.split())
+        # both ends of the range reach the library
+        def reached(*args, **kwargs):
+            raise ValueError(f"reached {library}")
+
+        monkeypatch.setattr(module, library, reached)
+        for value in (low, str(hi)):
+            code, _, err = run_cli(capsys, *head, value)
+            assert code == 2
+            assert err == f"error: reached {library}\n"
+
+    @pytest.mark.parametrize("delta", ["98", "99", "200"])
+    def test_whittaker_overflowing_shift_exits_2(self, capsys, delta):
+        # from delta = 99 on this printed "passed": true with residual 0
+        code, out, err = run_cli(capsys, "whittaker", "--check-shift", "2", "1", delta)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: shift identity at delta = {delta}") and err.count("\n") == 1
 
     def test_trace_exponents_zero_denominator_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "trace", "--exponents", "4", "1/0")

@@ -8,6 +8,7 @@ import pytest
 from scipy.special import loggamma, rgamma
 
 from kuznetsov_lab.mellin import (
+    SHIFT_TOL,
     _truncation_half_length,
     check_pole_separation,
     mellin_closed,
@@ -327,6 +328,18 @@ class TestShiftIdentities:
         # with no sample drawn the residual bound would hold vacuously
         with pytest.raises(ValueError, match="samples"):
             shift_identity_check(2, 1, 1, samples=0)
+
+    @pytest.mark.parametrize("delta", [98, 99, 200])
+    def test_overflowing_side_raises(self, delta):
+        # Gamma(s + delta + a) overflows near delta = 98: at 98 the modulus
+        # of a finite side overflowed, and from 99 on the NaN residual was
+        # dropped by max() and the check passed with residual 0
+        with pytest.raises(AccuracyError, match=f"delta = {delta}"):
+            shift_identity_check(2, 1, delta)
+
+    def test_last_finite_shift_passes(self):
+        report = shift_identity_check(2, 1, 97)
+        assert report["passed"] and 0.0 < report["max_residual"] <= SHIFT_TOL
 
 
 class TestResidues:

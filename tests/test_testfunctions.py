@@ -122,7 +122,7 @@ class TestRowView:
 
 class TestLogWeight:
     @pytest.mark.parametrize("power", [1, 2])
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3])
     def test_is_p_sharp_power_times_plancherel(self, n, power):
         # the one density every integral here uses, against the scalar
         # definition: power log|p_sharp(i t)| - sum_{j != k} Re log Gamma(i (t_j - t_k)/2)
@@ -161,10 +161,9 @@ class TestLogWeight:
     @pytest.mark.parametrize("step", [0.5, 3.0 / 37.0], ids=["step-1/2", "step-3/37"])
     @pytest.mark.parametrize("R", [1, 2, 3])
     def test_plane_is_point_symmetric(self, R, step):
-        # every row the density views is even bit for bit: Re loggamma at
-        # conjugate points, log1p(x^2/4), x^2, and step * -k = -(step * k),
-        # so the plane is point symmetric bit for bit, as is the rank-three
-        # pair share l(d) built from the same rows
+        # the pair-share row the density views is even bit for bit: Re
+        # loggamma at conjugate points, log1p(d^2/4), d^2, and
+        # step * -k = -(step * k), so the plane is point symmetric bit for bit
         m = range(-60, 61)
         li = _log_weight((m, m), step, TestFunctionParams(T=4.0, R=R), 2)
         assert np.array_equal(li, li[::-1, ::-1])
@@ -188,7 +187,7 @@ class TestLogWeight:
         p = TestFunctionParams(T=4.0, R=R)
         m = np.arange(-60, 61)
         plane = _log_weight((range(-60, 61), range(-60, 61)), step, p, 2)
-        share = testfunctions._pair_log_weight(180, step, p, 2)
+        share = testfunctions._pair_share(3, p, 2)(step * np.arange(-180, 181))
         m1, m2 = np.meshgrid(m, m, indexing="ij")
         total = share[180 + m1 - m2] + share[180 + m1 + 2 * m2] + share[180 + 2 * m1 + m2]
         assert np.array_equal(np.isinf(total), np.isinf(plane))
@@ -206,6 +205,35 @@ class TestLogWeight:
             ring = np.array([_log_weight((range(2 * t, 2 * t + 1),), 1.0, p, 1)[0] for t in ts])
             slope = np.polyfit(np.log(ts), ring - math.pi * ts, 1)[0]
             assert abs(slope - (R + 0.5)) < 0.02
+
+    @pytest.mark.parametrize(
+        "n, density",
+        [
+            (2, _outer_grid),
+            (2, lambda p: itr_log(0.25, p)),
+            (2, lambda p: main_term_log(2, p.R, p.T)),
+            (3, lambda p: main_term_log(3, p.R, p.T)),
+            (3, lambda p: p_y_gl3([(1.0, 1.0)], p)),
+        ],
+        ids=["outer-grid", "itr-log", "main-term-n2", "main-term-n3", "p-y-gl3"],
+    )
+    def test_every_density_is_evaluated_by_the_pair_share(self, monkeypatch, n, density):
+        # the pair share is the density's one definition: each integral
+        # evaluates it, and at its own n
+        calls = []
+        real = testfunctions._pair_share
+
+        def spy(rank, params, power):
+            share = real(rank, params, power)
+            return lambda d: calls.append(rank) or share(d)
+
+        monkeypatch.setattr(testfunctions, "_pair_share", spy)
+        density(TestFunctionParams(T=1.5, R=1))
+        assert calls and set(calls) == {n}
+
+    def test_rank_four_is_not_a_sum_of_pair_shares(self):
+        with pytest.raises(NotImplementedError, match="n = 4"):
+            _log_weight((range(1), range(1), range(1)), 0.5, TestFunctionParams(T=4.0, R=1), 1)
 
     def test_coincident_columns_are_zeros(self):
         # (1, 0, -1) is generic; t1 = t2 and t1 = t3 are zeros of the density
@@ -537,7 +565,8 @@ def _main_term_log_float_columns(n, R, T):
     """main_term_log summed point by point: float columns t_j on the grid of
     main_term_log's steps over |t_j| <= 5T + 20, a window that cuts off no
     mass, and loggamma, log1p and the squares taken on every point's own
-    float differences, in _log_weight's order of summation."""
+    float differences, summed term by term over every pair and subset pair:
+    the density's definition at any n, not split into pair shares."""
     if n == 2:
         t = np.arange(1.0 / 16, 5.0 * T + 20.0, 1.0 / 8)
         cols, cell = (t, -t), 2.0 / 8.0
@@ -618,6 +647,16 @@ class TestMainTermScaling:
         # nothing: twice as wide agrees to rounding
         wide = testfunctions._main_term_log(n, TestFunctionParams(T=T, R=R), 8.0 * (3.0 * T + 15.0))
         assert abs(main_term_log(n, R, T) - wide) <= 1e-13
+
+    @pytest.mark.parametrize("R", [4, 5, 6])
+    @pytest.mark.parametrize("T", [64.0, 512.0])
+    def test_window_grows_with_the_order(self, R, T):
+        # the density's peak moves outward with R, and the window by
+        # sqrt(R / 3): doubling it moves nothing.  The fixed window
+        # 4 (3T + 15) cut 2.8e-9 at R = 6, T = 64 and 8.5e-7 at T = 512
+        window = 8.0 * (3.0 * T + 15.0) * math.sqrt(R / 3.0)
+        wide = testfunctions._main_term_log(3, TestFunctionParams(T=T, R=R), window)
+        assert abs(main_term_log(3, R, T) - wide) <= 1e-12
 
     def test_rounding_bound_raises(self):
         # at T = 0.1 the density's peak lies too far below the pair weights'
