@@ -91,17 +91,14 @@ def phi(comp: Composition) -> Fraction:
     (n - n-hat_k) n-hat_k, as an exact rational.
 
     Half-integer values occur (e.g. (1,2,1) has a 9/2 contribution), so the
-    result is a Fraction; it is asserted to be integral or half-integral.
+    result is a Fraction: the integer sum over 2.
     """
     if comp.r < 2:
         raise ValueError("phi needs r >= 2")
-    n = comp.n
-    nhat = comp.partial_sums
-    total = Fraction(0)
-    for k in range(comp.r - 1):
-        total += Fraction((comp.parts[k] + comp.parts[k + 1]) * (n - nhat[k]) * nhat[k], 2)
-    assert total.denominator in (1, 2)
-    return total
+    n, parts, nhat = comp.n, comp.parts, comp.partial_sums
+    return Fraction(
+        sum((parts[k] + parts[k + 1]) * (n - nhat[k]) * nhat[k] for k in range(comp.r - 1)), 2
+    )
 
 
 def kappa(comp: Composition) -> int:
@@ -218,18 +215,15 @@ def count_nonintegral_exponents(comp: Composition, rho: Fraction) -> int:
     C=(1,1,2): b_{2,1} = a_1 is an integer for every half-integer rho, so the
     middle block contributes 0 where the simple form claims 1.
     """
-    rho = require_half_integer(rho)
+    # an entry is non-integral iff twice it, an integer, is odd
     n = comp.n
-    a = [Fraction(0)] + exponent_vector_a(n, rho) + [Fraction(0)]  # a[0..n]
-    count = sum(1 for k in range(1, n) if a[k].denominator != 1)
+    two_rho = require_half_integer(rho).numerator
+    a2 = [0] + [two_rho + k * (n - k) for k in range(1, n)] + [0]  # 2 a[0..n]
+    count = sum(x % 2 for x in a2)
     nhat = (0,) + comp.partial_sums
-    for i in range(1, comp.r + 1):
-        for j in range(1, comp.parts[i - 1] + 1):
-            if i == comp.r and j == comp.parts[i - 1]:
-                continue
-            b = a[nhat[i - 1]] - a[nhat[i - 1] + j] + a[nhat[i]]
-            if b.denominator != 1:
-                count += 1
+    for lo, hi in zip(nhat, nhat[1:]):
+        # q = n-hat_{i-1} + j, stopping short of the excluded q = n
+        count += sum((a2[lo] - a2[q] + a2[hi]) % 2 for q in range(lo + 1, min(hi + 1, n)))
     return count
 
 

@@ -31,12 +31,14 @@ class DegenerateParameterError(ValueError):
     """Spectral parameter not in general position for the requested identity."""
 
 
-def _is_nonpositive_integer(z: complex) -> bool:
-    z = complex(z)
-    if abs(z.imag) > 1e-12:
-        return False
-    r = round(z.real)
-    return r <= 0 and abs(z.real - r) <= 1e-12
+def _is_nonpositive_integer(z):
+    """Whether z lies within 1e-12 of 0, -1, -2, ...; elementwise for an
+    array.  ValueError unless every entry is finite."""
+    z = np.asarray(z, dtype=complex)
+    if not np.isfinite(z).all():
+        raise ValueError(f"Gamma argument must be finite, got {z}")
+    r = np.rint(z.real)
+    return (abs(z.imag) <= 1e-12) & (r <= 0) & (abs(z.real - r) <= 1e-12)
 
 
 def log_gamma(z: complex) -> complex:
@@ -260,26 +262,45 @@ def alpha_square_residual(alpha: Sequence[complex], comp: Composition) -> float:
     return abs(np.sum(np.asarray(alpha, dtype=complex) ** 2) - split)
 
 
-def _log_mod_gamma_R(z: complex, R: int) -> float:
-    """log |Gamma_R(z)| as a log-Gamma difference, never exponentiated."""
-    if _is_nonpositive_integer(z):
-        raise DegenerateParameterError(f"Gamma_R vanishes at {z}")
-    return (log_gamma((0.5 + R + z) / 2) - log_gamma(z)).real
+def _pair_differences(v: np.ndarray) -> np.ndarray:
+    """v_i - v_j over the ordered pairs i != j, row by row."""
+    n = len(v)
+    # the flattened n x n table less its diagonal, one entry in every n + 1
+    return (v[:, None] - v).ravel()[1:].reshape(n - 1, n + 1)[:, :-1].ravel()
 
 
-def _ring_sum(v: np.ndarray, R: int) -> float:
-    """sum_{i != j} log |Gamma_R(v_i - v_j)| over ordered pairs."""
-    R = require_integer(R, "R", positive=True)
-    diffs = [v[i] - v[j] for i in range(len(v)) for j in range(len(v)) if i != j]
-    if any(abs(d) < 1e-10 for d in diffs):
+def _ring_residual(R: int, rings: list[np.ndarray], crosses: list[np.ndarray]) -> float:
+    """|L - (B_1 + ... + C_1 + ...)|: L sums log |Gamma_R| over rings[0], each
+    B over a later ring, each C log |Gamma_R(z)| + log |Gamma_R(-z)| over a
+    cross's z.
+
+    One loggamma call takes every numerator and one every denominator; each
+    sum adds its terms left to right.  Coincident ring entries and zeros of
+    Gamma_R raise DegenerateParameterError, numerator poles PoleError, at
+    the first bad argument (a cross's z is a difference of alpha up to
+    rounding, so the first ring shows it first).
+    """
+    ring = np.concatenate(rings)
+    cross = np.concatenate(crosses) if crosses else np.empty(0, dtype=complex)
+    if (np.abs(ring) < 1e-10).any():
         raise DegenerateParameterError("coincident parameter entries")
-    return sum(_log_mod_gamma_R(d, R) for d in diffs)
-
-
-def _cross_sum(u: np.ndarray, v: np.ndarray, offset: complex, R: int) -> float:
-    """sum over x in u, y in v of log |Gamma_R(+-(x - y + offset))|."""
-    args = (x - y + offset for x in u for y in v)
-    return sum(_log_mod_gamma_R(z, R) + _log_mod_gamma_R(-z, R) for z in args)
+    m, c = len(ring), len(cross)
+    z = np.concatenate((ring, cross, -cross))
+    num = (0.5 + R + z) / 2
+    vanishes, pole = _is_nonpositive_integer(np.stack((z, num)))
+    if (vanishes | pole).any():
+        i = int(np.argmax(vanishes | pole))
+        if vanishes[i]:
+            raise DegenerateParameterError(f"Gamma_R vanishes at {z[i]}")
+        raise PoleError(complex(num[i]))
+    t = _loggamma(num).real - _loggamma(z).real
+    terms = np.concatenate((t[:m], t[m : m + c] + t[m + c :])).tolist()
+    sums, i = [], 0
+    for size in map(len, rings + crosses):
+        sums.append(sum(terms[i : i + size]))
+        i += size
+    left, *right = sums
+    return abs(left - sum(right))
 
 
 def gamma_product_decomposition_residual(
@@ -294,14 +315,14 @@ def gamma_product_decomposition_residual(
     rounding-level.
     """
     a = validate_langlands(alpha)
-    lhs = _ring_sum(a, R)
+    R = require_integer(R, "R", positive=True)
     blocks, beta = partition_parameter(a, comp)
-    rhs = sum(_ring_sum(blk, R) for blk in blocks)
     parts = comp.parts
-    for k, m in itertools.combinations(range(comp.r), 2):
-        offset = beta[k] / parts[k] - beta[m] / parts[m]
-        rhs += _cross_sum(blocks[k], blocks[m], offset, R)
-    return abs(lhs - rhs)
+    crosses = [
+        (blocks[k][:, None] - blocks[m] + (beta[k] / parts[k] - beta[m] / parts[m])).ravel()
+        for k, m in itertools.combinations(range(comp.r), 2)
+    ]
+    return _ring_residual(R, [_pair_differences(v) for v in [a, *blocks]], crosses)
 
 
 def gamma_product_split_residual(alpha: Sequence[complex], k: int, R: int) -> float:
@@ -311,13 +332,12 @@ def gamma_product_split_residual(alpha: Sequence[complex], k: int, R: int) -> fl
     n = len(a)
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
+    R = require_integer(R, "R", positive=True)
     ahat_k = a[:k].sum()
     beta = a[:k] - ahat_k / k
     gamma = a[k:] + ahat_k / (n - k)
-    lhs = _ring_sum(a, R)
-    rhs = _ring_sum(beta, R) + _ring_sum(gamma, R)
-    rhs += _cross_sum(beta, gamma, n / (k * (n - k)) * ahat_k, R)
-    return abs(lhs - rhs)
+    cross = (beta[:, None] - gamma + n / (k * (n - k)) * ahat_k).ravel()
+    return _ring_residual(R, [_pair_differences(v) for v in (a, beta, gamma)], [cross])
 
 
 def f_R_decomposition_report(comp: Composition) -> dict:
@@ -354,20 +374,25 @@ def f_R_decomposition_report(comp: Composition) -> dict:
 
 def extra_gamma_sum_identity(beta: Sequence[Fraction], parts: Sequence[int]) -> bool:
     """Exact-rational identity: sum_{k<m} n_k n_m (beta_k/n_k - beta_m/n_m)
-    equals sum_j (n_j + n_{j+1}) beta-hat_j, for zero-sum rational beta."""
+    equals sum_j (n_j + n_{j+1}) beta-hat_j, for zero-sum rational beta.
+
+    Both sides are compared times q N, q the common denominator of beta and
+    N = lcm(parts), where every term is an integer."""
     beta = [Fraction(b) for b in beta]
     parts = list(parts)
     if len(beta) != len(parts):
         raise ValueError("beta and parts must have equal length")
-    if sum(beta) != 0:
+    q = math.lcm(*(b.denominator for b in beta))
+    qbeta = [b.numerator * (q // b.denominator) for b in beta]
+    if sum(qbeta) != 0:
         raise ValueError("beta must sum to 0")
-    r = len(parts)
-    lhs = Fraction(0)
-    for k in range(r):
-        for m in range(k + 1, r):
-            lhs += parts[k] * parts[m] * (beta[k] / parts[k] - beta[m] / parts[m])
-    bhat = list(itertools.accumulate(beta))
-    rhs = sum((parts[j] + parts[j + 1]) * bhat[j] for j in range(r - 1))
+    N = math.lcm(*parts)
+    lhs = sum(
+        parts[k] * parts[m] * (qbeta[k] * (N // parts[k]) - qbeta[m] * (N // parts[m]))
+        for k, m in itertools.combinations(range(len(parts)), 2)
+    )
+    bhat = list(itertools.accumulate(qbeta))
+    rhs = sum((parts[j] + parts[j + 1]) * N * bhat[j] for j in range(len(parts) - 1))
     return lhs == rhs
 
 

@@ -347,20 +347,14 @@ def iwbounds_exponent(rho, comp: Composition) -> ExponentReport:
     and the threshold is the least half-integer rho that works uniformly:
     3/2 - 3/(2n) for odd n, 3/2 - 1/n for even n.
     """
+    # each field over its one denominator: 2 rho and 2 Phi(C) are integers
     rho_f = require_half_integer(rho)
     n = comp.n
     phi_c = phi(comp)
-    slack = (
-        Fraction((n - 1) * (n + 4), 2)
-        - Fraction((n - 1) // 2)
-        - rho_f * n
-        - phi_c
-    )
-    lm = 2 * rho_f + Fraction(n * n + 1, 4)
-    if n % 2 == 1:
-        threshold = Fraction(3, 2) - Fraction(3, 2 * n)
-    else:
-        threshold = Fraction(3, 2) - Fraction(1, n)
+    twice_phi = 2 * phi_c.numerator // phi_c.denominator
+    slack = Fraction((n - 1) * (n + 4) - 2 * ((n - 1) // 2) - rho_f.numerator * n - twice_phi, 2)
+    lm = Fraction(4 * rho_f.numerator + n * n + 1, 4)
+    threshold = Fraction(3 * n - 3 if n % 2 == 1 else 3 * n - 2, 2 * n)
     return ExponentReport(
         n=n,
         rho=rho_f,

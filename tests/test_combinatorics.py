@@ -215,3 +215,38 @@ def test_closed_form_even_n_divergence_is_understood():
 def test_count_nonintegral_rejects_integer_rho():
     with pytest.raises(ValueError):
         count_nonintegral_exponents(Composition((1, 1)), Fraction(1))
+
+
+# Exact-rational references for the doubled-integer exponent arithmetic:
+# each builds the exponents as Fractions, as the definitions read.
+HALF_INTEGER_RHOS = [Fraction(k, 2) for k in (-1, 1, 3, 5, 7)]
+
+
+def _fraction_count_nonintegral(comp, rho):
+    n = comp.n
+    a = [Fraction(0)] + [rho + Fraction(k * (n - k), 2) for k in range(1, n)] + [Fraction(0)]
+    count = sum(1 for k in range(1, n) if a[k].denominator != 1)
+    nhat = (0,) + comp.partial_sums
+    for i in range(1, comp.r + 1):
+        for j in range(1, comp.parts[i - 1] + 1):
+            if (i, j) != (comp.r, comp.parts[-1]):
+                count += (a[nhat[i - 1]] - a[nhat[i - 1] + j] + a[nhat[i]]).denominator != 1
+    return count
+
+
+def _fraction_phi(comp):
+    n, nhat = comp.n, comp.partial_sums
+    total = Fraction(0)
+    for k in range(comp.r - 1):
+        total += Fraction(comp.parts[k] + comp.parts[k + 1], 2) * (n - nhat[k]) * nhat[k]
+    return total
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_doubled_integer_exponents_equal_the_fraction_references(n):
+    for comp in enumerate_compositions(n):
+        for rho in HALF_INTEGER_RHOS:
+            assert count_nonintegral_exponents(comp, rho) == _fraction_count_nonintegral(comp, rho)
+        if comp.r >= 2:
+            value = phi(comp)
+            assert type(value) is Fraction and value == _fraction_phi(comp), comp.parts

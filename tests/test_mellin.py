@@ -355,6 +355,18 @@ class TestResidues:
             rep = residue_check(2, (0.6j, -0.6j), delta=delta)
             assert rep["passed"], rep
 
+    @pytest.mark.parametrize("delta", [98, 99, 120])
+    def test_underflowing_residue_raises(self, delta):
+        # the residue is subnormal from delta = 98 and 0 at 120; compared
+        # against max(1, |closed|) either side read as agreeing
+        with pytest.raises(AccuracyError, match=f"delta = {delta}"):
+            residue_check(2, (0.6j, -0.6j), delta=delta)
+
+    def test_last_normal_residue_passes(self):
+        rep = residue_check(2, (0.6j, -0.6j), delta=97)
+        assert rep["passed"] and abs(rep["closed"]) < 1e-300
+        assert abs(rep["closed"] - rep["contour"]) <= 1e-12 * abs(rep["closed"])
+
     def test_named_contour_example(self):
         rep = residue_check(2, (0.4j, -0.4j), delta=1)
         assert rep["rel_err"] <= 1e-8

@@ -1,13 +1,16 @@
 """Gamma-ratio, pair-polynomial, bound-function, and decomposition checks."""
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import loggamma as scipy_loggamma
 
-from kuznetsov_lab.combinatorics import Composition, degree_D
+from kuznetsov_lab import special
+from kuznetsov_lab.combinatorics import Composition, degree_D, enumerate_compositions
 from kuznetsov_lab.special import (
     DegenerateParameterError,
     PoleError,
@@ -311,3 +314,121 @@ def test_residue_triple_product_decay_exponent():
     ys = [_residue_triple_log_modulus(beta, 1j * t, R, delta) for t in ts]
     slope = _slope([math.log(t) for t in ts], ys)
     assert abs(slope - (R - beta - delta)) < 0.05
+
+
+# The term-by-term route the ring residuals replaced: one scalar log_gamma
+# pair per argument, summed in the same order.  The array route must equal
+# it bit for bit.
+
+
+def _scalar_log_mod_gamma_R(z, R):
+    return (log_gamma((0.5 + R + z) / 2) - log_gamma(z)).real
+
+
+def _scalar_ring_sum(v, R):
+    n = len(v)
+    return sum(_scalar_log_mod_gamma_R(v[i] - v[j], R) for i in range(n) for j in range(n) if i != j)
+
+
+def _scalar_cross_sum(u, v, offset, R):
+    args = (x - y + offset for x in u for y in v)
+    return sum(_scalar_log_mod_gamma_R(z, R) + _scalar_log_mod_gamma_R(-z, R) for z in args)
+
+
+def _scalar_decomposition_residual(alpha, comp, R):
+    a = np.asarray(alpha, dtype=complex)
+    lhs = _scalar_ring_sum(a, R)
+    blocks, beta = partition_parameter(a, comp)
+    rhs = sum(_scalar_ring_sum(blk, R) for blk in blocks)
+    parts = comp.parts
+    for k, m in itertools.combinations(range(comp.r), 2):
+        rhs += _scalar_cross_sum(blocks[k], blocks[m], beta[k] / parts[k] - beta[m] / parts[m], R)
+    return abs(lhs - rhs)
+
+
+def _scalar_split_residual(alpha, k, R):
+    a = np.asarray(alpha, dtype=complex)
+    n = len(a)
+    ahat_k = a[:k].sum()
+    beta = a[:k] - ahat_k / k
+    gamma = a[k:] + ahat_k / (n - k)
+    rhs = _scalar_ring_sum(beta, R) + _scalar_ring_sum(gamma, R)
+    rhs += _scalar_cross_sum(beta, gamma, n / (k * (n - k)) * ahat_k, R)
+    return abs(_scalar_ring_sum(a, R) - rhs)
+
+
+@pytest.mark.parametrize("R", [1, 2])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_ring_residuals_equal_the_term_by_term_sums(n, R):
+    rng = np.random.default_rng([61, n, R])
+    for _ in range(3):
+        t = rng.uniform(-2.5, 2.5, size=n - 1)
+        alpha = [1j * v for v in t] + [-1j * t.sum()]
+        for comp in enumerate_compositions(n):
+            got = gamma_product_decomposition_residual(alpha, comp, R)
+            assert got == _scalar_decomposition_residual(alpha, comp, R), comp.parts
+        for k in range(1, n):
+            assert gamma_product_split_residual(alpha, k, R) == _scalar_split_residual(alpha, k, R), k
+
+
+@pytest.mark.parametrize(
+    "alpha, error, message",
+    [
+        ([1j, 1j, -1j, -1j], DegenerateParameterError, "coincident parameter entries"),
+        # alpha_1 - alpha_2 = -1, a zero of Gamma_R
+        ([-0.5, 0.5], DegenerateParameterError, "Gamma_R vanishes at (-1+0j)"),
+        # the cross argument 1 of (1, 1) has its negative at -1
+        ([0.5, -0.5], DegenerateParameterError, "Gamma_R vanishes at (-1+0j)"),
+        # alpha_1 - alpha_2 = -3/2 puts the R = 1 numerator at the pole 0
+        ([0.0, 1.5, -1.5], PoleError, "pole at z = 0j"),
+    ],
+)
+def test_ring_residuals_raise_at_the_first_bad_argument(alpha, error, message):
+    with pytest.raises(error) as exc:
+        gamma_product_decomposition_residual(alpha, Composition((1, len(alpha) - 1)), 1)
+    assert str(exc.value) == message
+    with pytest.raises(error) as exc:
+        gamma_product_split_residual(alpha, 1, 1)
+    assert str(exc.value) == message
+
+
+def test_one_ring_residual_is_two_loggamma_calls(monkeypatch):
+    calls = []
+
+    def counting_loggamma(z):
+        calls.append(np.size(z))
+        return scipy_loggamma(z)
+
+    def no_scalar_log_gamma(z):
+        pytest.fail("a ring residual called the scalar log_gamma")
+
+    monkeypatch.setattr(special, "_loggamma", counting_loggamma)
+    monkeypatch.setattr(special, "log_gamma", no_scalar_log_gamma)
+    alpha = [0.3j, 1.1j, -0.5j, -0.9j]
+    gamma_product_decomposition_residual(alpha, Composition((1, 2, 1)), 1)
+    # 12 differences of alpha, 2 within the middle block, and 5 cross
+    # arguments, each also at its negative
+    assert calls == [24, 24]
+    calls.clear()
+    gamma_product_split_residual(alpha, 2, 2)
+    # 12 + 2 + 2 ring differences and 4 cross arguments, each at both signs
+    assert calls == [24, 24]
+
+
+def test_extra_gamma_sum_identity_refuses_a_nonzero_sum():
+    for beta, parts in [
+        ([Fraction(1, 3), Fraction(1, 6)], (2, 1)),
+        ([Fraction(1, 2), Fraction(-1, 2), Fraction(1, 7)], (1, 3, 2)),
+    ]:
+        with pytest.raises(ValueError, match="sum to 0"):
+            extra_gamma_sum_identity(beta, parts)
+
+
+@pytest.mark.parametrize("z", [math.nan, complex(0, math.nan), math.inf, -math.inf, complex(math.inf, 1)])
+def test_gamma_arguments_must_be_finite(z):
+    # the pole rule reads every argument; a non-finite one used to escape as
+    # OverflowError, pass as a pole (nan i), or return NaN (inf + i)
+    with pytest.raises(ValueError, match="finite"):
+        log_gamma(z)
+    with pytest.raises(ValueError, match="finite"):
+        gamma_R(z, 1)

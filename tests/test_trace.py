@@ -365,6 +365,24 @@ class TestExponentReports:
         with pytest.raises(ValueError):
             iwbounds_exponent(1.4, Composition((1, 2)))
 
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_ledger_equals_the_fraction_reference(self, n):
+        # every field built from Fractions, as the docstring's formulas read
+        for comp in enumerate_compositions(n, 2):
+            nhat = comp.partial_sums
+            phi = sum(
+                Fraction(comp.parts[k] + comp.parts[k + 1], 2) * (n - nhat[k]) * nhat[k]
+                for k in range(comp.r - 1)
+            )
+            for rho in (Fraction(k, 2) for k in (-1, 1, 3, 5, 7)):
+                rep = iwbounds_exponent(rho, comp)
+                slack = Fraction((n - 1) * (n + 4), 2) - Fraction((n - 1) // 2) - rho * n - phi
+                lm = 2 * rho + Fraction(n * n + 1, 4)
+                threshold = Fraction(3, 2) - (Fraction(3, 2 * n) if n % 2 else Fraction(1, n))
+                assert (rep.phi, rep.slack, rep.lm_exponent, rep.rho_threshold) == (phi, slack, lm, threshold)
+                fields = (rep.rho, rep.phi, rep.slack, rep.lm_exponent, rep.rho_threshold)
+                assert all(type(f) is Fraction for f in fields)
+
 
 class TestAplusB:
     def test_rank_two_by_hand(self):
