@@ -229,18 +229,24 @@ def _gl3_plane(log_py, tau1, tau2, weight, line: float, v: np.ndarray, rg: np.nd
     the spectral points (tau1, tau2) with their weights; one value per row
     (log pi y1, log pi y2) of log_py.
 
-    Each line field is three Gamma(s + i w) at shifts w among +-tau1,
-    +-tau2 and +-(tau1 + tau2): one loggamma row per distinct shift, gathered
-    by index.  y enters only through the phases (pi y1)^{-2 s1} (pi y2)^{-2 s2},
-    so the points are first summed into one field F = sum_k weight_k e1_k e2_k^T,
-    one matmul per block of points.  The reciprocal coupling depends only on
-    s1 + s2, so F is multiplied entrywise by the Hankel matrix H[a, b] =
-    rg[a + b], with rg on the sum grid 2 v[0] + step * arange(2 len(v) - 1),
-    and each y reads the field as phase1 (F H) phase2.
+    A point's row field is e1(s) = Gamma(s + i tau1) Gamma(s + i tau2)
+    Gamma(s - i (tau1 + tau2)), one loggamma row per distinct shift, gathered
+    by index, and exponentiated once.  Its column field has the negated
+    shifts, so on a grid v symmetric about 0 it is conj(e1) read backwards:
+    conj(Gamma(z)) = Gamma(conj z), and v[::-1] = -v exactly (ValueError
+    otherwise).  y enters only through the phases (pi y1)^{-2 s1}
+    (pi y2)^{-2 s2}, so the points are first summed into one field
+    F = sum_k weight_k e1_k e2_k^T, one matmul per block of points.  The
+    reciprocal coupling depends only on s1 + s2, so F is multiplied entrywise
+    by the Hankel matrix H[a, b] = rg[a + b], with rg on the sum grid
+    2 v[0] + step * arange(2 len(v) - 1), and each y reads the field as
+    phase1 (F H) phase2.
     """
+    if not np.array_equal(v[::-1], -v):
+        raise ValueError("the Mellin grid v must be symmetric about 0: the column field is the row field mirrored")
     h = v[1] - v[0]
     s = line + 1j * v
-    shifts = np.stack([tau1, tau2, -(tau1 + tau2), -tau1, -tau2, tau1 + tau2])
+    shifts = np.stack([tau1, tau2, -(tau1 + tau2)])
     w, row = np.unique(shifts, return_inverse=True)
     row = row.reshape(shifts.shape)
     lg = loggamma(s + 1j * w[:, None])
@@ -249,8 +255,8 @@ def _gl3_plane(log_py, tau1, tau2, weight, line: float, v: np.ndarray, rg: np.nd
     block = max(1, 2**19 // v.size)
     for k in range(0, weight.size, block):
         r = row[:, k : k + block]
-        e1, e2 = (np.exp(lg[r[j]] + lg[r[j + 1]] + lg[r[j + 2]]) for j in (0, 3))
-        field += (weight[k : k + block, None] * e1).T @ e2
+        e1 = np.exp(lg[r[0]] + lg[r[1]] + lg[r[2]])
+        field += (weight[k : k + block, None] * e1).T @ np.conj(e1[:, ::-1])
     field *= rg[np.add.outer(np.arange(v.size), np.arange(v.size))]
     phase1, phase2 = (np.exp(-2.0 * np.outer(c, s)) for c in np.asarray(log_py).T)
     return (h / (2.0 * math.pi)) ** 2 * np.sum((phase1 @ field) * phase2, axis=1)
@@ -265,11 +271,20 @@ def p_y_gl3(y, params, *, spectral_step: float = 0.5) -> np.ndarray:
     double Mellin integral of the closed rank-two transform against
     y1 y2 (pi y1)^{-2 s1} (pi y2)^{-2 s2}, with the overall 2^{-(n-1)}.
     The spectral sum does not depend on y: it is one field per call, and
-    every pair is read from it by its two phases (see _gl3_plane).  The quadrature is fixed-step with no adaptive
-    refinement or error estimate, and unlike the rank-one avatar there is
-    no shifted-contour decomposition here to check it against;
-    ``spectral_step`` is exposed so the spectral sum can be compared at
-    two steps.
+    every pair is read from it by its two phases (see _gl3_plane).
+
+    A node's Mellin integrand depends only on the multiset {t1, t2, t3}, so
+    the nodes are summed per S3 orbit: each kept node is keyed by its sorted
+    integer triple (m1, m2, -m1 - m2), the weights of the orbit's members in
+    the square window are added (np.bincount; never the orbit size times one
+    weight, since the window is not S3-symmetric), and one representative
+    per orbit goes to the plane: 324 orbits for 1296 nodes at T = 1.5.  The
+    node set is the full window's; only the summation order differs from a
+    sum over nodes.  The quadrature is fixed-step with no adaptive refinement or
+    error estimate, and unlike the rank-one avatar there is no
+    shifted-contour decomposition here to check it against;
+    ``spectral_step`` is exposed so the spectral sum can be compared at two
+    steps.
 
     Each Mellin line is Re(s) = 3/4 with step 1/8.  Uniform-step aliasing
     there is controlled by the width of the pole-free strip, decaying like
@@ -303,8 +318,11 @@ def p_y_gl3(y, params, *, spectral_step: float = 0.5) -> np.ndarray:
     m = range(-n_t, n_t + 1)
     dens = _log_weight((m, m), spectral_step, params, 1)
     keep = np.isfinite(dens)
-    i1, i2 = np.nonzero(keep)
-    t1, t2, weight = spectral_step * (i1 - n_t), spectral_step * (i2 - n_t), np.exp(dens[keep])
+    m1, m2 = (i - n_t for i in np.nonzero(keep))
+    triples = np.sort(np.stack([m1, m2, -m1 - m2], axis=1), axis=1)
+    orbits, member = np.unique(triples, axis=0, return_inverse=True)
+    weight = np.bincount(member, weights=np.exp(dens[keep]))
+    t1, t2 = spectral_step * orbits[:, 0], spectral_step * orbits[:, 1]
     total = _gl3_plane(np.log(np.pi * y), t1, t2, weight, line, v, rg)
     scale = y[:, 0] * y[:, 1] * spectral_step**2 / (4.0 * (2.0 * math.pi) ** 2)
     return (scale * total).real

@@ -357,8 +357,8 @@ class TestResidues:
 
     @pytest.mark.parametrize("delta", [98, 99, 120])
     def test_underflowing_residue_raises(self, delta):
-        # the residue is subnormal from delta = 98 and 0 at 120; compared
-        # against max(1, |closed|) either side read as agreeing
+        # the residue is subnormal from delta = 98 and 0 at 120, where no
+        # relative error is meaningful
         with pytest.raises(AccuracyError, match=f"delta = {delta}"):
             residue_check(2, (0.6j, -0.6j), delta=delta)
 
@@ -366,6 +366,17 @@ class TestResidues:
         rep = residue_check(2, (0.6j, -0.6j), delta=97)
         assert rep["passed"] and abs(rep["closed"]) < 1e-300
         assert abs(rep["closed"] - rep["contour"]) <= 1e-12 * abs(rep["closed"])
+
+    def test_wrong_contour_fails_below_unit_residue(self, monkeypatch):
+        # |closed| = 2.5e-38 at delta = 20: a contour mean off by a factor of
+        # two is 1.3e-38 off, which an error relative to max(1, |closed|)
+        # accepted
+        from kuznetsov_lab import mellin
+
+        monkeypatch.setattr(mellin, "circle_integral_mean", lambda *a: circle_integral_mean(*a) / 2)
+        rep = residue_check(2, (0.6j, -0.6j), delta=20)
+        assert not rep["passed"]
+        assert rep["rel_err"] == pytest.approx(0.5, rel=1e-12)
 
     def test_named_contour_example(self):
         rep = residue_check(2, (0.4j, -0.4j), delta=1)

@@ -440,6 +440,93 @@ class TestRankThreeAvatar:
         axes = calls[0][0]
         assert len(axes) == 2 and all(isinstance(a, range) for a in axes)
 
+    @pytest.mark.parametrize("T", [1.5, 3.0])
+    @pytest.mark.parametrize("spectral_step", [0.5, 0.4])
+    def test_orbit_sum_equals_node_sum(self, monkeypatch, T, spectral_step):
+        # the plane's integrand depends on the multiset {t1, t2, t3} only, so
+        # one representative per S3 orbit, weighted by its members' summed
+        # weights, gives the sum over every kept node with its own weight up
+        # to the order of summation.  The weights are compared per orbit as
+        # well, so a dropped or doubled member shows at any size
+        calls = {}
+        real_weight, real_plane = testfunctions._log_weight, testfunctions._gl3_plane
+        monkeypatch.setattr(testfunctions, "_log_weight", lambda *a: calls.setdefault("dens", real_weight(*a)))
+        monkeypatch.setattr(testfunctions, "_gl3_plane", lambda *a: calls.setdefault("plane", (a, real_plane(*a)))[1])
+        p_y_gl3([(1.0, 1.0), (0.8, 1.3)], TestFunctionParams(T=T, R=1), spectral_step=spectral_step)
+        (log_py, tau1, tau2, weight, line, v, rg), grouped = calls["plane"]
+        dens = calls["dens"]
+        n_t = dens.shape[0] // 2
+        i1, i2 = np.nonzero(np.isfinite(dens))
+        m1, m2, node_weight = i1 - n_t, i2 - n_t, np.exp(dens[i1, i2])
+        orbit_weight = {}
+        for a, b, w in zip(m1.tolist(), m2.tolist(), node_weight.tolist()):
+            key = tuple(sorted((a, b, -a - b)))
+            orbit_weight[key] = orbit_weight.get(key, 0.0) + w
+        passed = {}
+        for t1, t2, w in zip(tau1.tolist(), tau2.tolist(), weight.tolist()):
+            a, b = round(t1 / spectral_step), round(t2 / spectral_step)
+            key = tuple(sorted((a, b, -a - b)))
+            assert key not in passed
+            passed[key] = w
+        assert passed.keys() == orbit_weight.keys()
+        for key, w in orbit_weight.items():
+            assert passed[key] == pytest.approx(w, rel=1e-14, abs=0.0)
+        summed = real_plane(log_py, spectral_step * m1, spectral_step * m2, node_weight, line, v, rg)
+        assert np.all(np.abs(grouped - summed) <= 1e-12 * np.abs(summed))
+
+    def test_one_field_row_per_orbit(self, monkeypatch):
+        # 1296 kept nodes at T = 1.5, step 0.5, fall into 324 orbits
+        sizes = []
+        real = testfunctions._gl3_plane
+        monkeypatch.setattr(testfunctions, "_gl3_plane", lambda *a: sizes.append(a[1].size) or real(*a))
+        p_y_gl3([(1.0, 1.0)], self.PARAMS)
+        assert sizes == [324]
+
+    def test_plane_exponentiates_one_line_field(self, monkeypatch):
+        # one loggamma call over the distinct shifts, and one exponentiated
+        # (points, v) field: the column field is its mirrored conjugate
+        from scipy.special import rgamma
+
+        from kuznetsov_lab.testfunctions import _gl3_plane
+
+        step = 0.125
+        v = step * np.arange(-160, 161)
+        rg = rgamma(1.5 + 1j * (2.0 * v[0] + step * np.arange(2 * v.size - 1)))
+        tau = 0.5 * np.arange(-3, 4)
+        t1, t2 = (g.ravel() for g in np.meshgrid(tau, tau, indexing="ij"))
+        gamma_rows, exp_shapes = [], []
+        real_lg, real_exp = testfunctions.loggamma, np.exp
+        monkeypatch.setattr(testfunctions, "loggamma", lambda z: gamma_rows.append(np.shape(z)) or real_lg(z))
+        monkeypatch.setattr(np, "exp", lambda z: exp_shapes.append(np.shape(z)) or real_exp(z))
+        _gl3_plane([(0.1, -0.2)], t1, t2, np.ones(t1.size), 0.75, v, rg)
+        monkeypatch.undo()
+        assert gamma_rows == [(np.unique(np.concatenate([tau, -(t1 + t2)])).size, v.size)]
+        assert exp_shapes == [(t1.size, v.size), (1, v.size), (1, v.size)]
+
+    def test_plane_needs_a_symmetric_mellin_grid(self):
+        from scipy.special import rgamma
+
+        from kuznetsov_lab.testfunctions import _gl3_plane
+
+        step = 0.125
+        for v in (step * np.arange(-160, 162), step * np.arange(-160, 161) + 0.01):
+            rg = rgamma(1.5 + 1j * (2.0 * v[0] + step * np.arange(2 * v.size - 1)))
+            with pytest.raises(ValueError, match="symmetric about 0"):
+                _gl3_plane([(0.1, -0.2)], np.zeros(1), np.zeros(1), np.ones(1), 0.75, v, rg)
+
+    def test_peak_memory(self):
+        # one (orbits, v) line field of 324 x 315 and the (v, v) field; the
+        # two (nodes, v) fields of 1296 nodes peaked at 22.3 MiB
+        p_y_gl3([(1.0, 1.0)], self.PARAMS)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            p_y_gl3([(0.8, 1.3), (1.3, 0.8), (1.0, 1.0)], self.PARAMS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
+
     def test_larger_T_pin_and_swap_symmetry(self):
         # a regression pin, not an oracle: the sum over every spectral node
         # with a finite density
