@@ -13,10 +13,11 @@ the Plancherel density.  At n = 2 and 3 each of its terms splits over the
 pairs j < k, so the density is the sum of one function of the pair
 difference d = t_j - t_k, the pair share :func:`_pair_share`, and that is
 its one definition: on an integer grid t = step * m, given as its integer
-axes, :func:`_log_weight` adds up strided views of one pair-share row, one
-view per pair; the rank-three main term sums the same row as a
-one-dimensional correlation.  :func:`p_sharp` and :func:`h_value` are the
-scalar definitions they are tested against.
+axes, :func:`_log_weight` adds up the pair share at each pair's
+differences, one evaluation per grid point and pair; the rank-three main
+term sums one row of pair shares as a one-dimensional correlation.
+:func:`p_sharp` and :func:`h_value` are the scalar definitions they are
+tested against.
 
 Everything integral-valued here runs in log space.  The shifted integrands
 pair a Gamma ring that grows like exp(pi t) against an inner factor that
@@ -30,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import loggamma, rgamma
 
 from .combinatorics import degree_D, require_integer
@@ -92,25 +93,6 @@ def h_value(alpha, params) -> float:
     return math.exp(log)
 
 
-def _row_view(f, axes, coef, step: float) -> np.ndarray:
-    """f(step * v) at every point of the grid of the integer axes (ranges),
-    where v = sum_j coef[j] m_j, as a read-only strided view of one row.
-
-    The row is f at step * v for v = lo, lo + g, ..., hi, the least and
-    greatest v on the grid in steps of g, the gcd of v's strides, so f runs
-    once per value of v and no index array is built.
-    """
-    shape = tuple(map(len, axes))
-    strides = [c * a.step if len(a) > 1 else 0 for c, a in zip(coef, axes)]
-    g = math.gcd(*strides) or 1
-    first = sum(c * a[0] for c, a in zip(coef, axes))
-    lo = first + sum(min(0, s * (n - 1)) for s, n in zip(strides, shape))
-    hi = first + sum(max(0, s * (n - 1)) for s, n in zip(strides, shape))
-    row = f(step * np.arange(lo, hi + 1, g))
-    item = row.strides[0]
-    return as_strided(row[(first - lo) // g :], shape, [s // g * item for s in strides], writeable=False)
-
-
 def _pair_share(n: int, params: TestFunctionParams, power: int):
     """One pair's share l_n of the log density, as a function of the pair
     difference d = t_j - t_k, at n = 2 and 3: the density at the tempered
@@ -154,14 +136,15 @@ def _log_weight(axes, step: float, params: TestFunctionParams, power: int) -> np
 
     The density is the sum over the pairs of :func:`_pair_share` at their
     differences, 2 m (in steps) at n = 2 and m1 - m2, 2 m1 + m2, m1 + 2 m2
-    at n = 3, each a strided view of one row (:func:`_row_view`): on a plane
-    of N points loggamma runs on O(sqrt N) of them.  A grid with no finite
-    value raises ValueError: off the zeros, that is a T so small that the
-    Gaussian underflows.
+    at n = 3, evaluated at every point of the grid (np.ix_ of the axes),
+    summed in that order.  A grid with no finite value raises ValueError:
+    off the zeros, that is a T so small that the Gaussian underflows.
     """
     n = len(axes) + 1
     share = _pair_share(n, params, power)
-    return _require_finite(sum(_row_view(share, axes, c, step) for c in _PAIRS[n]), params)
+    m = np.ix_(*(np.arange(a.start, a.stop, a.step) for a in axes))
+    diffs = (sum(c * mj for c, mj in zip(coef, m)) for coef in _PAIRS[n])
+    return _require_finite(sum(share(step * d) for d in diffs), params)
 
 
 def _require_finite(out: np.ndarray, params: TestFunctionParams) -> np.ndarray:
@@ -196,9 +179,11 @@ def p_y_batch(y_values, params, line: float = 0.75) -> np.ndarray:
     put poles on the contour.  y enters only through a scalar prefactor and
     a phase linear in u, so one field, summed over t, serves every y.  With
     t = (k + 1/2) _STEP and u = (j + 1/2) _STEP, u + t and u - t are whole
-    multiples of _STEP, so the Gamma factors at every (t, u) are strided
-    views of two loggamma lines, over the integers j + k + 1 and j - k take
-    (:func:`_row_view`), summed over t in blocks; the integrand is even in
+    multiples of _STEP, so the Gamma factors at every (t, u) are read from
+    one loggamma line, over x = -2b - 255, ..., 2b + 255 for the b nodes
+    t > 0, through its sliding windows as long as the u grid: window b + k
+    holds Gamma at u + t and window b - 1 - k at u - t.  They are summed
+    over t in blocks of 128 nodes in one buffer; the integrand is even in
     t, so t > 0 is summed twice.
     """
     if not math.isfinite(line) or (line <= 0 and abs(line - round(line)) < 1e-6):
@@ -206,14 +191,19 @@ def p_y_batch(y_values, params, line: float = 0.75) -> np.ndarray:
     y_values = require_positive(y_values, "y")
     t, base = _outer_grid(params)
     base = base[t > 0]
-    j = range(-base.size - 256, base.size + 256)
-    plus = _row_view(lambda x: loggamma(line + 1j * x), (range(1, base.size + 1), j), (1, 1), _STEP)
-    minus = _row_view(lambda x: loggamma(line + 1j * x), (range(base.size), j), (-1, 1), _STEP)
-    col = np.zeros(len(j), dtype=np.complex128)
-    for lo in range(0, base.size, 128):
-        blk = slice(lo, lo + 128)
-        col += np.sum(np.exp(base[blk, None] + (plus[blk] + minus[blk])), axis=0)
-    u = (np.arange(j.start, j.stop) + 0.5) * _STEP
+    b = base.size
+    u = (np.arange(-b - 256, b + 256) + 0.5) * _STEP
+    x = _STEP * np.arange(-2 * b - 255, 2 * b + 256)
+    win = sliding_window_view(loggamma(line + 1j * x), u.size)
+    plus, minus = win[b:], win[b - 1 :: -1]
+    col = np.zeros(u.size, dtype=np.complex128)
+    buf, row = np.empty((min(b, 128), u.size), dtype=np.complex128), np.empty_like(col)
+    for lo in range(0, b, 128):
+        k = slice(lo, min(lo + 128, b))
+        blk = buf[: k.stop - lo]
+        np.add(plus[k], minus[k], out=blk)
+        np.add(base[k, None], blk, out=blk)
+        col += np.sum(np.exp(blk, out=blk), axis=0, out=row)
     out = np.empty(len(y_values))
     for i, y in enumerate(y_values):
         c = math.log(math.pi * y)
@@ -238,9 +228,9 @@ def _gl3_plane(log_py, tau1, tau2, weight, line: float, v: np.ndarray, rg: np.nd
     (pi y2)^{-2 s2}, so the points are first summed into one field
     F = sum_k weight_k e1_k e2_k^T, one matmul per block of points.  The
     reciprocal coupling depends only on s1 + s2, so F is multiplied entrywise
-    by the Hankel matrix H[a, b] = rg[a + b], with rg on the sum grid
-    2 v[0] + step * arange(2 len(v) - 1), and each y reads the field as
-    phase1 (F H) phase2.
+    by the Hankel matrix H[a, b] = rg[a + b], the sliding windows of rg on
+    the sum grid 2 v[0] + step * arange(2 len(v) - 1), and each y reads the
+    field as phase1 (F H) phase2.
     """
     if not np.array_equal(v[::-1], -v):
         raise ValueError("the Mellin grid v must be symmetric about 0: the column field is the row field mirrored")
@@ -257,7 +247,7 @@ def _gl3_plane(log_py, tau1, tau2, weight, line: float, v: np.ndarray, rg: np.nd
         r = row[:, k : k + block]
         e1 = np.exp(lg[r[0]] + lg[r[1]] + lg[r[2]])
         field += (weight[k : k + block, None] * e1).T @ np.conj(e1[:, ::-1])
-    field *= rg[np.add.outer(np.arange(v.size), np.arange(v.size))]
+    field *= sliding_window_view(rg, v.size)
     phase1, phase2 = (np.exp(-2.0 * np.outer(c, s)) for c in np.asarray(log_py).T)
     return (h / (2.0 * math.pi)) ** 2 * np.sum((phase1 @ field) * phase2, axis=1)
 
@@ -267,7 +257,7 @@ def p_y_gl3(y, params, *, spectral_step: float = 0.5) -> np.ndarray:
 
     Four nested contours: the tempered spectral plane weighted by
     p_sharp times the Plancherel density (:func:`_log_weight` at
-    (t1, t2, -t1 - t2), three views of one pair-share row), times the
+    (t1, t2, -t1 - t2), three pair shares per node), times the
     double Mellin integral of the closed rank-two transform against
     y1 y2 (pi y1)^{-2 s1} (pi y2)^{-2 s2}, with the overall 2^{-(n-1)}.
     The spectral sum does not depend on y: it is one field per call, and
@@ -292,12 +282,16 @@ def p_y_gl3(y, params, *, spectral_step: float = 0.5) -> np.ndarray:
     orders, and the step keeps the aliasing below that floor.  y far from
     1/pi adds phase 2 v log(pi y) and may need a smaller step still.
 
-    The default spectral step 0.5 aliases for y far from 1/pi: at T = 1.5,
-    R = 1 it gives 1.479e-6 at (2.479e-3, 1/pi), where steps 0.25 and 0.125
-    both give -6.5426e-11, and 1.66e-9 at (2.479e-3, 2.479e-3) against
-    2.645e-12.  Steps 0.5 and 0.4 agree to rounding only near y = 1/pi.
+    The default spectral step 0.5 aliases unless y1, y2 >~ 0.8: at T = 1.5,
+    R = 1, against step 1/16, it is off by at most 6e-13 relative at (1, 1),
+    (0.8, 1.3) and (1.3, 0.8), but by 4.4e-10 at (0.6, 0.6), 5.5e-8 at
+    (1/pi, 1/pi) (step 0.4: 3.9e-11), 7.6e-7 at (0.25, 0.25) and 3.3e-4 at
+    (0.1, 0.1).  Further out it is wrong outright: 1.479e-6 at
+    (2.479e-3, 1/pi), where steps 0.25 and 0.125 both give -6.5426e-11, and
+    1.66e-9 at (2.479e-3, 2.479e-3) against 2.645e-12.
     """
     y = require_positive(y, "y")
+    spectral_step = require_positive(spectral_step, "spectral_step")
     if y.ndim != 2 or y.shape[1] != 2:
         raise ValueError(f"y must be a sequence of (y1, y2) pairs, got shape {y.shape}")
     line, step = 0.75, 0.125
@@ -339,6 +333,9 @@ def residue_term(y_values, params, delta: int = 0) -> np.ndarray:
     the phase 2 t log(pi y).
     """
     y_values = require_positive(y_values, "y")
+    delta = require_integer(delta, "delta")
+    if delta < 0:
+        raise ValueError(f"delta must be nonnegative, got {delta}")
     t, base = _outer_grid(params)
     g = loggamma(-delta - 2j * t)
     out = np.empty(len(y_values))

@@ -30,7 +30,6 @@ import numpy as np
 from .combinatorics import (
     Composition,
     enumerate_compositions,
-    exponent_vector_a,
     phi,
     require_half_integer,
     require_integer,
@@ -394,7 +393,7 @@ def verify_aplusb(rho, comp: Composition) -> AplusBReport:
     for the composition C = comp of n = comp.n.
 
     a is the canonical shift rho + (1 + delta) h over the half-weight
-    exponents h_k = k(n-k)/2 (``exponent_vector_a(n, 0)``), with relative
+    exponents h_k = k(n-k)/2, k = 1..n-1 (exact floats), with relative
     spacing delta = 2 eps'/n^2 at eps' = 1e-4.  b is the negated norm
     exponent of w_C at a (geometry.weyl_norm_exponents), one entry per
     y-index; each entry carries a region-dependent offset of +-delta/2 and
@@ -410,7 +409,7 @@ def verify_aplusb(rho, comp: Composition) -> AplusBReport:
         raise ValueError("single-block compositions carry no modulus sum")
     tolerance = 1e-3
     delta = 2.0 * _APLUSB_EPS_PRIME / n**2
-    a = [float(rho_f) + (1.0 + delta) * float(h) for h in exponent_vector_a(n, 0)]
+    a = [float(rho_f) + (1.0 + delta) * (k * (n - k) / 2) for k in range(1, n)]
 
     floored: list[tuple[int, float]] = []
 

@@ -40,6 +40,10 @@ BAD_CALLS = {
     "p_y_batch-nan-line": lambda: testfunctions.p_y_batch([1.0], PARAMS, line=math.nan),
     "p_y_batch-inf-line": lambda: testfunctions.p_y_batch([1.0], PARAMS, line=INF),
     "p_y_batch-neg-inf-line": lambda: testfunctions.p_y_batch([1.0], PARAMS, line=-INF),
+    "p_y_gl3-zero-spectral_step": lambda: testfunctions.p_y_gl3([(1.0, 1.0)], PARAMS, spectral_step=0.0),
+    "p_y_gl3-negative-spectral_step": lambda: testfunctions.p_y_gl3([(1.0, 1.0)], PARAMS, spectral_step=-0.5),
+    "p_y_gl3-inf-spectral_step": lambda: testfunctions.p_y_gl3([(1.0, 1.0)], PARAMS, spectral_step=INF),
+    "residue_term-delta": lambda: testfunctions.residue_term([1.0], PARAMS, INF),
     "RunConfig-identity_tol": lambda: RunConfig(identity_tol=math.nan),
     "RunConfig-quad_tol": lambda: RunConfig(quad_tol=INF),
     "RunConfig-seed": lambda: RunConfig(seed=INF),
@@ -59,6 +63,7 @@ NON_INTEGRAL_CALLS = {
     "shift_residual": (lambda d: mellin.shift_residual((0.3j, -0.3j), (0.8,), 1, d), "delta"),
     "residue_gl2": (lambda d: mellin.residue_gl2((0.3j, -0.3j), d), "delta"),
     "residue_check": (lambda d: mellin.residue_check(2, (0.3j, -0.3j), 1, d), "delta"),
+    "residue_term": (lambda d: testfunctions.residue_term([1.0], PARAMS, d), "delta"),
     "degree_D": (combinatorics.degree_D, "n"),
     "exponent_vector_a": (lambda n: combinatorics.exponent_vector_a(n, 0.5), "n"),
     "verify_partition_identities": (combinatorics.verify_partition_identities, "n_max"),

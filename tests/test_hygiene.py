@@ -1,6 +1,7 @@
 """Source hygiene: no library or test module imports a name it never uses,
-no library module reaches into another one's private names, and every
-library name the bench scripts read exists."""
+no library module reaches into another one's private names or uses numpy's
+unchecked ``as_strided``, and every library name the bench scripts read
+exists."""
 
 import ast
 import importlib
@@ -48,6 +49,35 @@ def test_scanner_sees_unused_and_used_names():
         "np.exp(a)\nos.path.join()\n"
     )
     assert unused_imports(source) == ["c", "math"]
+
+
+def as_strided_uses(source: str) -> list[int]:
+    """Lines that import or reach numpy's unchecked ``as_strided``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        names = [a.name for a in node.names] if isinstance(node, (ast.Import, ast.ImportFrom)) else []
+        if any(name.split(".")[-1] == "as_strided" for name in names) or (
+            isinstance(node, ast.Attribute) and node.attr == "as_strided"
+        ):
+            found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_as_strided(path):
+    # a view with hand-made strides reads any memory it is told to;
+    # sliding_window_view checks its shape against the array it views
+    assert as_strided_uses(path.read_text()) == []
+
+
+def test_as_strided_scanner_sees_imports_and_attributes():
+    source = (
+        "import numpy as np\n"
+        "from numpy.lib.stride_tricks import as_strided, sliding_window_view\n"
+        "np.lib.stride_tricks.as_strided(x, (2,), (8,))\n"
+        "sliding_window_view(x, 2)\n"
+    )
+    assert as_strided_uses(source) == [2, 3]
 
 
 def private_imports(source: str) -> list[str]:

@@ -15,7 +15,6 @@ from kuznetsov_lab.testfunctions import (
     TestFunctionParams,
     _log_weight,
     _outer_grid,
-    _row_view,
     fit_scaling,
     h_value,
     itr_log,
@@ -80,46 +79,6 @@ class TestHValue:
         assert h_value((-0.2j, -0.5j, 0.7j), p) == pytest.approx(v, rel=1e-10)
 
 
-class TestRowView:
-    FUNCTIONS = {
-        "loggamma": lambda x: loggamma(0.5 + 1j * x),
-        "log1p": lambda x: np.log1p(x**2 / 4.0),
-        "square": lambda x: x**2,
-    }
-
-    @pytest.mark.parametrize("name", sorted(FUNCTIONS))
-    def test_equals_f_on_the_grid(self, name):
-        # seeded affine forms v = sum c_j m_j: negative, zero and even
-        # coefficients, odd starts, negative steps and single-point axes;
-        # the view holds f(step * v) bit for bit at every grid point
-        f, step = self.FUNCTIONS[name], 3.0 / 37.0
-        rng = np.random.default_rng(27)
-        for case in range(60):
-            n_axes = 1 + case % 3
-            axes = []
-            for _ in range(n_axes):
-                start, length = int(rng.integers(-9, 10)), int(rng.choice([1, 2, 5, 9]))
-                stride = int(rng.choice([-3, -2, -1, 1, 2, 3]))
-                axes.append(range(start, start + stride * length, stride))
-            coef = rng.integers(-3, 4, size=n_axes) * (2 if case % 4 == 0 else 1)
-            grid = np.meshgrid(*(np.array(a) for a in axes), indexing="ij")
-            v = sum(c * m for c, m in zip(coef, grid))
-            got = _row_view(f, tuple(axes), coef, step)
-            assert got.shape == v.shape
-            assert np.array_equal(got, f(step * v)), (axes, coef)
-
-    def test_one_row_point_per_value_on_one_axis(self):
-        sizes = []
-        got = _row_view(lambda x: sizes.append(x.size) or x, (range(7, -20, -3),), (-2,), 1.0)
-        assert sizes == [9]
-        assert got.tolist() == [-2.0 * m for m in range(7, -20, -3)]
-
-    def test_view_is_read_only(self):
-        got = _row_view(lambda x: x**2, (range(3), range(-1, 2)), (1, -1), 0.5)
-        with pytest.raises(ValueError):
-            got[0, 0] = 1.0
-
-
 class TestLogWeight:
     @pytest.mark.parametrize("power", [1, 2])
     @pytest.mark.parametrize("n", [2, 3])
@@ -149,9 +108,9 @@ class TestLogWeight:
                 assert abs(value - ref) <= 1e-12, (n, power, R, row)
 
     def test_plane_equals_its_rows(self):
-        # a plane and each of its rows view every term from rows over
-        # different integer ranges; step * m is the same float in both, so
-        # they agree bit for bit, also on the non-dyadic step 3/37
+        # a plane and each of its rows evaluate every pair share at the same
+        # integer differences; step * m is the same float in both, so they
+        # agree bit for bit, also on the non-dyadic step 3/37
         p = TestFunctionParams(T=4.0, R=2)
         m = range(-37, 38)
         plane = _log_weight((m, m), 3.0 / 37.0, p, 2)
@@ -161,17 +120,17 @@ class TestLogWeight:
     @pytest.mark.parametrize("step", [0.5, 3.0 / 37.0], ids=["step-1/2", "step-3/37"])
     @pytest.mark.parametrize("R", [1, 2, 3])
     def test_plane_is_point_symmetric(self, R, step):
-        # the pair-share row the density views is even bit for bit: Re
-        # loggamma at conjugate points, log1p(d^2/4), d^2, and
-        # step * -k = -(step * k), so the plane is point symmetric bit for bit
+        # the pair share is even bit for bit: Re loggamma at conjugate
+        # points, log1p(d^2/4), d^2, and step * -k = -(step * k), so the
+        # plane is point symmetric bit for bit
         m = range(-60, 61)
         li = _log_weight((m, m), step, TestFunctionParams(T=4.0, R=R), 2)
         assert np.array_equal(li, li[::-1, ::-1])
 
     @pytest.mark.parametrize("step", [0.5, 3.0 / 37.0], ids=["step-1/2", "step-3/37"])
     def test_half_plane_axes_give_the_full_plane_rows(self, step):
-        # axes that start at 0 against the full plane's rows m1 >= 0: the
-        # strided views start inside their rows at the right offset
+        # axes that start at 0 against the full plane's rows m1 >= 0: every
+        # point's pair differences are the plane's, so its shares are too
         p = TestFunctionParams(T=4.0, R=2)
         m = range(-60, 61)
         plane = _log_weight((m, m), step, p, 2)
@@ -266,6 +225,33 @@ class TestAvatarOnLines:
         v = p_y_batch([1.0], TestFunctionParams(T=3.0, R=1))
         assert v.shape == (1,) and np.isfinite(v[0])
 
+    @pytest.mark.parametrize("line", [0.75, -0.75])
+    @pytest.mark.parametrize("R", [1, 2])
+    def test_equals_plain_double_sum(self, R, line):
+        # the field sum_t e^base(t) Gamma(line + i (u + t)) Gamma(line + i (u - t))
+        # with loggamma taken at every (t, u) pair: no window of a Gamma line
+        # and no blocks over t; t > 0 counted twice, as the integrand is even
+        p = TestFunctionParams(T=1.5, R=R)
+        t, base = _outer_grid(p)
+        t, base = t[t > 0], base[t > 0]
+        u = (np.arange(-t.size - 256, t.size + 256) + 0.5) * testfunctions._STEP
+        tt, uu = np.meshgrid(t, u, indexing="ij")
+        field = np.exp(base[:, None] + loggamma(line + 1j * (uu + tt)) + loggamma(line + 1j * (uu - tt)))
+        col = field.sum(axis=0)
+        ys = np.geomspace(0.4, 2.5, 7)
+        ref = np.array(
+            [
+                (
+                    2.0 * testfunctions._STEP**2 * math.sqrt(y) * (math.pi * y) ** (-2.0 * line)
+                    * np.sum(col * (math.pi * y) ** (-2j * u)) / (2.0 * math.pi) ** 2
+                ).real
+                for y in ys
+            ]
+        )
+        # relative to the peak: on Re(s) = 0.75 the avatar at y = 2.5 is
+        # 5e-6 of it, and its sums cancel to that size
+        assert np.abs(p_y_batch(ys, p, line=line) - ref).max() <= 1e-13 * np.abs(ref).max()
+
     def test_pole_lines_rejected(self):
         p = TestFunctionParams(T=3.0, R=1)
         with pytest.raises(ValueError):
@@ -306,6 +292,10 @@ class TestResidueTerm:
     def test_nonfinite_or_nonpositive_y_rejected(self, bad):
         with pytest.raises(ValueError, match="positive and finite"):
             residue_term([1.0, bad], TestFunctionParams(T=3.0, R=1))
+
+    def test_negative_delta_rejected_by_name(self):
+        with pytest.raises(ValueError, match="^delta must be nonnegative, got -1$"):
+            residue_term([1.0], TestFunctionParams(T=3.0, R=1), -1)
 
 
 class TestDecomposition:
