@@ -12,12 +12,12 @@ avatars' and the main term's |p_sharp|^2, is a power of |p_sharp| times
 the Plancherel density.  At n = 2 and 3 each of its terms splits over the
 pairs j < k, so the density is the sum of one function of the pair
 difference d = t_j - t_k, the pair share :func:`_pair_share`, and that is
-its one definition: on an integer grid t = step * m, given as its integer
-axes, :func:`_log_weight` adds up the pair share at each pair's
-differences, one evaluation per grid point and pair; the rank-three main
-term sums one row of pair shares as a one-dimensional correlation.
-:func:`p_sharp` and :func:`h_value` are the scalar definitions they are
-tested against.
+its one definition.  Each integral evaluates it on one row of differences:
+the rank-one grids on their own differences 4t, the rank-three ones on
+d = step * k for the integer k, a row that the avatar reads at each node's
+three pair differences and the main term sums as a one-dimensional
+correlation.  :func:`p_sharp` and :func:`h_value` are the scalar
+definitions they are tested against.
 
 Everything integral-valued here runs in log space.  The shifted integrands
 pair a Gamma ring that grows like exp(pi t) against an inner factor that
@@ -46,9 +46,10 @@ class TestFunctionParams:
     They fix :func:`p_sharp`, and through it every density here: each is
     |p_sharp| (the main term: its square) times the Plancherel density, the
     sum of :func:`_pair_share` over the pair differences of the tempered
-    columns of its own variables: (2t, -2t) for the rank-one avatar, whose
-    outer variable t is half the spectral parameter, with the one difference
-    4t, and (t1, t2, -t1 - t2) for the rank-three one.
+    columns of its own variables: (2t, -2t) for the rank-one avatar and
+    norm integral, whose variable t is half the spectral parameter, with
+    the one difference 4t, and (t1, t2, -t1 - t2) for the rank-three
+    avatar, with the three differences t1 - t2, 2 t1 + t2 and t1 + 2 t2.
     """
 
     __test__ = False  # name collides with pytest's collection prefix
@@ -93,10 +94,10 @@ def h_value(alpha, params) -> float:
     return math.exp(log)
 
 
-def _pair_share(n: int, params: TestFunctionParams, power: int):
-    """One pair's share l_n of the log density, as a function of the pair
-    difference d = t_j - t_k, at n = 2 and 3: the density at the tempered
-    alpha = i t is the sum of l_n over the pairs j < k.
+def _pair_share(n: int, d: np.ndarray, params: TestFunctionParams, power: int) -> np.ndarray:
+    """One pair's share l_n of the log density at the pair differences
+    d = t_j - t_k, at n = 2 and 3: the density at the tempered alpha = i t
+    is the sum of l_n over the pairs j < k.
 
     l_n(d) = 2 power Re log Gamma((1 + 2R + i d)/4) - 2 Re log Gamma(i d/2)
     + [n = 3] power (R/2) log1p(d^2/4) - power d^2 / (2 n T^2): the pair's
@@ -107,44 +108,16 @@ def _pair_share(n: int, params: TestFunctionParams, power: int):
     """
     if n not in (2, 3):
         raise NotImplementedError(f"the density is a sum of pair shares at n = 2, 3, not n = {n}")
-
-    def share(d: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = d**2 / n
-            out *= -power
-            out /= 2.0 * params.T**2
-            if n == 3:
-                out += power * (params.R / 2.0) * np.log1p(d**2 / 4.0)
-            gamma = 2.0 * power * loggamma((1.0 + 2.0 * params.R + 1j * d) / 4.0).real
-            out += gamma - 2.0 * loggamma(0.5j * d).real
-        out[d == 0] = -np.inf
-        return out
-
-    return share
-
-
-# the pair differences t_j - t_k, j < k, of the columns (t, -t) and
-# (t1, t2, -t1 - t2) as coefficient vectors over the free axes
-_PAIRS = {2: ((2,),), 3: ((1, -1), (2, 1), (1, 2))}
-
-
-def _log_weight(axes, step: float, params: TestFunctionParams, power: int) -> np.ndarray:
-    """power log|p_sharp(alpha)| plus the log Plancherel density at the
-    tempered alpha = i t, over the grid of the integer axes (ranges) m_j,
-    one per axis: t_j = step * m_j for the n - 1 axes and t_n = -sum t_j,
-    at n = 2 and 3.
-
-    The density is the sum over the pairs of :func:`_pair_share` at their
-    differences, 2 m (in steps) at n = 2 and m1 - m2, 2 m1 + m2, m1 + 2 m2
-    at n = 3, evaluated at every point of the grid (np.ix_ of the axes),
-    summed in that order.  A grid with no finite value raises ValueError:
-    off the zeros, that is a T so small that the Gaussian underflows.
-    """
-    n = len(axes) + 1
-    share = _pair_share(n, params, power)
-    m = np.ix_(*(np.arange(a.start, a.stop, a.step) for a in axes))
-    diffs = (sum(c * mj for c, mj in zip(coef, m)) for coef in _PAIRS[n])
-    return _require_finite(sum(share(step * d) for d in diffs), params)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = d**2 / n
+        out *= -power
+        out /= 2.0 * params.T**2
+        if n == 3:
+            out += power * (params.R / 2.0) * np.log1p(d**2 / 4.0)
+        gamma = 2.0 * power * loggamma((1.0 + 2.0 * params.R + 1j * d) / 4.0).real
+        out += gamma - 2.0 * loggamma(0.5j * d).real
+    out[d == 0] = -np.inf
+    return out
 
 
 def _require_finite(out: np.ndarray, params: TestFunctionParams) -> np.ndarray:
@@ -169,7 +142,8 @@ def _outer_grid(p: TestFunctionParams) -> tuple[np.ndarray, np.ndarray]:
     """Midpoints t of the rank-one outer window |t| < 3.2 T + 12, where the
     Gaussian is below e^-40, and the density there."""
     n = int((3.2 * p.T + 12.0) / _STEP)
-    return (np.arange(-n, n) + 0.5) * _STEP, _log_weight((range(-2 * n + 1, 2 * n, 2),), _STEP, p, 1)
+    t = (np.arange(-n, n) + 0.5) * _STEP
+    return t, _require_finite(_pair_share(2, 4.0 * t, p, 1), p)
 
 
 def p_y_batch(y_values, params, line: float = 0.75) -> np.ndarray:
@@ -256,10 +230,12 @@ def p_y_gl3(y, params, *, spectral_step: float = 0.5) -> np.ndarray:
     """Rank-three inverse-transform avatar, one value per pair y = (y1, y2).
 
     Four nested contours: the tempered spectral plane weighted by
-    p_sharp times the Plancherel density (:func:`_log_weight` at
-    (t1, t2, -t1 - t2), three pair shares per node), times the
-    double Mellin integral of the closed rank-two transform against
-    y1 y2 (pi y1)^{-2 s1} (pi y2)^{-2 s2}, with the overall 2^{-(n-1)}.
+    p_sharp times the Plancherel density at the nodes
+    t = spectral_step * (m1, m2, -m1 - m2), |m1|, |m2| <= n_t, three pair
+    shares per node, read from one row of :func:`_pair_share` at
+    d = spectral_step * k, |k| <= 3 n_t, times the double Mellin integral
+    of the closed rank-two transform against y1 y2 (pi y1)^{-2 s1}
+    (pi y2)^{-2 s2}, with the overall 2^{-(n-1)}.
     The spectral sum does not depend on y: it is one field per call, and
     every pair is read from it by its two phases (see _gl3_plane).
 
@@ -309,9 +285,12 @@ def p_y_gl3(y, params, *, spectral_step: float = 0.5) -> np.ndarray:
             "reciprocal coupling overflows on the sum grid; the fixed-grid "
             "rank-three avatar is limited to moderate T"
         )
-    m = range(-n_t, n_t + 1)
-    dens = _log_weight((m, m), spectral_step, params, 1)
-    keep = np.isfinite(dens)
+    # the pair differences m1 - m2, 2 m1 + m2 and m1 + 2 m2, in steps
+    row = _pair_share(3, spectral_step * np.arange(-3 * n_t, 3 * n_t + 1), params, 1)
+    m1, m2 = np.ogrid[-n_t : n_t + 1, -n_t : n_t + 1]
+    with np.errstate(over="ignore"):
+        dens = row[3 * n_t + m1 - m2] + row[3 * n_t + 2 * m1 + m2] + row[3 * n_t + m1 + 2 * m2]
+    keep = np.isfinite(_require_finite(dens, params))
     m1, m2 = (i - n_t for i in np.nonzero(keep))
     triples = np.sort(np.stack([m1, m2, -m1 - m2], axis=1), axis=1)
     orbits, member = np.unique(triples, axis=0, return_inverse=True)
@@ -387,9 +366,9 @@ def itr_log(a: float, params, grid_step: float = 1.0 / 16, t_factor: float = 2.7
     """log of the shifted-line norm integral for the rank-one transform.
 
     Outer tempered integral over 0 < t < t_factor T + 12 against the
-    rank-one density, :func:`_log_weight` at (2t, -2t), which carries
-    |Gamma_R(2it)|^2; inner integral over all u of
-    |Gamma(-a+i(u+t)) Gamma(-a+i(u-t))| along Re(s) = -a.
+    rank-one density, :func:`_pair_share` at the difference 4t of the
+    columns (2t, -2t), which carries |Gamma_R(2it)|^2; inner integral over
+    all u of |Gamma(-a+i(u+t)) Gamma(-a+i(u-t))| along Re(s) = -a.
 
     With h(v) = |Gamma(-a+iv)| e^{pi |v|/2}, which is even, the inner
     integrand is e^{-pi t} h(u+t) h(u-t) e^{-pi max(0, |u|-t)}, and the
@@ -420,7 +399,9 @@ def itr_log(a: float, params, grid_step: float = 1.0 / 16, t_factor: float = 2.7
     """
     if not math.isfinite(a) or (abs(a - round(a)) < 1e-9 and a >= 0):
         raise ValueError(f"shift a = {a} must be finite and off the pole set of the integrand")
-    dv = grid_step
+    dv = require_positive(grid_step, "grid_step")
+    t_factor = require_positive(t_factor, "t_factor")
+    pad = require_positive(pad, "pad")
     n_t = math.ceil((t_factor * params.T + 12.0) / dv)
     k = np.arange(1, n_t)
     t = k * dv
@@ -437,7 +418,7 @@ def itr_log(a: float, params, grid_step: float = 1.0 / 16, t_factor: float = 2.7
     # convolution plus twice the correlation, read at the even index 2k
     both = np.fft.irfft(spec * (spec + 2.0 * np.conj(np.fft.rfft(head, size))), size)
     inner = both[2 * k] - h[0] * h[2 * k]
-    lw = _log_weight((range(2, 2 * n_t, 2),), dv, params, 1) - np.pi * t
+    lw = _require_finite(_pair_share(2, 4.0 * t, params, 1), params) - np.pi * t
     mx = lw.max()
     w = np.exp(lw - mx)
     total = float(np.dot(w, inner))
@@ -491,14 +472,15 @@ def main_term_log(n: int, R: int, T: float) -> float:
 def _main_term_log(n: int, params: TestFunctionParams, window: float) -> float:
     """:func:`main_term_log` with every pair difference |d| <= window."""
     if n == 2:
-        li = _log_weight((range(1, math.floor(8.0 * window) + 1, 2),), 1.0 / 16, params, 2)
+        d = np.arange(1, math.floor(8.0 * window) + 1, 2) / 8.0
+        li = _require_finite(_pair_share(2, d, params, 2), params)
         mx = li.max()
         li -= mx
         return float(mx + math.log(np.sum(np.exp(li, out=li)) * 2.0 / 8.0))
     if n != 3:
         raise NotImplementedError("main-term integral implemented for n = 2, 3")
     k = math.floor(2.0 * window)
-    li = _require_finite(_pair_share(3, params, 2)(0.5 * np.arange(-k, k + 1)), params)
+    li = _require_finite(_pair_share(3, 0.5 * np.arange(-k, k + 1), params, 2), params)
     mx = li.max()
     w = np.exp(li - mx)
     # the correlation's lags run over [-2k, 2k]; a size above 3k keeps the

@@ -36,6 +36,16 @@ BAD_CALLS = {
     "shift_identity_check-samples": lambda: mellin.shift_identity_check(2, 1, 1, samples=INF),
     "main_term_log-T": lambda: testfunctions.main_term_log(2, 1, INF),
     "itr_log-a": lambda: testfunctions.itr_log(INF, PARAMS),
+    "itr_log-zero-grid_step": lambda: testfunctions.itr_log(0.25, PARAMS, grid_step=0.0),
+    "itr_log-negative-grid_step": lambda: testfunctions.itr_log(0.25, PARAMS, grid_step=-1.0 / 16),
+    "itr_log-inf-grid_step": lambda: testfunctions.itr_log(0.25, PARAMS, grid_step=INF),
+    "itr_log-nan-grid_step": lambda: testfunctions.itr_log(0.25, PARAMS, grid_step=math.nan),
+    "itr_log-negative-t_factor": lambda: testfunctions.itr_log(0.25, PARAMS, t_factor=-10.0),
+    "itr_log-nan-t_factor": lambda: testfunctions.itr_log(0.25, PARAMS, t_factor=math.nan),
+    "itr_log-zero-pad": lambda: testfunctions.itr_log(0.25, PARAMS, pad=0.0),
+    "itr_log-negative-pad": lambda: testfunctions.itr_log(0.25, PARAMS, pad=-1.0),
+    "itr_log-inf-pad": lambda: testfunctions.itr_log(0.25, PARAMS, pad=INF),
+    "itr_log-nan-pad": lambda: testfunctions.itr_log(0.25, PARAMS, pad=math.nan),
     "residue_decomposition_check-a": lambda: testfunctions.residue_decomposition_check(PARAMS, a=INF),
     "p_y_batch-nan-line": lambda: testfunctions.p_y_batch([1.0], PARAMS, line=math.nan),
     "p_y_batch-inf-line": lambda: testfunctions.p_y_batch([1.0], PARAMS, line=INF),

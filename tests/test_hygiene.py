@@ -1,10 +1,11 @@
 """Source hygiene: no library or test module imports a name it never uses,
 no library module reaches into another one's private names or uses numpy's
 unchecked ``as_strided``, and every library name the bench scripts read
-exists."""
+or the README names exists."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -195,6 +196,45 @@ def test_bench_scanner_sees_every_kind_of_read():
         ("special", "_loggamma"),
         ("testfunctions", "itr_log"),
         ("trace", "kloosterman_sweep"),
+    }
+
+
+def readme_names(text: str) -> set[tuple[str, str]]:
+    """(module, attribute) pairs of the library named as ``module.attr``,
+    optionally package-qualified, inside the code spans of a Markdown text.
+    Spans on other packages (``numpy.random``) are not the library's."""
+    modules = {path.stem for path in LIBRARY}
+    return {
+        (module, attr)
+        for span in re.findall(r"`([^`\n]+)`", text)
+        for module, attr in re.findall(rf"(?<![\w.])(?:{PACKAGE}\.)?(\w+)\.([A-Za-z_]\w*)", span)
+        if module in modules
+    }
+
+
+def test_readme_names_existing_library_names():
+    # ROADMAP.md is history and names what a change removed; README.md
+    # describes the library as it is
+    names = readme_names((ROOT / "README.md").read_text())
+    missing = sorted(
+        f"{module}.{attr}"
+        for module, attr in names
+        if not hasattr(importlib.import_module(f"{PACKAGE}.{module}"), attr)
+    )
+    assert len(names) > 10
+    assert missing == []
+
+
+def test_readme_scanner_sees_library_spans_only():
+    text = (
+        "`trace.TailReport` and `trace.iwbounds_exponent(rho, comp)`, and\n"
+        "`kuznetsov_lab.mellin.mellin_closed`; not `numpy.random.default_rng`,\n"
+        "`python -m pytest`, testfunctions.itr_log outside a span, or `trace`\n"
+    )
+    assert readme_names(text) == {
+        ("trace", "TailReport"),
+        ("trace", "iwbounds_exponent"),
+        ("mellin", "mellin_closed"),
     }
 
 

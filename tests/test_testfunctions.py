@@ -13,8 +13,8 @@ from kuznetsov_lab.quadrature import AccuracyError
 from kuznetsov_lab.testfunctions import (
     ScalingFit,
     TestFunctionParams,
-    _log_weight,
     _outer_grid,
+    _pair_share,
     fit_scaling,
     h_value,
     itr_log,
@@ -80,25 +80,29 @@ class TestHValue:
 
 
 class TestLogWeight:
+    """The log weight, power log|p_sharp| plus the log Plancherel density,
+    as every integral reads it: the sum of :func:`_pair_share` over the
+    pair differences."""
+
     @pytest.mark.parametrize("power", [1, 2])
     @pytest.mark.parametrize("n", [2, 3])
     def test_is_p_sharp_power_times_plancherel(self, n, power):
         # the one density every integral here uses, against the scalar
         # definition: power log|p_sharp(i t)| - sum_{j != k} Re log Gamma(i (t_j - t_k)/2)
         # on the step 3/37, whose points miss every dyadic grid, with rows
-        # of integers in [-37, 37] that sum to 0
+        # of integers in [-37, 37] that sum to 0; every pair's share is read
+        # from one row over the differences |k| <= 74
         rng = np.random.default_rng(100 * n + power)
         step = 3.0 / 37.0
         for R in (1, 2):
             p = TestFunctionParams(T=4.0, R=R)
+            share = _pair_share(n, step * np.arange(-74, 75), p, power)
             m = rng.integers(-37, 38, size=(64, n - 1))
             m = np.column_stack([m, -m.sum(axis=1)])
             m = m[np.abs(m[:, -1]) <= 37][:8]
             assert len(m) == 8
             for row, t in zip(m, step * m):
-                # the row as single-point axes; the last column is minus their sum
-                axes = tuple(range(x, x + 1) for x in row[:-1])
-                (value,) = _log_weight(axes, step, p, power).ravel()
+                value = sum(share[74 + row[j] - row[k]] for j, k in itertools.combinations(range(n), 2))
                 alpha = 1j * t
                 ref = power * math.log(abs(p_sharp(alpha, p)))
                 for j in range(n):
@@ -107,51 +111,19 @@ class TestLogWeight:
                             ref -= loggamma((alpha[j] - alpha[k]) / 2.0).real
                 assert abs(value - ref) <= 1e-12, (n, power, R, row)
 
-    def test_plane_equals_its_rows(self):
-        # a plane and each of its rows evaluate every pair share at the same
-        # integer differences; step * m is the same float in both, so they
-        # agree bit for bit, also on the non-dyadic step 3/37
-        p = TestFunctionParams(T=4.0, R=2)
-        m = range(-37, 38)
-        plane = _log_weight((m, m), 3.0 / 37.0, p, 2)
-        rows = [_log_weight((range(a, a + 1), m), 3.0 / 37.0, p, 2)[0] for a in m]
-        assert np.array_equal(plane, np.array(rows))
-
     @pytest.mark.parametrize("step", [0.5, 3.0 / 37.0], ids=["step-1/2", "step-3/37"])
     @pytest.mark.parametrize("R", [1, 2, 3])
     def test_plane_is_point_symmetric(self, R, step):
         # the pair share is even bit for bit: Re loggamma at conjugate
-        # points, log1p(d^2/4), d^2, and step * -k = -(step * k), so the
-        # plane is point symmetric bit for bit
-        m = range(-60, 61)
-        li = _log_weight((m, m), step, TestFunctionParams(T=4.0, R=R), 2)
-        assert np.array_equal(li, li[::-1, ::-1])
-
-    @pytest.mark.parametrize("step", [0.5, 3.0 / 37.0], ids=["step-1/2", "step-3/37"])
-    def test_half_plane_axes_give_the_full_plane_rows(self, step):
-        # axes that start at 0 against the full plane's rows m1 >= 0: every
-        # point's pair differences are the plane's, so its shares are too
-        p = TestFunctionParams(T=4.0, R=2)
-        m = range(-60, 61)
-        plane = _log_weight((m, m), step, p, 2)
-        assert np.array_equal(_log_weight((range(61), m), step, p, 2), plane[60:])
-
-    @pytest.mark.parametrize("step", [0.5, 3.0 / 37.0], ids=["step-1/2", "step-3/37"])
-    @pytest.mark.parametrize("R", [1, 2, 3])
-    def test_pair_shares_sum_to_the_plane(self, R, step):
-        # at n = 3 the density is l(t1 - t2) + l(t2 - t3) + l(t1 - t3), the
-        # pair differences m1 - m2, m1 + 2 m2 and 2 m1 + m2 in steps; the two
-        # sum in different orders, so they agree to rounding relative to the
-        # density, which reaches -301 here (two ulps are 1.1e-13)
+        # points, log1p(d^2/4), d^2, and step * -k = -(step * k); so is the
+        # rank-three plane read from it at m1 - m2, 2 m1 + m2 and m1 + 2 m2
         p = TestFunctionParams(T=4.0, R=R)
-        m = np.arange(-60, 61)
-        plane = _log_weight((range(-60, 61), range(-60, 61)), step, p, 2)
-        share = testfunctions._pair_share(3, p, 2)(step * np.arange(-180, 181))
-        m1, m2 = np.meshgrid(m, m, indexing="ij")
-        total = share[180 + m1 - m2] + share[180 + m1 + 2 * m2] + share[180 + 2 * m1 + m2]
-        assert np.array_equal(np.isinf(total), np.isinf(plane))
-        finite = np.isfinite(plane)
-        assert np.all(np.abs(total[finite] - plane[finite]) <= 1e-13 * np.maximum(1.0, np.abs(plane[finite])))
+        shares = [_pair_share(n, step * np.arange(-180, 181), p, 2) for n in (2, 3)]
+        assert all(np.array_equal(share, share[::-1]) for share in shares)
+        share = shares[1]
+        m1, m2 = np.ogrid[-60:61, -60:61]
+        li = share[180 + m1 - m2] + share[180 + 2 * m1 + m2] + share[180 + m1 + 2 * m2]
+        assert np.array_equal(li, li[::-1, ::-1])
 
     def test_rank_one_ring_slope(self):
         # at the columns (2t, -2t) the density is its Gamma ring
@@ -160,8 +132,7 @@ class TestLogWeight:
         # Less pi |t|, the ring grows like (R + 1/2) log t
         ts = np.array([50, 100, 200, 400])
         for R in (1, 2):
-            p = TestFunctionParams(T=1e12, R=R)
-            ring = np.array([_log_weight((range(2 * t, 2 * t + 1),), 1.0, p, 1)[0] for t in ts])
+            ring = _pair_share(2, 4.0 * ts, TestFunctionParams(T=1e12, R=R), 1)
             slope = np.polyfit(np.log(ts), ring - math.pi * ts, 1)[0]
             assert abs(slope - (R + 0.5)) < 0.02
 
@@ -178,28 +149,33 @@ class TestLogWeight:
     )
     def test_every_density_is_evaluated_by_the_pair_share(self, monkeypatch, n, density):
         # the pair share is the density's one definition: each integral
-        # evaluates it, and at its own n
+        # evaluates it once, on one row of differences, and at its own n
         calls = []
         real = testfunctions._pair_share
 
-        def spy(rank, params, power):
-            share = real(rank, params, power)
-            return lambda d: calls.append(rank) or share(d)
+        def spy(rank, d, params, power):
+            calls.append((rank, np.ndim(d)))
+            return real(rank, d, params, power)
 
         monkeypatch.setattr(testfunctions, "_pair_share", spy)
         density(TestFunctionParams(T=1.5, R=1))
-        assert calls and set(calls) == {n}
+        assert calls == [(n, 1)]
 
     def test_rank_four_is_not_a_sum_of_pair_shares(self):
         with pytest.raises(NotImplementedError, match="n = 4"):
-            _log_weight((range(1), range(1), range(1)), 0.5, TestFunctionParams(T=4.0, R=1), 1)
+            _pair_share(4, np.zeros(1), TestFunctionParams(T=4.0, R=1), 1)
 
     def test_coincident_columns_are_zeros(self):
-        # (1, 0, -1) is generic; t1 = t2 and t1 = t3 are zeros of the density
-        # each read from the grid m1 in {1, 2}, m2 in {-2, ..., 1} that holds all three
+        # the share is -inf at d = 0 and finite off it; at n = 3 the columns
+        # t = (1, 0, -1) / 2 give a finite density and t1 = t2, t1 = t3
+        # zeros, each read at its pair differences m1 - m2, 2 m1 + m2, m1 + 2 m2
         p = TestFunctionParams(T=4.0, R=1)
-        plane = _log_weight((range(1, 3), range(-2, 2)), 0.5, p, 1)
-        got = [plane[a - 1, b + 2] for a, b in ((2, 0), (1, 1), (1, -2))]
+        shares = [_pair_share(n, 0.5 * np.arange(-6, 7), p, 1) for n in (2, 3)]
+        for share in shares:
+            assert share[6] == -np.inf
+            assert np.all(np.isfinite(np.delete(share, 6)))
+        share = shares[1]
+        got = [share[6 + a - b] + share[6 + 2 * a + b] + share[6 + a + 2 * b] for a, b in ((1, 0), (1, 1), (1, -2))]
         assert np.isfinite(got[0])
         assert got[1] == -np.inf and got[2] == -np.inf
 
@@ -419,16 +395,14 @@ class TestRankThreeAvatar:
         assert values[0] == pytest.approx(values[1], rel=1e-12, abs=0.0)
 
     def test_spectral_sum_built_once_per_call(self, monkeypatch):
-        from kuznetsov_lab import testfunctions
-
-        calls = []
-        real = testfunctions._log_weight
-        monkeypatch.setattr(testfunctions, "_log_weight", lambda *a: calls.append(a) or real(*a))
+        # one row of pair shares per call, at the 6 n_t + 1 = 109 pair
+        # differences of the 37 x 37 nodes |m1|, |m2| <= n_t = 18 at T = 1.5,
+        # not 3 x 37^2 evaluations on the plane
+        shapes = []
+        real = testfunctions._pair_share
+        monkeypatch.setattr(testfunctions, "_pair_share", lambda n, d, *a: shapes.append(np.shape(d)) or real(n, d, *a))
         p_y_gl3([(0.8, 1.3), (1.3, 0.8), (1.0, 1.0)], self.PARAMS)
-        assert len(calls) == 1
-        # the plane is given as its two integer axes
-        axes = calls[0][0]
-        assert len(axes) == 2 and all(isinstance(a, range) for a in axes)
+        assert shapes == [(109,)]
 
     @pytest.mark.parametrize("T", [1.5, 3.0])
     @pytest.mark.parametrize("spectral_step", [0.5, 0.4])
@@ -439,13 +413,16 @@ class TestRankThreeAvatar:
         # to the order of summation.  The weights are compared per orbit as
         # well, so a dropped or doubled member shows at any size
         calls = {}
-        real_weight, real_plane = testfunctions._log_weight, testfunctions._gl3_plane
-        monkeypatch.setattr(testfunctions, "_log_weight", lambda *a: calls.setdefault("dens", real_weight(*a)))
+        real_plane = testfunctions._gl3_plane
         monkeypatch.setattr(testfunctions, "_gl3_plane", lambda *a: calls.setdefault("plane", (a, real_plane(*a)))[1])
-        p_y_gl3([(1.0, 1.0), (0.8, 1.3)], TestFunctionParams(T=T, R=1), spectral_step=spectral_step)
+        p = TestFunctionParams(T=T, R=1)
+        p_y_gl3([(1.0, 1.0), (0.8, 1.3)], p, spectral_step=spectral_step)
         (log_py, tau1, tau2, weight, line, v, rg), grouped = calls["plane"]
-        dens = calls["dens"]
-        n_t = dens.shape[0] // 2
+        # the density at every node of the square window, each pair share
+        # evaluated at the node's own difference
+        n_t = math.ceil((3.2 * T + 4.0) / spectral_step)
+        m1, m2 = np.meshgrid(np.arange(-n_t, n_t + 1), np.arange(-n_t, n_t + 1), indexing="ij")
+        dens = sum(_pair_share(3, spectral_step * d, p, 1) for d in (m1 - m2, 2 * m1 + m2, m1 + 2 * m2))
         i1, i2 = np.nonzero(np.isfinite(dens))
         m1, m2, node_weight = i1 - n_t, i2 - n_t, np.exp(dens[i1, i2])
         orbit_weight = {}
@@ -534,6 +511,18 @@ class TestRankThreeAvatar:
         (b,) = p_y_gl3([(1.0, 1.0)], params, spectral_step=0.4)
         assert b == pytest.approx(a, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("T", [1e-300, 1e-170, 1e-155])
+    def test_tiny_T_raises(self, T):
+        # no node has a finite density: at T = 1e-155 the row of pair
+        # shares has finite values, but each node's sum of three is -inf
+        with pytest.raises(ValueError, match=f"T = {T}: the density has no finite value"):
+            p_y_gl3([(1.0, 1.0)], TestFunctionParams(T=T, R=1))
+
+    def test_tiny_T_sum_of_shares_is_warning_free(self):
+        # at T = 1.3e-154 most nodes' three shares overflow in their sum and
+        # the 30 others' weights underflow; the avatar is 0 with no warning
+        assert p_y_gl3([(1.0, 1.0)], TestFunctionParams(T=1.3e-154, R=1)).tolist() == [0.0]
+
 
 def _itr_log_direct(a, params, dv=1.0 / 16):
     """The shifted-line norm integral as the plain double sum over t = k dv
@@ -548,7 +537,7 @@ def _itr_log_direct(a, params, dv=1.0 / 16):
         s = lg[m + k] + lg[m - k]
         top = s.max()
         log_inner[k - 1] = top + math.log(np.sum(np.exp(s - top)) * dv)
-    li = _log_weight((range(2, 2 * k_max + 1, 2),), dv, params, 1) + log_inner
+    li = _pair_share(2, 4.0 * dv * np.arange(1, k_max + 1), params, 1) + log_inner
     top = li.max()
     return top + math.log(2.0 * dv * np.sum(np.exp(li - top)))
 
