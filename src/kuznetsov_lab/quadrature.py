@@ -6,9 +6,10 @@ in a strip about the line, so the uniform rule converges like exp(-2 pi d/h)
 with d the distance to the nearest pole (Trefethen-Weideman, SIAM Rev. 56,
 2014), and the sum over every other node, the same rule at step 1/16, bounds
 the error at no extra integrand call.  The integrands decay like
-exp(-c|Im z|); the window grows until its outermost two units are negligible
-at the requested tolerance.  Plane integrands are a row factor of z1, a
-column factor of z2 and a diagonal factor of z1 + z2.
+exp(-c|Im z|).  The caller sets the first window (the Mellin recursion from
+its Gamma shifts), and the window doubles until its outermost two units are
+negligible at the requested tolerance.  Plane integrands are a row factor of
+z1, a column factor of z2 and a diagonal factor of z1 + z2.
 """
 
 from __future__ import annotations
@@ -99,13 +100,16 @@ def vertical_plane_integral(row: Integrand, column: Integrand, diagonal: Integra
     is one convolution against the diagonal's values.  The window doubles
     until the frame of the grid is below tol/10 in absolute contribution;
     past half-length 200 it raises AccuracyError, as it does when the
-    every-other-node sum on both axes misses the sum.
+    every-other-node sum on both axes misses the sum, and, before any
+    convolution, when a row, column or diagonal value is not finite.
     """
     def window_sum(t, on_frame):
         a = row(x0[0] + 1j * t) / _PER_UNIT
         b = column(x0[1] + 1j * t) / _PER_UNIT
         # node j + node k lies at 2 t[0] + (j + k)/32
         c = diagonal(x0[0] + x0[1] + 1j * (2.0 * t[0] + np.arange(2 * t.size - 1) / _PER_UNIT))
+        if not all(np.isfinite(v).all() for v in (a, b, c)):
+            return np.nan, np.nan, np.nan  # every sum would be too; raise before the convolutions
         a_abs, b_abs, c_abs = np.abs(a), np.abs(b), np.abs(c)
         # frame rows against every column, then the other rows against frame columns
         frame = (np.dot(np.convolve(a_abs * on_frame, b_abs), c_abs)

@@ -9,7 +9,8 @@ from scipy.special import loggamma, rgamma
 
 from kuznetsov_lab.mellin import (
     SHIFT_TOL,
-    _truncation_half_length,
+    _first_half_length,
+    _peel,
     check_pole_separation,
     mellin_closed,
     mellin_recursive,
@@ -181,28 +182,28 @@ class TestRecursionRankThree:
     # values of bench/contour_oracle.rank3_reference, computed without the
     # library (its first peel, the one mellin_recursive takes; at |Im alpha| =
     # 15 the oracle's other peels cancel and spread by 3.3e3): one window at
-    # half-length 55 (|Im alpha| = 15), and one point whose every-other-node
-    # estimate, 2.5e-10, meets tol 1e-8 but not 1e-13
+    # half-length 17 (|Im alpha| = 15, largest shift |Im| 10), and one point
+    # whose every-other-node estimate, 2.5e-10, meets tol 1e-8 but not 1e-13
     TENSOR_GRID = [
         (
             (0.1j, -0.1j, -15j, 15j),
             (0.6 + 0.1j, 0.7, 0.8 - 0.2j),
             1e-8,
-            55.0,
+            17.0,
             6.226197054909268e-59 - 4.190930400652173e-59j,
         ),
         (
             (0.1j, 0.2j, -0.3j, 0.0),
             (0.7 + 0.2j, 0.9, 0.6 - 0.1j),
             1e-13,
-            10.9,
+            7.3,
             17.553633335984433 - 4.953761527259713j,
         ),
     ]
 
-    @pytest.mark.parametrize("alpha, s, tol, half, ref", TENSOR_GRID, ids=["half-length-55", "tol-1e-13"])
+    @pytest.mark.parametrize("alpha, s, tol, half, ref", TENSOR_GRID, ids=["half-length-17", "tol-1e-13"])
     def test_matches_tensor_grid_rule(self, alpha, s, tol, half, ref):
-        assert _truncation_half_length(np.array(alpha)) == pytest.approx(half, abs=1e-12)
+        assert _first_half_length(*_peel(np.array(alpha), s)) == pytest.approx(half, abs=1e-12)
         v = mellin_recursive(4, alpha, s)  # at the default tol, 1e-8
         assert abs(v - ref) / abs(ref) <= 1e-12
         if tol < 1e-8:
@@ -210,10 +211,10 @@ class TestRecursionRankThree:
                 mellin_recursive(4, alpha, s, tol=tol)
 
     def test_plane_evaluates_node_sums_not_grid(self, monkeypatch):
-        # 1/Gamma(z1 + z2) is taken on the 2m - 1 = 1407 node sums of the
-        # window (m = 704 nodes a side at half-length 11), not on its 704^2 =
-        # 5.0e5 pairs of nodes; with the ten Gammas of the row and column
-        # that is 8.4e3
+        # 1/Gamma(z1 + z2) is taken on the 2m - 1 = 1023 node sums of the
+        # window (m = 512 nodes a side at half-length 8), not on its 512^2 =
+        # 2.6e5 pairs of nodes; with the ten Gammas of the row and column
+        # that is 6.1e3
         from kuznetsov_lab import mellin
 
         evaluated = []
@@ -231,12 +232,13 @@ class TestRecursionRankThree:
         assert sum(evaluated) < 1e5
 
     def test_overflow_raises_without_warnings(self):
-        # at |Im alpha| = 75 the window's 1/Gamma(z1 + z2) overflows; the
-        # call raises AccuracyError and prints no numpy RuntimeWarning first
+        # at |Im alpha| = 350 the first window reaches half-length 240, past
+        # 226, where 1/Gamma(z1 + z2) overflows; the call raises
+        # AccuracyError and prints no numpy RuntimeWarning first
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(AccuracyError, match="not finite"):
-                mellin_recursive(4, (0.1j, -0.1j, -75j, 75j), (0.6 + 0.1j, 0.7, 0.8 - 0.2j))
+                mellin_recursive(4, (0.1j, -0.1j, -350j, 350j), (0.6 + 0.1j, 0.7, 0.8 - 0.2j))
 
     def test_unsupported_rank(self):
         with pytest.raises(NotImplementedError):
@@ -291,6 +293,106 @@ class TestNearPolePoints:
         except AccuracyError:
             return
         assert abs(v - ref) / abs(ref) <= 1e-8
+
+
+class TestFirstWindow:
+    # points of bench/refs/contour.json (rank3.238, .256, .686, .4, .474,
+    # .632, .473, .467, .167, .423, .905 and rank4.0, .24, .34, .17, .29):
+    # both ranks, tempered and non-tempered alpha, Re s from 0.02 to 1.39,
+    # returning and raising; then rank3.356, rank3.155, rank4.4 and rank4.11
+    # with every Re s moved to 3 or 5.  Stirling's power factor grows with
+    # Re s, and at Re s = 5 it outgrows the margin's spare unit: the frame
+    # test may double the window once there
+    POINTS = [
+        ((1.284742j, 1.398061j, -2.682803j), (0.518409 + 0.097036j, 0.823982 - 0.767861j)),
+        ((1.261424j, 1.436726j, -2.69815j), (0.576303 + 0.837249j, 0.768921 + 0.091271j)),
+        ((-1.494378j, 1.034381j, 0.459997j), (0.389781 - 0.923932j, 1.36932 + 0.721558j)),
+        ((1.396118j, 0.220447j, -1.616565j), (1.35091 - 0.898772j, 1.301194 - 0.41907j)),
+        ((-0.126586j, -0.816818j, 0.943404j), (0.020434 + 0.999512j, 0.348698 - 0.542887j)),
+        ((-1.253001j, -1.489322j, 2.742323j), (0.396848 - 0.998444j, 1.316258 - 0.267107j)),
+        (
+            (-0.363408 - 0.910236j, 0.395823 - 0.079228j, -0.032415 + 0.989464j),
+            (0.304123 - 0.99497j, 0.398845 + 0.022971j),
+        ),
+        (
+            (-0.185804 + 0.279427j, 0.159967 - 0.502625j, 0.025837 + 0.223198j),
+            (1.370071 - 0.841073j, 1.387929 - 0.18683j),
+        ),
+        (
+            (0.00476 + 1.445066j, -0.184313 + 0.960825j, 0.179553 - 2.405891j),
+            (1.241898 + 0.828277j, 0.946697 - 0.1381j),
+        ),
+        (
+            (0.231928 + 0.548466j, -0.210555 + 0.816852j, -0.021373 - 1.365318j),
+            (0.021192 - 0.239896j, 1.201629 - 0.175465j),
+        ),
+        (
+            (-0.334697 + 0.45505j, 0.397771 + 0.952948j, -0.063074 - 1.407998j),
+            (1.360714 + 0.940702j, 1.344762 + 0.861785j),
+        ),
+        (
+            (-1.222361j, -1.061646j, 0.204972j, 2.079035j),
+            (1.021221 + 0.849626j, 1.376348 - 0.061749j, 1.374449 + 0.390358j),
+        ),
+        (
+            (0.980062j, 1.442561j, 0.322849j, -2.745472j),
+            (1.129157 - 0.237159j, 0.669041 + 0.880248j, 1.17166 + 0.567207j),
+        ),
+        (
+            (1.135013j, 0.335833j, 0.457083j, -1.927929j),
+            (0.307074 + 0.74346j, 0.040478 + 0.256754j, 0.038222 - 0.879653j),
+        ),
+        (
+            (0.295954 - 1.351431j, 0.006305 - 1.488839j, -0.010077 - 0.032437j, -0.292182 + 2.872707j),
+            (1.102484 - 0.131909j, 1.113201 - 0.950808j, 1.334927 - 0.782949j),
+        ),
+        (
+            (0.052931 - 1.293098j, -0.048063 - 1.17737j, 0.000285 - 0.552638j, -0.005153 + 3.023106j),
+            (1.132801 + 0.519275j, 0.263981 + 0.902137j, 0.174997 + 0.244529j),
+        ),
+        ((0.110202j, 1.348138j, -1.45834j), (3.0 - 0.346354j, 3.0 + 0.218542j)),
+        (
+            (0.353471 + 0.493604j, -0.027637 + 0.2529j, -0.325834 - 0.746504j),
+            (5.0 - 0.704922j, 5.0 - 0.718303j),
+        ),
+        (
+            (-1.429573j, -1.334308j, -0.741284j, 3.505165j),
+            (3.0 - 0.788147j, 3.0 - 0.261537j, 3.0 - 0.129506j),
+        ),
+        (
+            (-0.105561 - 0.503522j, 0.161073 - 1.313513j, 0.165698 + 0.758267j, -0.22121 + 1.058768j),
+            (5.0 - 0.865266j, 5.0 - 0.924631j, 5.0 + 0.422344j),
+        ),
+    ]
+
+    @staticmethod
+    def _evaluate(alpha, s):
+        try:
+            return mellin_recursive(len(alpha), alpha, s)
+        except AccuracyError:
+            return None
+
+    def test_first_window_is_tight_and_safe(self, monkeypatch):
+        # up to Re s = 3 the first window is accepted without doubling, and
+        # doubling it changes no value beyond rounding and no point between
+        # raising and returning
+        from kuznetsov_lab import mellin, quadrature
+
+        windows = []
+        monkeypatch.setattr(quadrature, "line_nodes", lambda half: windows.append(half) or line_nodes(half))
+        first = {}
+        for alpha, s in self.POINTS:
+            windows.clear()
+            first[alpha] = self._evaluate(alpha, s)
+            allowed = 1 if max(v.real for v in s) <= 3.0 else 2
+            assert 1 <= len(windows) <= allowed, (alpha, windows)
+        single = mellin._first_half_length
+        monkeypatch.setattr(mellin, "_first_half_length", lambda beta, pairs: 2.0 * single(beta, pairs))
+        for alpha, s in self.POINTS:
+            v, wide = first[alpha], self._evaluate(alpha, s)
+            assert (v is None) == (wide is None), alpha
+            if v is not None:
+                assert abs(wide - v) <= 8e-15 * abs(v), alpha
 
 
 class TestShiftIdentities:
@@ -432,9 +534,15 @@ class TestEvaluatorBundle:
         assert mellin_value(2, (0.4j, -0.4j), (0.8 + 0.1j,)) == mellin_closed((0.4j, -0.4j), (0.8 + 0.1j,))
 
     def test_truncation_height_floor(self):
-        assert _truncation_half_length(np.array((0.1j, -0.1j))) == pytest.approx(10.3)
-        tall = _truncation_half_length(np.array((9.0j, -9.0j)))
-        assert tall == pytest.approx(37.0)
+        # the largest |Im| over beta and the outer shifts, plus 6 on the line
+        # and 7 on the plane; Im s counts as much as Im alpha
+        def first(alpha, s):
+            return _first_half_length(*_peel(np.array(alpha), s))
+
+        assert first((0.1j, -0.1j, 0.0), (0.8, 0.9)) == pytest.approx(6.1)
+        assert first((9.0j, -9.0j, 0.0), (0.8, 0.9)) == pytest.approx(15.0)
+        assert first((0.1j, -0.1j, 0.0), (0.8 + 20j, 0.9)) == pytest.approx(26.0)
+        assert first((0.1j, -0.1j, 0.0, 0.0), (0.8, 0.9, 0.7)) == pytest.approx(7.1)
 
 
 class TestContourOracleMachinery:

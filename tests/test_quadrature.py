@@ -101,6 +101,16 @@ class TestNonFiniteWindow:
             vertical_plane_integral(gauss, gauss, diagonal, (0.0, 0.0), 1e-8, initial_half_length=1)
         assert diagonal.calls == 1
 
+    @pytest.mark.parametrize("factor", [0, 1, 2], ids=["row", "column", "diagonal"])
+    def test_plane_raises_before_convolving(self, factor, monkeypatch):
+        # one NaN value among the row, column or diagonal values raises
+        # before the window's four O(m^2) convolutions
+        factors = [gauss, gauss, ones]
+        factors[factor] = lambda z: np.where(z.imag > 0.9, np.nan, 1.0)
+        monkeypatch.setattr(np, "convolve", lambda *args: pytest.fail("convolved a non-finite window"))
+        with pytest.raises(AccuracyError, match=r"2-dimensional integrand not finite at half-length 1\.0$"):
+            vertical_plane_integral(*factors, (0.0, 0.0), 1e-8, initial_half_length=1)
+
 
 class TestErrorEstimate:
     # e^{z^2}/(z - 0.05) has its pole 0.05 right of Re z = 0: there the step
