@@ -3,7 +3,7 @@
 Submodules:
     combinatorics   exact composition / degree / orbit bookkeeping
     geometry        Iwasawa coordinates, Weyl conjugation, modular characters
-    special         log-Gamma, Gamma_R, the polynomial F_R, the bound function B
+    special         log-Gamma, the polynomial F_R, the bound function B, Gamma-ring decompositions
     mellin          Whittaker-Mellin transforms, recursion, shifts, residues
     testfunctions   spectral test functions p, h and the scaling integrals
     trace           Kloosterman sums, exponent calculators, spectral sums

@@ -120,6 +120,10 @@ _SWEEP_MAX_C = 20000
 # and 0.4 s
 _DN_MAX_N = 1000
 _LEMMAS_MAX_N = 16
+# the largest length N of an alpha that reaches the pair polynomial (`special
+# --fr`, `testfn --p-sharp` and `--h`): its D(N) subset pairs grow about 4x
+# per step of N, and at N = 10 a call takes about 0.7 s, at N = 11 about 2 s
+_PAIR_MAX_N = 10
 # the largest TMAX of `testfn --itr-scaling`, T of `--p-y`, R of
 # `--main-term-scaling` and DELTA of `whittaker --residue`: at these bounds
 # itr_log takes about 1 s and 270 MB (its memory grows like T) and p_y_batch
@@ -181,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
     operation(p, "--conj-y", nargs=2, metavar=("W_SPEC", "Y_CSV"), help="conjugated torus coordinates")
 
     p = command("special", _cmd_special, "pair polynomial and contour-gain bound")
-    operation(p, "--fr", nargs=3, metavar=("N", "R", "ALPHA_JSON"), help="pair polynomial value")
+    operation(p, "--fr", nargs=3, metavar=("N", "R", "ALPHA_JSON"), help=f"pair polynomial value, 2 <= N <= {_PAIR_MAX_N}")
     operation(p, "--bound-B", type=float, metavar="A", help="contour gain at shift A")
 
     p = command("whittaker", _cmd_whittaker, "Mellin transforms, shifts, residues", "seed", "identity_tol", "quad_tol")
@@ -196,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
     operation(p, "--p-y", type=float, metavar="Y", help=f"rank-one avatar at y, 0 < T <= {_P_Y_MAX_T}")
     operation(p, "--itr-scaling", nargs=4, metavar=("R", "A", "TMIN", "TMAX"), help=f"shifted-line slope fit, 0 < TMAX <= {_ITR_MAX_T}")
     operation(p, "--main-term-scaling", nargs=2, type=int, metavar=("N", "R"), help=f"norm-integral slope fit, 1 <= R <= {_MAIN_TERM_MAX_R}")
-    modifier(p, "--alpha", read_by=("p_sharp", "h"), help="alpha JSON file (default 0)")
+    modifier(p, "--alpha", read_by=("p_sharp", "h"), help=f"alpha JSON file of length 2 <= N <= {_PAIR_MAX_N} (default 0)")
     modifier(p, "--T", read_by=("p_sharp", "h", "p_y"), default=10.0, type=float, help="spectral scale (default 10)")
     modifier(p, "--R", read_by=("p_sharp", "h", "p_y"), default=1, type=int, help="smoothing order (default 1)")
     modifier(p, "--out", read_by=("itr_scaling", "main_term_scaling"), help="write the one scaling fit's data CSV (plus JSON sidecar) here")
@@ -261,7 +265,7 @@ def _cmd_geometry(args) -> tuple[str, int]:
 def _cmd_special(args) -> tuple[str, int]:
     out = {}
     if args.fr is not None:
-        n, R = int(args.fr[0]), int(args.fr[1])
+        n, R = _in_range("--fr", "N", int(args.fr[0]), 2, _PAIR_MAX_N), int(args.fr[1])
         alpha = _parse_complex(_read_json(args.fr[2]))
         if len(alpha) != n:
             raise ValueError(f"alpha has length {len(alpha)}, expected {n}")
@@ -310,6 +314,7 @@ def _cmd_testfn(args) -> tuple[str, int]:
     out = {}
     params = testfunctions.TestFunctionParams(T=args.T, R=args.R)
     alpha = _parse_complex(_read_json(args.alpha)) if args.alpha else [0j, 0j]
+    _in_range("--alpha", "N", len(alpha), 2, _PAIR_MAX_N)
     if args.p_sharp:
         out["p_sharp"] = {"T": args.T, "R": args.R, "value": testfunctions.p_sharp(alpha, params)}
     if args.h:

@@ -1,5 +1,5 @@
-"""Matrix-level structure: Iwasawa coordinates, the power function, additive
-characters, block anti-diagonal Weyl elements, and modular characters.
+"""Matrix-level structure: Iwasawa coordinates, block anti-diagonal Weyl
+elements and their torus action, modular characters, xi coordinates.
 
 Conventions: t(a) = diag(a_1 ... a_{n-1}, ..., a_1 a_2, a_1, 1), so the
 bottom-right entry is normalized to 1 and the Iwasawa y-variables are ratios
@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .combinatorics import Composition
-from .special import require_positive, validate_langlands
+from .special import require_positive
 
 
 class DecompositionError(ValueError):
@@ -96,43 +96,6 @@ def iwasawa_decompose(g: np.ndarray) -> tuple[IwasawaPoint, np.ndarray, float]:
     return IwasawaPoint(x=x, y=y), k, float(c)
 
 
-def power_function(p: IwasawaPoint, alpha: Sequence[complex]) -> complex:
-    """prod_i y_i^(alpha-hat_{n-i} + rho-hat_{n-i}) with rho_i = (n+1)/2 - i."""
-    a = np.asarray(alpha, dtype=complex)
-    n = p.n
-    if len(a) != n:
-        raise ValueError("parameter length must match the matrix size")
-    validate_langlands(a)
-    ahat = np.cumsum(a)
-    rhohat = np.cumsum([(n + 1) / 2 - i for i in range(1, n + 1)])
-    out = 1.0 + 0.0j
-    for i in range(1, n):
-        out *= complex(p.y[i - 1]) ** (ahat[n - i - 1] + rhohat[n - i - 1])
-    return out
-
-
-def psi_M(x: np.ndarray, m: Sequence[int]) -> tuple[complex, float]:
-    """The character e^(2 pi i phase) and its phase, the superdiagonal sum
-    m_1 x_{1,2} + ... + m_{n-1} x_{n-1,n}."""
-    x = np.asarray(x, dtype=float)
-    m = np.asarray(m, dtype=float)
-    n = x.shape[0]
-    if len(m) != n - 1:
-        raise ValueError("index vector must have length n-1")
-    phase = float(sum(m[k] * x[k, k + 1] for k in range(n - 1)))
-    return complex(np.exp(2j * np.pi * phase)), phase
-
-
-def psi_M_twisted(x: np.ndarray, m: Sequence[int], v: Sequence[int]) -> tuple[complex, float]:
-    """psi_M(v^-1 x v) for v = diag(+-1): flips m_k by the sign v_k v_{k+1}."""
-    v = np.asarray(v, dtype=int)
-    if set(np.abs(v)) != {1}:
-        raise ValueError("v must be a vector of +-1 signs")
-    m = np.asarray(m, dtype=int)
-    flipped = m * v[:-1] * v[1:]
-    return psi_M(x, flipped)
-
-
 @dataclass(frozen=True)
 class WeylElement:
     """Block anti-diagonal permutation w_(n_1,...,n_r): identity blocks of
@@ -167,10 +130,6 @@ class WeylElement:
         s = self.permutation()
         n = self.n
         return [(i, j) for i in range(n) for j in range(i + 1, n) if s[i] > s[j]]
-
-    @property
-    def is_long(self) -> bool:
-        return self.composition.parts == (1,) * self.n
 
 
 def weyl_conjugate_y(w: WeylElement, y: Sequence[float]) -> np.ndarray:
@@ -245,15 +204,6 @@ def modular_delta_diag(d: Sequence[float]) -> float:
 def modular_delta(y: Sequence[float]) -> float:
     """delta(t(y)); satisfies delta^(-1/2)(y) = ||y||^a, a_j = j(n-j)/2."""
     return modular_delta_diag(np.diag(toric_matrix(y)))
-
-
-def y_norm(y: Sequence[float], a: Sequence[float]) -> float:
-    """||y||^a = prod y_k^a_k."""
-    y = np.asarray(y, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if len(a) != len(y):
-        raise ValueError("length mismatch")
-    return float(np.prod(y**a))
 
 
 def delta_w(w: WeylElement, y: Sequence[float]) -> float:

@@ -1,5 +1,6 @@
-"""Complex log-Gamma, the ratio Gamma_R, the pair polynomial F_R, the bound
-function B, and the block decompositions of Gamma products.
+"""Complex log-Gamma, the pair polynomial F_R, the bound function B, and the
+block decompositions of F_R and of the rings of the paper's Gamma ratio
+Gamma_R(z) = Gamma((1/2 + R + z)/2) / Gamma(z), not the standard Gamma_R.
 
 All Gamma arithmetic is done in log space; moduli of products that would
 overflow float64 (|Im| ~ 10^3) stay finite as log-modulus sums.
@@ -48,29 +49,6 @@ def log_gamma(z: complex) -> complex:
     return complex(_loggamma(complex(z)))
 
 
-def stirling_log_modulus(sigma: float, t: float) -> float:
-    """log of the classical large-|t| modulus sqrt(2 pi) |t|^{sigma-1/2}
-    e^{-pi |t|/2}, for fixed real part sigma."""
-    t = abs(t)
-    return 0.5 * math.log(2 * math.pi) + (sigma - 0.5) * math.log(t) - math.pi * t / 2
-
-
-def gamma_R(z: complex, R: int) -> complex:
-    """The ratio Gamma((1/2 + R + z)/2) / Gamma(z).
-
-    Vanishes (exactly) at z = 0, -1, -2, ... where 1/Gamma(z) has a zero; for
-    integer R >= 1 the numerator argument is a half-integer there, so the zero
-    is never cancelled by a numerator pole.
-    """
-    R = require_integer(R, "R", positive=True)
-    num_arg = (0.5 + R + z) / 2
-    if _is_nonpositive_integer(z):
-        return 0.0 + 0.0j
-    if _is_nonpositive_integer(num_arg):
-        raise PoleError(complex(z))
-    return cmath.exp(log_gamma(num_arg) - log_gamma(z))
-
-
 def subset_pairs(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Unordered pairs {K, L} of distinct equal-size subsets of {0,...,n-1}
     with 1 <= #K = #L <= n-2.  Their count is degree_D(n)."""
@@ -103,7 +81,10 @@ def f_R_poly(alpha: Sequence[complex], R: int) -> complex:
     for K, L in subset_pairs(n):
         delta = a[list(K)].sum() - a[list(L)].sum()
         log_total += (R / 2) * (cmath.log(1 + delta) + cmath.log(1 - delta))
-    return cmath.exp(log_total)
+    try:
+        return cmath.exp(log_total)
+    except OverflowError:
+        raise ValueError(f"log|F_R| = {log_total.real:.6g} passes the float range") from None
 
 
 def bound_B(a: float) -> float:

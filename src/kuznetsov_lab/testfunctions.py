@@ -75,7 +75,11 @@ def p_sharp(alpha, params) -> complex:
         for k in range(n):
             if j != k:
                 log += loggamma((1.0 + 2.0 * params.R + a[j] - a[k]) / 4.0)
-    return complex(f_R_poly(a / 2.0, params.R) * np.exp(log))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = complex(f_R_poly(a / 2.0, params.R) * np.exp(log))
+    if not np.isfinite(value):
+        raise ValueError(f"p_sharp passes the float range at alpha = {a.tolist()}")
+    return value
 
 
 def h_value(alpha, params) -> float:

@@ -21,7 +21,6 @@ PARAMS = testfunctions.TestFunctionParams(T=3.0, R=1)
 
 # each entry, called with one bad argument
 BAD_CALLS = {
-    "gamma_R-R": lambda: special.gamma_R(0.5, INF),
     "ring-sum-R": lambda: special.gamma_product_split_residual([1j, -1j, 0.3j, -0.3j], 2, INF),
     "f_R_poly-R": lambda: special.f_R_poly([1j, -1j, 0.0], INF),
     "TestFunctionParams-R": lambda: testfunctions.TestFunctionParams(T=3.0, R=INF),

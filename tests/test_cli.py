@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from kuznetsov_lab import cli, mellin, suite, testfunctions, trace
+from kuznetsov_lab import cli, mellin, special, suite, testfunctions, trace
 from kuznetsov_lab import combinatorics as comb
 from kuznetsov_lab.quadrature import AccuracyError
 from kuznetsov_lab.reporting import (
@@ -479,6 +479,24 @@ class TestModuleSubcommands:
         assert code == 2
         assert "length" in err
 
+    @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            # eight tempered entries; this printed a traceback and exited 1
+            (["special", "--fr", "8", "1"], "[-0.4375, -0.3125, -0.1875, -0.0625, 0.0625, 0.1875, 0.3125, 0.4375]", "log|F_R| = 821.055"),
+            # this printed "re": NaN, which is not JSON, and exited 0
+            (["testfn", "--p-sharp", "--alpha"], "[[300, 0], [-300, 0]]", "p_sharp"),
+        ],
+        ids=["fr", "p-sharp"],
+    )
+    def test_value_past_float_range_exits_2(self, capsys, tmp_path, argv, text, message):
+        path = tmp_path / "alpha.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {message} passes the float range") and err.count("\n") == 1
+
     def test_whittaker_mellin_value(self, capsys, tmp_path):
         apath = tmp_path / "alpha.json"
         apath.write_text("[0.4, 0.3, -0.7]")
@@ -721,6 +739,44 @@ class TestModuleSubcommands:
         monkeypatch.setattr(module, library, reached)
         for value in (low, str(hi)):
             code, _, err = run_cli(capsys, *head, value)
+            assert code == 2
+            assert err == f"error: reached {library}\n"
+
+    @pytest.mark.parametrize(
+        "head, flag, module, library",
+        [
+            (["special", "--fr", "{n}", "1"], "--fr", special, "f_R_poly"),
+            (["testfn", "--p-sharp", "--alpha"], "--alpha", testfunctions, "p_sharp"),
+            (["testfn", "--h", "--alpha"], "--alpha", testfunctions, "h_value"),
+        ],
+        ids=["fr", "p-sharp", "h"],
+    )
+    def test_pair_polynomial_length_bound(self, capsys, monkeypatch, tmp_path, head, flag, module, library):
+        # only N = 11 past the bound: listing the subset pairs of a much
+        # longer alpha, were the bound missing, would run out of memory
+        def run(n):
+            path = tmp_path / "alpha.json"
+            path.write_text(json.dumps([k - (n - 1) / 2 for k in range(n)]))
+            return run_cli(capsys, *(arg.format(n=n) for arg in head), str(path))
+
+        def not_called(*args, **kwargs):
+            raise AssertionError(f"{library}{args} was called")
+
+        monkeypatch.setattr(module, library, not_called)
+        code, out, err = run(cli._PAIR_MAX_N + 1)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} needs 2 <= N <= {cli._PAIR_MAX_N}, got {cli._PAIR_MAX_N + 1}\n"
+        with pytest.raises(SystemExit):
+            cli.main([head[0], "--help"])
+        assert f"2 <= N <= {cli._PAIR_MAX_N}" in " ".join(capsys.readouterr().out.split())
+        # both ends of the range reach the library
+        def reached(*args, **kwargs):
+            raise ValueError(f"reached {library}")
+
+        monkeypatch.setattr(module, library, reached)
+        for n in (2, cli._PAIR_MAX_N):
+            code, _, err = run(n)
             assert code == 2
             assert err == f"error: reached {library}\n"
 

@@ -1,4 +1,4 @@
-"""Iwasawa coordinates, characters, Weyl conjugation, modular characters."""
+"""Iwasawa coordinates, Weyl conjugation, modular characters."""
 
 import numpy as np
 import pytest
@@ -13,16 +13,12 @@ from kuznetsov_lab.geometry import (
     iwasawa_decompose,
     modular_delta,
     modular_delta_diag,
-    power_function,
-    psi_M,
-    psi_M_twisted,
     toric_matrix,
     weyl_conjugate_y,
     weyl_conjugate_y_oracle,
     weyl_norm_exponents,
     xi_polynomials_long_gl4,
     xi_values,
-    y_norm,
 )
 
 
@@ -99,51 +95,6 @@ def test_iwasawa_singular():
             iwasawa_decompose(g)
 
 
-def test_power_function_examples():
-    rng = np.random.default_rng(7)
-    # the shift that trivializes the power function
-    for n in (3, 4, 5):
-        alpha0 = np.array([-(n - 1) / 2 + j for j in range(n)])
-        g = rng.normal(size=(n, n))
-        p, _, _ = iwasawa_decompose(g)
-        assert abs(power_function(p, alpha0) - 1) < 1e-12
-    p = IwasawaPoint(x=np.zeros((3, 3)), y=np.array([1.0, 1.0]))
-    assert abs(power_function(p, [1j, 2j, -3j]) - 1) < 1e-15
-    s = 0.3 + 0.7j
-    p2 = IwasawaPoint(x=np.zeros((2, 2)), y=np.array([4.0]))
-    assert abs(power_function(p2, [s, -s]) - 4.0 ** (s + 0.5)) < 1e-13
-
-
-def test_power_function_rejects_bad_sum():
-    p = IwasawaPoint(x=np.zeros((2, 2)), y=np.array([1.0]))
-    with pytest.raises(ValueError):
-        power_function(p, [1j, 1j])
-
-
-def test_psi_M_phase_and_value():
-    x = np.zeros((3, 3))
-    assert psi_M(x, [5, -2])[1] == 0.0
-    x[0, 1], x[1, 2] = 0.25, 0.5
-    val, phase = psi_M(x, [1, 1])
-    assert phase == 0.75
-    assert abs(val - np.exp(2j * np.pi * 0.75)) < 1e-15
-    assert abs(abs(val) - 1) < 1e-15
-
-
-def test_psi_twisted_matches_conjugation():
-    rng = np.random.default_rng(19)
-    n = 4
-    for _ in range(20):
-        x = np.triu(rng.uniform(-1, 1, size=(n, n)), 1)
-        m = rng.integers(-3, 4, size=n - 1)
-        v = rng.choice([-1, 1], size=n)
-        vmat = np.diag(v.astype(float))
-        conj = vmat @ x @ vmat  # v^-1 = v for signs
-        _, expected = psi_M(conj, m)
-        _, got = psi_M_twisted(x, m, v)
-        assert abs(got - expected) < 1e-13
-
-
 def test_weyl_matrix_blocks():
     w = WeylElement(Composition((1, 1)))
     assert np.allclose(w.matrix(), [[0, 1], [1, 0]])
@@ -152,7 +103,6 @@ def test_weyl_matrix_blocks():
     assert np.allclose(m[2:, :2], np.eye(2))  # I_{n_1} bottom-left
     assert np.allclose(m[:2, 2:], np.eye(2))  # I_{n_2} top-right
     long = WeylElement(Composition((1, 1, 1, 1)))
-    assert long.is_long
     assert np.allclose(long.matrix(), np.fliplr(np.eye(4)))
     # permutation matrices are orthogonal
     for n in range(2, 6):
@@ -197,8 +147,8 @@ def test_weyl_norm_exponent_formula():
         y = rng.uniform(0.3, 4.0, size=n - 1)
         for w in _relevant_weyls(n):
             yprime = weyl_conjugate_y(w, y)
-            direct = y_norm(yprime, a)
-            via_exponents = y_norm(y, weyl_norm_exponents(w, a))
+            direct = np.prod(yprime**a)
+            via_exponents = np.prod(y**weyl_norm_exponents(w, a))
             assert abs(direct - via_exponents) < 1e-12 * abs(direct)
 
 
@@ -212,7 +162,7 @@ def test_modular_delta_examples():
         for _ in range(10):
             y = rng.uniform(0.2, 5.0, size=n - 1)
             lhs = modular_delta(y) ** -0.5
-            rhs = y_norm(y, a)
+            rhs = np.prod(y**a)
             assert abs(lhs - rhs) < 1e-12 * abs(lhs)
 
 

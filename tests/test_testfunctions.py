@@ -57,6 +57,11 @@ class TestPSharp:
         mags = [abs(v) for v in vals]
         assert mags == sorted(mags, reverse=True)
 
+    def test_past_the_float_range_raises(self):
+        # this returned NaN after two RuntimeWarnings
+        with pytest.raises(ValueError, match="p_sharp passes the float range"):
+            p_sharp((300.0, -300.0), TestFunctionParams(T=10.0, R=1))
+
 
 class TestHValue:
     def test_value_at_origin(self):
