@@ -169,7 +169,9 @@ def require_integer(value, name: str, positive: bool = False):
     ``positive``, at least 1."""
     many = isinstance(value, (tuple, list))
     entries = tuple(value) if many else (value,)
-    # a plain int (every Composition part) skips the abstract-base-class check
+    # plain ints (every Composition's parts) are decided in one pass
+    if entries and set(map(type, entries)) == {int} and (not positive or min(entries) >= 1):
+        return entries if many else value
     if not entries or not all(
         (type(v) is int or isinstance(v, numbers.Real) and math.isfinite(v) and v == int(v)) and (v >= 1 or not positive)
         for v in entries

@@ -107,6 +107,15 @@ class TestRequireInteger:
             require_integer((), "moduli", positive=True)
 
 
+    def test_plain_ints_come_back_as_a_tuple(self):
+        # the one-pass path for plain ints returns a list as a tuple too, and
+        # a nonpositive entry still takes the named error
+        assert require_integer([3, 1, 2], "parts", positive=True) == (3, 1, 2)
+        assert type(require_integer([-3, 1], "parts")) is tuple
+        with pytest.raises(ValueError, match=r"parts must be positive integers, got \[3, 0\]"):
+            require_integer([3, 0], "parts", positive=True)
+
+
 class TestRequirePositive:
     def test_returns_float_or_array(self):
         assert type(require_positive(2, "y")) is float

@@ -800,6 +800,20 @@ class TestModuleSubcommands:
         assert out == ""
         assert err.startswith("error: T = 1e-300") and err.count("\n") == 1
 
+    def test_testfn_p_y_past_its_accuracy_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "testfn", "--p-y", "1", "--T", "64", "--R", "20")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: p(y) at y = 1, T = 64.0, R = 20: the phase sum cancels") and err.count("\n") == 1
+
+    def test_testfn_h_below_the_float_range_is_zero(self, capsys, tmp_path):
+        # |p_sharp| underflows here; this exited 2 with "math domain error"
+        path = tmp_path / "alpha.json"
+        path.write_text("[300, -300]")
+        code, out, _ = run_cli(capsys, "testfn", "--h", "--alpha", str(path))
+        assert code == 0
+        assert json.loads(out)["h"]["value"] == 0.0
+
     def test_testfn_point_values(self, capsys):
         code, out, _ = run_cli(capsys, "testfn", "--p-sharp", "--h", "--T", "4", "--R", "1")
         payload = json.loads(out)

@@ -76,6 +76,22 @@ class TestHValue:
         with pytest.raises(ValueError):
             h_value((1j, 0.5j), TestFunctionParams(T=10.0, R=1))
 
+    def test_past_p_sharp_underflow(self):
+        # |p_sharp| is 8.0e-340 here and h about 1563: h is taken in log
+        # space, so it does not need p_sharp in the float range.  The value
+        # is mpmath's at 30 digits, frozen (F_R is 1 at n = 2)
+        assert h_value((500j, -500j), TestFunctionParams(T=1e4, R=1)) == pytest.approx(
+            1562.9611659482168, rel=1e-11
+        )
+
+    def test_below_the_float_range_is_zero(self):
+        # log h is about -1780: this raised a bare "math domain error"
+        assert h_value((300j, -300j), TestFunctionParams(T=10.0, R=1)) == 0.0
+
+    def test_past_the_float_range_raises(self):
+        with pytest.raises(ValueError, match="h passes the float range"):
+            h_value((1e5j, -1e5j), TestFunctionParams(T=1e9, R=50))
+
     def test_positive_and_symmetric(self):
         p = TestFunctionParams(T=8.0, R=2)
         a = (0.7j, -0.2j, -0.5j)
@@ -232,6 +248,51 @@ class TestAvatarOnLines:
         # relative to the peak: on Re(s) = 0.75 the avatar at y = 2.5 is
         # 5e-6 of it, and its sums cancel to that size
         assert np.abs(p_y_batch(ys, p, line=line) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("line", [0.75, -0.75])
+    def test_equals_blocked_log_field(self, line):
+        # the field exponentiated at every node, as a sum of
+        # e^(base + loggamma + loggamma) over blocks of 128 t rows on the
+        # full u grid, at a point whose phase sum cancels by 8e3
+        p = TestFunctionParams(T=16.0, R=3)
+        t, base = _outer_grid(p)
+        t, base = t[t > 0], base[t > 0]
+        u = (np.arange(-t.size - 256, t.size + 256) + 0.5) * testfunctions._STEP
+        col = np.zeros(u.size, dtype=complex)
+        for lo in range(0, t.size, 128):
+            tt = t[lo : lo + 128, None]
+            lg = loggamma(line + 1j * (u + tt)) + loggamma(line + 1j * (u - tt))
+            col += np.exp(base[lo : lo + 128, None] + lg).sum(axis=0)
+        ys = np.geomspace(0.4, 2.5, 10)
+        ref = np.array(
+            [
+                (
+                    2.0 * testfunctions._STEP**2 * math.sqrt(y) * (math.pi * y) ** (-2.0 * line)
+                    * np.sum(col * (math.pi * y) ** (-2j * u)) / (2.0 * math.pi) ** 2
+                ).real
+                for y in ys
+            ]
+        )
+        assert np.abs(p_y_batch(ys, p, line=line) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("T, R", [(64.0, 3), (100.0, 1)])
+    def test_independent_of_line_at_large_T(self, T, R):
+        # the phase sum cancels by up to 6e7 at (64, 3) and 2e5 at (100, 1)
+        p = TestFunctionParams(T=T, R=R)
+        ys = np.geomspace(0.4, 2.5, 10)
+        ref = p_y_batch(ys, p, line=0.75)
+        assert np.isfinite(ref).all()
+        assert np.abs(p_y_batch(ys, p, line=1.0) - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_cancelling_phase_sum_raises(self):
+        # this returned -1.3e26, which moved by 6% from line to line
+        with pytest.raises(AccuracyError, match="the phase sum cancels by a factor"):
+            p_y_batch([1.0], TestFunctionParams(T=64.0, R=20))
+
+    def test_past_the_float_range_raises(self):
+        # this returned NaN
+        with pytest.raises(AccuracyError, match="passes the float range"):
+            p_y_batch([1.0], TestFunctionParams(T=10.0, R=200))
 
     def test_pole_lines_rejected(self):
         p = TestFunctionParams(T=3.0, R=1)
@@ -455,8 +516,9 @@ class TestRankThreeAvatar:
         assert sizes == [324]
 
     def test_plane_exponentiates_one_line_field(self, monkeypatch):
-        # one loggamma call over the distinct shifts, and one exponentiated
-        # (points, v) field: the column field is its mirrored conjugate
+        # one loggamma call over the distinct shifts, exponentiated once per
+        # shift: a point's row field is the product of three of those rows,
+        # and the column field is its mirrored conjugate
         from scipy.special import rgamma
 
         from kuznetsov_lab.testfunctions import _gl3_plane
@@ -472,8 +534,9 @@ class TestRankThreeAvatar:
         monkeypatch.setattr(np, "exp", lambda z: exp_shapes.append(np.shape(z)) or real_exp(z))
         _gl3_plane([(0.1, -0.2)], t1, t2, np.ones(t1.size), 0.75, v, rg)
         monkeypatch.undo()
-        assert gamma_rows == [(np.unique(np.concatenate([tau, -(t1 + t2)])).size, v.size)]
-        assert exp_shapes == [(t1.size, v.size), (1, v.size), (1, v.size)]
+        shifts = np.unique(np.concatenate([tau, -(t1 + t2)])).size
+        assert gamma_rows == [(shifts, v.size)]
+        assert exp_shapes == [(shifts, v.size), (1, v.size), (1, v.size)]
 
     def test_plane_needs_a_symmetric_mellin_grid(self):
         from scipy.special import rgamma
