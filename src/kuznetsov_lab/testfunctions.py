@@ -569,27 +569,21 @@ def _main_term_log(n: int, params: TestFunctionParams, window: float) -> float:
 
 @dataclass(frozen=True)
 class ScalingFit:
-    """Least-squares slope of log(value) against log(T), with the prediction."""
+    """Least-squares slope of log(value) against log(T), with the prediction,
+    the local slopes Delta log(value) / Delta log(T) between consecutive
+    scales, and the residual slope - predicted."""
 
     T_values: tuple[float, ...]
     log_values: tuple[float, ...]
     slope: float
     intercept: float
     predicted: float
-
-    @property
-    def residual(self) -> float:
-        return self.slope - self.predicted
+    local_slopes: tuple[float, ...]
+    residual: float
 
     @property
     def within(self) -> float:
         return abs(self.residual)
-
-    @property
-    def local_slopes(self) -> tuple[float, ...]:
-        """Delta log(value) / Delta log(T) between consecutive scales."""
-        steps = np.diff(self.log_values) / np.diff(np.log(self.T_values))
-        return tuple(float(s) for s in steps)
 
 
 def fit_scaling(T_values, log_values, predicted: float) -> ScalingFit:
@@ -605,12 +599,15 @@ def fit_scaling(T_values, log_values, predicted: float) -> ScalingFit:
     if len(set(T_values)) < len(T_values):
         raise ValueError(f"scales must be distinct, got {T_values}")
     slope, intercept = np.polyfit(np.log(T_values), log_values, 1)
+    steps = np.diff(log_values) / np.diff(np.log(T_values))
     return ScalingFit(
         T_values=tuple(T_values),
         log_values=tuple(log_values),
         slope=float(slope),
         intercept=float(intercept),
         predicted=float(predicted),
+        local_slopes=tuple(float(s) for s in steps),
+        residual=float(slope) - float(predicted),
     )
 
 

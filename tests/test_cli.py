@@ -348,7 +348,7 @@ class TestConfigLayering:
         monkeypatch.setenv(CONFIG_ENV_VAR, str(cfgfile))
         code, out, _ = run_cli(capsys, "combinatorics", "--dn", "4")
         assert code == 0
-        assert json.loads(out)["dn"]["pass"] is True
+        assert json.loads(out)["dn"]["passed"] is True
         code, _, err = run_cli(capsys, "run", "combinatorics")
         assert code == 2
         assert "bogus" in err
@@ -393,8 +393,8 @@ class TestModuleSubcommands:
         code, out, _ = run_cli(capsys, "combinatorics", "--dn", "4", "--verify-lemmas", "8")
         payload = json.loads(out)
         assert code == 0
-        assert payload["dn"] == {"input": 4, "value": 21, "oracle_value": 21, "pass": True}
-        assert payload["verify_lemmas"]["pass"] is True
+        assert payload["dn"] == {"input": 4, "value": 21, "oracle_value": 21, "passed": True}
+        assert payload["verify_lemmas"]["passed"] is True
         assert payload["verify_lemmas"]["oracle_value"] is None
 
     def test_phi_reports_reversal_oracle(self, capsys):
