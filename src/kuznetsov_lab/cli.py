@@ -76,27 +76,24 @@ def _parse_complex(raw, imaginary: bool = True) -> list[complex]:
     if not isinstance(raw, list):
         raise ValueError(f"expected a list of numbers or [re, im] pairs, got {raw!r}")
     out = []
-    try:
-        for entry in raw:
-            if _is_real(entry):
-                out.append(complex(0.0, float(entry)) if imaginary else complex(entry))
-            elif isinstance(entry, list) and len(entry) == 2 and all(map(_is_real, entry)):
-                out.append(complex(float(entry[0]), float(entry[1])))
-            else:
-                raise ValueError(f"entry {entry!r} is neither a number nor an [re, im] pair")
-    except OverflowError:  # a JSON integer past the float range
-        raise ValueError("entries must be finite, got an integer too large for a float") from None
+    for entry in raw:
+        pair = ([0, entry] if imaginary else [entry, 0]) if _is_real(entry) else entry
+        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_real, pair))):
+            raise ValueError(f"entry {entry!r} is neither a number nor an [re, im] pair")
+        if any(isinstance(v, int) and abs(v) > sys.float_info.max for v in pair):
+            raise ValueError("entries must be finite, got an integer too large for a float")
+        out.append(complex(float(pair[0]), float(pair[1])))
     if not all(map(cmath.isfinite, out)):
         raise ValueError(f"entries must be finite, got {raw}")
     return out
 
 
 def _comp_from_spec(spec: str) -> comb.Composition:
-    try:
-        parts = tuple(int(p) for p in spec.split(","))
-    except ValueError as exc:
-        raise ValueError(f"bad composition spec {spec!r}") from exc
-    return comb.Composition(parts)
+    # each part an optionally signed run of decimal digits
+    parts = [p.strip() for p in spec.split(",")]
+    if not all((p[1:] if p[:1] in ("+", "-") else p).isdecimal() for p in parts):
+        raise ValueError(f"bad composition spec {spec!r}")
+    return comb.Composition(tuple(map(int, parts)))
 
 
 def _doubling_grid(t_min: float, t_max: float) -> tuple[float, ...]:

@@ -167,20 +167,34 @@ def _sidecar_path(path: str) -> str:
 
 def emit_scaling_csv(fit: ScalingFit, path: str) -> None:
     """CSV `T,value,log_value` plus a JSON sidecar with the fit summary,
-    both plain enough for any plotting tool."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["T", "value", "log_value"])
-        for T, lv in zip(fit.T_values, fit.log_values):
-            writer.writerow([repr(T), repr(math.exp(lv)), repr(lv)])
+    both plain enough for any plotting tool.  Both files are written or
+    neither: both texts are built before either file is opened, so a value
+    exp(log_value) past the float range raises ValueError naming its T and
+    writes nothing, and the CSV is removed when the sidecar cannot be
+    written."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["T", "value", "log_value"])
+    for T, lv in zip(fit.T_values, fit.log_values):
+        try:
+            value = math.exp(lv)
+        except OverflowError:
+            raise ValueError(f"scaling CSV: the value at T = {T!r} is exp({lv!r}), past the float range") from None
+        writer.writerow([repr(T), repr(value), repr(lv)])
     sidecar = {
         "slope": fit.slope,
         "predicted": fit.predicted,
         "residual": fit.residual,
     }
-    with open(_sidecar_path(path), "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2)
-        fh.write("\n")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(buf.getvalue())
+    try:
+        with open(_sidecar_path(path), "w", encoding="utf-8") as fh:
+            json.dump(sidecar, fh, indent=2)
+            fh.write("\n")
+    except OSError:
+        os.remove(path)
+        raise
 
 
 def read_scaling_csv(path: str) -> ScalingFit:

@@ -196,14 +196,16 @@ def p_y_batch(y_values, params, line: float = 0.75) -> np.ndarray:
     would overflow from R = 14 at T = 64 (base peaks at 654 at R = 3 and
     885 at (T, R) = (32, 120), where M is 526 and p(y) is finite).
 
-    The sum over u cancels: a value raises :class:`AccuracyError` when the
-    cancellation ratio kappa = sum |col| / |Re sum col phase| times the
-    machine epsilon exceeds 1e-6, or when it is not finite.  Over ten y in
-    [0.4, 2.5] on lines 0.75 and 1.0, eps kappa is 6e-14 at (T, R) = (4, 1),
-    9e-12 at (64, 1) and 1e-8 at (64, 3), where the two lines agree to
-    2e-11 relative to the peak; it is 3e-5 at (64, 5) and above 1 at
-    (16, 20) and (64, 20), where the lines differ by 2e-8 and 5e-2.  At
-    (10, 200) p(y) passes the float range.
+    Both sums cancel, the one over u and, inside each col(u), the one over
+    t: a value raises :class:`AccuracyError` when the machine epsilon times
+    the cancellation ratio over every term summed,
+    kappa = sum_t W(t) sum_u |A(u + t)| |B(u - t)| / |Re sum col phase|,
+    exceeds 1e-6, or when the value is not finite.  Over ten y in
+    [0.4, 2.5] on lines 0.75 and 1.0, eps kappa is at most 1e-13 at
+    (T, R) = (4, 1), 1.3e-9 at (100, 1) and 2.4e-7 at (64, 3), where the
+    two lines agree to 1.1e-11 relative to the peak; it passes 1e-6 at
+    (10, 20), y = 1.107, where the lines differ by 1.06e-6, and far passes
+    it at (64, 20).  At (10, 200) p(y) passes the float range.
     """
     if not math.isfinite(line) or (line <= 0 and abs(line - round(line)) < 1e-6):
         raise ValueError(f"contour line {line} must be finite and off the poles of the integrand")
@@ -215,18 +217,25 @@ def p_y_batch(y_values, params, line: float = 0.75) -> np.ndarray:
     x = _STEP * np.arange(1 - b, 2 * b + 256)
     lg = loggamma(line + 1j * x)
     # window k of A starts at x = (k + 1) _STEP, window b - 1 - k of B at -k _STEP
-    plus = sliding_window_view(np.exp(lg[b:] + 0.5 * np.pi * x[b:]), u.size)
-    minus = sliding_window_view(np.exp(lg[:-b] - 0.5 * np.pi * x[:-b]), u.size)[::-1]
+    a_line = np.exp(lg[b:] + 0.5 * np.pi * x[b:])
+    b_line = np.exp(lg[:-b] - 0.5 * np.pi * x[:-b])
+    plus = sliding_window_view(a_line, u.size)
+    minus = sliding_window_view(b_line, u.size)[::-1]
     lw = base - np.pi * t
     top = lw.max()
     w = np.exp(lw - top)
+    # the guard's sum over every term, in the same windows of |A| and |B|
+    abs_sum = float(w @ np.einsum(
+        "kj,kj->k",
+        sliding_window_view(np.abs(a_line), u.size),
+        sliding_window_view(np.abs(b_line), u.size)[::-1],
+    ))
     col = np.zeros(u.size, dtype=np.complex128)
     buf = np.empty((min(b, 128), u.size), dtype=np.complex128)
     for lo in range(0, b, 128):
         k = slice(lo, min(lo + 128, b))
         blk = buf[: k.stop - lo]
         col += w[k] @ np.multiply(plus[k], minus[k], out=blk)
-    abs_sum = float(np.abs(col).sum())
     out = np.empty(len(y_values))
     for i, y in enumerate(y_values):
         c = math.log(math.pi * y)

@@ -22,6 +22,7 @@ from kuznetsov_lab.reporting import (
     CONFIG_ENV_VAR,
     CONFIG_PARSERS,
     RunConfig,
+    emit_scaling_csv,
     load_config,
     parse_config_file,
     read_scaling_csv,
@@ -224,6 +225,74 @@ class TestRunDriver:
         with pytest.raises(SystemExit) as exc:
             cli.main(["run", "nonsense"])
         assert exc.value.code == 2
+
+
+class TestOutcomeRule:
+    """main alone catches, and any exception exits 2 with one error line;
+    exit 1 comes from a section with passed false or from a failed check."""
+
+    def test_non_numeric_matrix_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "u.json"
+        path.write_text('{"a": 1}')
+        code, out, err = run_cli(capsys, "geometry", "--xi", "1,1", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_scaling_value_past_float_range_exits_2_and_writes_nothing(self, capsys, tmp_path):
+        # log value 759.03 at T = 64, past log(float max) = 709.78
+        out_csv = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "testfn", "--itr-scaling", "150", "0.25", "8", "64", "--out", str(out_csv))
+        assert code == 2 and out == ""
+        assert err.startswith("error: scaling CSV: the value at T = 64.0 is exp(759.") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "exc, line",
+        [(ZeroDivisionError("x"), "error: x\n"), (RuntimeError(), "error: RuntimeError\n")],
+        ids=["message", "bare"],
+    )
+    def test_any_exception_exits_2(self, capsys, monkeypatch, exc, line):
+        def handler(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_special", handler)
+        code, out, err = run_cli(capsys, "special", "--bound-B", "0.75")
+        assert (code, out, err) == (2, "", line)
+
+    def test_failed_section_exits_1(self, capsys, monkeypatch):
+        failed = {"passed": False, "checked": 3, "first_counterexample": (1, 2)}
+        monkeypatch.setattr(comb, "verify_partition_identities", lambda n_max: failed)
+        code, out, _ = run_cli(capsys, "combinatorics", "--verify-lemmas", "8")
+        assert code == 1
+        assert json.loads(out)["verify_lemmas"] == {
+            "input": 8, "value": 3, "oracle_value": [1, 2], "passed": False,
+        }
+
+    @pytest.mark.parametrize(
+        "argv, key, fit",
+        [
+            (["--itr-scaling", "1", "0.25", "8", "64"], "itr_scaling", lambda: testfunctions.itr_scaling(0.25, 1, (8.0, 16.0, 32.0, 64.0))),
+            (["--main-term-scaling", "2", "1"], "main_term_scaling", lambda: testfunctions.main_term_scaling(2, 1)),
+        ],
+        ids=["itr", "main-term"],
+    )
+    def test_scaling_json_is_the_fit(self, capsys, argv, key, fit):
+        # the fields in declaration order, local slopes and residual last,
+        # as the slope summary has always printed them
+        f = fit()
+        steps = np.diff(f.log_values) / np.diff(np.log(f.T_values))
+        payload = {
+            "T_values": list(f.T_values),
+            "log_values": list(f.log_values),
+            "slope": f.slope,
+            "intercept": f.intercept,
+            "predicted": f.predicted,
+            "local_slopes": [float(v) for v in steps],
+            "residual": f.slope - f.predicted,
+        }
+        code, out, _ = run_cli(capsys, "testfn", *argv)
+        assert code == 0
+        assert out == json.dumps({key: payload}, indent=2) + "\n"
 
 
 class TestSubcommandFlags:
@@ -945,6 +1014,19 @@ class TestScalingCsv:
         assert sidecar["predicted"] == fit_json["predicted"]
         refit = read_scaling_csv(str(out_csv))
         assert refit.slope == pytest.approx(fit_json["slope"], abs=1e-12)
+
+    def test_value_past_float_range_writes_no_file(self, tmp_path):
+        fit = testfunctions.fit_scaling([8, 16, 32, 64], [1.0, 2.0, 3.0, 800.0], 1.0)
+        with pytest.raises(ValueError, match=r"T = 64\.0 is exp\(800\.0\), past the float range"):
+            emit_scaling_csv(fit, str(tmp_path / "x.csv"))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_sidecar_leaves_no_csv(self, capsys, tmp_path):
+        (tmp_path / "x.json").mkdir()
+        code, out, err = run_cli(capsys, "testfn", "--itr-scaling", "1", "0.25", "8", "64", "--out", str(tmp_path / "x.csv"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "x.json" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
 
     def test_nonpositive_scale_is_value_error(self, capfd, tmp_path):
         # log T = -inf would reach the least-squares solve, which fails

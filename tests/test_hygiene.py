@@ -1,7 +1,8 @@
 """Source hygiene: no library or test module imports a name it never uses,
 no library module reaches into another one's private names or uses numpy's
 unchecked ``as_strided``, every library name the bench scripts read or the
-README names exists, and every public library name has a reader."""
+README names exists, every public library name has a reader, and the CLI
+catches in `main` alone."""
 
 import ast
 import importlib
@@ -371,3 +372,47 @@ def test_integer_scanner_sees_each_idiom():
         "z = int(3) + 1 == 4\n"
     )
     assert integer_comparisons(source) == ["f", "f", "f", "<module>"]
+
+
+def except_clauses(source: str) -> dict[str, list[str]]:
+    """The exception types each function catches, by function name, as
+    written in its ``except`` clauses (``<bare>`` for a bare ``except:``)."""
+    found = {}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.ExceptHandler):
+                caught = ast.unparse(child.type) if child.type is not None else "<bare>"
+                found.setdefault(owner, []).append(caught)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_cli_exit_rule_stated_once():
+    # main alone catches, and catches every Exception: any fault exits 2
+    source = (ROOT / "src" / PACKAGE / "cli.py").read_text()
+    assert except_clauses(source) == {"main": ["Exception"]}
+
+
+def test_except_scanner_sees_each_clause():
+    source = (
+        "def f(x):\n"
+        "    try:\n"
+        "        pass\n"
+        "    except (ValueError, OSError):\n"
+        "        def g():\n"
+        "            try:\n"
+        "                pass\n"
+        "            except:\n"
+        "                pass\n"
+        "try:\n"
+        "    pass\n"
+        "except Exception as exc:\n"
+        "    pass\n"
+    )
+    assert except_clauses(source) == {"f": ["(ValueError, OSError)"], "g": ["<bare>"], "<module>": ["Exception"]}

@@ -57,6 +57,13 @@ class TestPSharp:
         mags = [abs(v) for v in vals]
         assert mags == sorted(mags, reverse=True)
 
+    @pytest.mark.parametrize("line", [0.75, 1.0])
+    def test_cancelling_column_sums_raise(self, line):
+        # each col(u) is itself a cancelling sum over t: here the lines
+        # 0.75 and 1.0 differ by 1.06e-6 relative
+        with pytest.raises(AccuracyError, match="the phase sum cancels by a factor"):
+            p_y_batch([1.107], TestFunctionParams(T=10.0, R=20), line=line)
+
     def test_past_the_float_range_raises(self):
         # this returned NaN after two RuntimeWarnings
         with pytest.raises(ValueError, match="p_sharp passes the float range"):
